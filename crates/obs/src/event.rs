@@ -122,7 +122,9 @@ pub enum Event {
     BatchScheduled {
         /// Vectors in the batch.
         batch: u64,
-        /// Worker lanes available to spread the batch across.
+        /// Workers that run the batch: `min(units, threads)`, where the
+        /// units are vectors (64-vector blocks on the vertical tier) and
+        /// a serial executor has one thread.
         lanes: u64,
     },
     /// A compiled program passed static validation; carries the

@@ -57,7 +57,10 @@ pub struct ServiceConfig {
     /// Backoff schedule for those service-level retries
     /// ([`RetryPolicy::backoff_ns`]; also the in-run retry policy).
     pub retry_policy: RetryPolicy,
-    /// Worker threads the front-end spawns.
+    /// Worker threads the front-end spawns: the service's parallelism.
+    /// Each worker runs its batch on its own thread, serially, so a
+    /// service uses at most this many executor threads and spawns none
+    /// per batch.
     pub workers: usize,
 }
 

@@ -4,10 +4,12 @@
 //! [`SortService`] wraps the deterministic [`ServiceCore`] in a
 //! `Mutex` + `Condvar`, spawns [`ServiceConfig::workers`] executor
 //! threads, and answers each admitted request through a single-use
-//! [`Ticket`]. Submission is the [`Transport`] trait — in-process here;
-//! a network RPC front-end bolts on by implementing the same trait over
-//! a wire format (the container this grows in has no sockets, so the
-//! trait is the seam).
+//! [`Ticket`]. `workers` is the service's parallelism: each worker runs
+//! its batch on its own thread through [`BspMachine::serial`] machines,
+//! so a batch never spawns threads of its own. Submission is the
+//! [`Transport`] trait — in-process here; a network RPC front-end bolts
+//! on by implementing the same trait over a wire format (the container
+//! this grows in has no sockets, so the trait is the seam).
 //!
 //! # Degradation ladder
 //!
@@ -344,6 +346,7 @@ impl Drop for SortService {
 
 /// Per-worker scratch: one machine per shape (the `EventLogger` inside
 /// is thread-local, so machines are per-thread), plus reusable pools.
+/// The machines are serial: the workers are the service's parallelism.
 struct WorkerCtx {
     machines: Vec<BspMachine>,
     scratch_pool: ScratchPool<u64>,
@@ -356,7 +359,7 @@ fn worker_loop(shared: &Shared) {
         machines: shared
             .shapes
             .iter()
-            .map(|s| BspMachine::new(&s.factor, s.r))
+            .map(|s| BspMachine::new(&s.factor, s.r).serial())
             .collect(),
         scratch_pool: ScratchPool::new(),
         vertical_pool: VerticalPool::new(),

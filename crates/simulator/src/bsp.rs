@@ -577,6 +577,8 @@ pub struct ValidationReport {
 pub struct BspMachine {
     network: NetworkView,
     shape: Shape,
+    /// Batches run on the calling thread only ([`BspMachine::serial`]).
+    serial: bool,
     pub(crate) logger: EventLogger,
 }
 
@@ -621,8 +623,35 @@ impl BspMachine {
         BspMachine {
             network: NetworkView::new(factor, shape),
             shape,
+            serial: false,
             logger: EventLogger::disabled(),
         }
+    }
+
+    /// This machine with batch fan-out turned off: the batch executors
+    /// ([`BspMachine::run_kernel_batch`], [`BspMachine::run_vertical_batch`],
+    /// [`BspMachine::run_batch`], [`BspMachine::run_batch_with_faults`])
+    /// run every lane or block on the calling thread and spawn nothing.
+    /// For callers that bring their own parallelism, such as the
+    /// service's workers. Results are identical either way.
+    #[must_use]
+    pub fn serial(mut self) -> Self {
+        self.serial = true;
+        self
+    }
+
+    /// Workers a batch of `units` independent work units (lanes, or
+    /// 64-lane blocks on the vertical tier) runs on: `min(units,
+    /// threads)`, with one thread on a serial machine and the `rayon`
+    /// thread count otherwise. Batch executors fan out iff this is > 1
+    /// and report it as `BatchScheduled.lanes`.
+    pub(crate) fn batch_workers(&self, units: usize) -> usize {
+        let threads = if self.serial {
+            1
+        } else {
+            rayon::current_num_threads()
+        };
+        units.min(threads)
     }
 
     /// The machine's shape.
@@ -1033,8 +1062,9 @@ impl BspMachine {
     }
 
     /// Drive `batch.len()` independent key vectors through one compiled
-    /// program, one thread per vector (inter-input parallelism — the
-    /// natural grain for throughput, since the vectors share nothing).
+    /// program, one contiguous chunk of vectors per core (inter-input
+    /// parallelism — the natural grain for throughput, since the vectors
+    /// share nothing; none on a [`BspMachine::serial`] machine).
     /// The program is validated once for the whole batch; each vector
     /// then executes serially and unchecked, producing exactly the
     /// configuration [`BspMachine::run`] would.
@@ -1061,13 +1091,12 @@ impl BspMachine {
         for keys in batch.iter() {
             assert_eq!(keys.len() as u64, self.shape.len(), "one key per node");
         }
+        let workers = self.batch_workers(batch.len());
         self.logger.log(|| Event::BatchScheduled {
             batch: batch.len() as u64,
-            // A batch smaller than the worker pool occupies one lane per
-            // vector, not one per thread.
-            lanes: batch.len().min(rayon::current_num_threads()) as u64,
+            lanes: workers as u64,
         });
-        if batch.len() <= 1 {
+        if workers <= 1 {
             for keys in batch.iter_mut() {
                 exec_program(keys, program);
             }
@@ -2080,17 +2109,68 @@ mod tests {
                 elided_cx: stats.compare_exchanges_elided,
                 fused: stats.rounds_fused,
             }));
-        let scheduled: Vec<Event> = events
-            .iter()
-            .map(|e| e.event)
-            .filter(|e| matches!(e, Event::BatchScheduled { .. }))
-            .collect();
+        let scheduled = |events: &[pns_obs::TimedEvent]| -> Vec<Event> {
+            events
+                .iter()
+                .map(|e| e.event)
+                .filter(|e| matches!(e, Event::BatchScheduled { .. }))
+                .collect()
+        };
+        let threads = rayon::current_num_threads() as u64;
         assert_eq!(
-            scheduled,
+            scheduled(&events),
             vec![Event::BatchScheduled {
                 batch: 5,
-                lanes: 5.min(rayon::current_num_threads() as u64),
+                lanes: 5.min(threads),
             }]
+        );
+
+        // A serial machine reports one worker on every batch executor.
+        let (machine, reader) = traced_machine(&factor, 2);
+        let machine = machine.serial();
+        let kernel = machine.lower(&program).expect("valid program");
+        let mut batch: Vec<Vec<u64>> = (0..5).map(|s| lcg_keys(9, s + 1)).collect();
+        machine.run_batch(&mut batch, &program);
+        machine.run_kernel_batch(&mut batch, &kernel, &mut crate::kernel::ScratchPool::new());
+        let plan = pns_fault::FaultPlan::disabled();
+        let policy = pns_fault::RetryPolicy::default();
+        let _ = machine.run_batch_with_faults(&mut batch, &program, &plan, &policy);
+        assert_eq!(
+            scheduled(&drain(&machine, &reader)),
+            vec![Event::BatchScheduled { batch: 5, lanes: 1 }; 3]
+        );
+
+        // The vertical tier's unit of work is a 64-lane block: a 64-lane
+        // batch is one block, a 130-lane batch three.
+        let vertical = crate::vertical::VerticalProgram::lower(std::sync::Arc::new(kernel));
+        let (machine, reader) = traced_machine(&factor, 2);
+        let mut pool = crate::vertical::VerticalPool::new();
+        for lanes in [64u64, 130] {
+            let mut batch: Vec<Vec<u64>> = (0..lanes).map(|s| lcg_keys(9, s + 1)).collect();
+            machine.run_vertical_batch(&mut batch, &vertical, &mut pool);
+            let _ = machine
+                .run_vertical_batch_with_faults(&mut batch, &vertical, &plan, &policy, &mut pool);
+        }
+        assert_eq!(
+            scheduled(&drain(&machine, &reader)),
+            vec![
+                Event::BatchScheduled {
+                    batch: 64,
+                    lanes: 1
+                },
+                Event::BatchScheduled {
+                    batch: 64,
+                    lanes: 1
+                },
+                Event::BatchScheduled {
+                    batch: 130,
+                    lanes: 3.min(threads)
+                },
+                Event::BatchScheduled {
+                    batch: 130,
+                    lanes: 1
+                },
+            ]
         );
     }
 

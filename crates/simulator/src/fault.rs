@@ -685,8 +685,9 @@ impl BspMachine {
     }
 
     /// Drive a batch of independent key vectors through one compiled
-    /// program under fault injection, one worker per vector, each lane
-    /// using `plan.fork(lane)` so lanes fault independently.
+    /// program under fault injection, lanes fanned out like
+    /// [`BspMachine::run_batch`], each lane using `plan.fork(lane)` so
+    /// lanes fault independently.
     ///
     /// Degrades gracefully instead of failing the batch: a lane that
     /// exhausts its retries is *quarantined* — restored to its original
@@ -711,11 +712,10 @@ impl BspMachine {
                 .collect();
         }
         let _batch_span = self.logger.span(Tier::Fault, Stage::Batch, SpanClass::None);
+        let workers = self.batch_workers(batch.len());
         self.logger.log(|| Event::BatchScheduled {
             batch: batch.len() as u64,
-            // A batch smaller than the worker pool occupies one lane per
-            // vector, not one per thread.
-            lanes: batch.len().min(rayon::current_num_threads()) as u64,
+            lanes: workers as u64,
         });
         let shape = self.shape();
         let expected = shape.len();
@@ -758,7 +758,7 @@ impl BspMachine {
                 outcome: None,
             })
             .collect();
-        if slots.len() <= 1 {
+        if workers <= 1 {
             for slot in &mut slots {
                 slot.outcome = Some(run_lane(slot.lane, slot.keys));
             }

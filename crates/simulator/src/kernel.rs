@@ -38,7 +38,15 @@
 //! list) with chunked execution over disjoint pair ranges: worker
 //! threads write swap decisions into a reusable `u64` bitmask, and the
 //! swaps commit serially — bit-identical to serial order because
-//! validated compare rounds touch each key at most once.
+//! validated compare rounds touch each key at most once. It has no
+//! library caller: it spawns scoped threads in every large round, which
+//! costs more than the serial kernel saves, so `Machine::sort` runs
+//! [`BspMachine::run_kernel`]. The path is kept for the differential
+//! tests and the benchmark's fork-join probe.
+//!
+//! Batches ([`BspMachine::run_kernel_batch`]) fan their lanes out over
+//! the vendored `rayon`, unless the machine is
+//! [`BspMachine::serial`], as the service's workers are.
 
 use pns_obs::{Event, SpanClass, Stage, Tier, ROUND_OBS_MIN_OPS, SORT_OBS_MIN_OPS};
 use pns_order::radix::Shape;
@@ -47,9 +55,10 @@ use crate::bsp::{BspMachine, CertPoint, CompiledProgram, Op, ProgramError};
 
 /// Minimum compare-pairs in a round before
 /// [`BspMachine::run_kernel_parallel`] splits it across threads. The
-/// vendored `rayon` spawns OS threads per call, so intra-round
-/// parallelism only pays for very large rounds; below this, the serial
-/// kernel wins.
+/// path spawns scoped OS threads per round, so intra-round parallelism
+/// only pays for very large rounds; below this, the serial kernel wins.
+/// No library path uses it: it is kept for the differential tests and
+/// the benchmark's fork-join probe.
 pub const KERNEL_PAR_THRESHOLD: usize = 8192;
 
 /// What a lowered round contains, so dispatch is one `match` per round.
@@ -667,6 +676,11 @@ impl BspMachine {
     /// bitmask decision phase + serial commit). Route and small rounds
     /// run serially. Bit-identical to the serial kernel on every input.
     ///
+    /// No library path calls this: the scoped threads it spawns in every
+    /// large round cost more than they save (`Machine::sort` runs
+    /// [`BspMachine::run_kernel`]). It is kept for the differential
+    /// tests and the benchmark's fork-join probe.
+    ///
     /// # Panics
     ///
     /// Panics if the kernel was lowered for another shape or `keys` is
@@ -686,8 +700,8 @@ impl BspMachine {
     /// [`BspMachine::run_kernel_parallel`] with an explicit serial
     /// fallback threshold (compare rounds with fewer pairs run serially).
     /// Exposed so tests and benchmarks can force the chunked path on
-    /// small rounds; the default threshold is tuned for the vendored
-    /// thread-per-call `rayon` stub.
+    /// small rounds; the default threshold is tuned for threads spawned
+    /// per round.
     ///
     /// # Panics
     ///
@@ -748,8 +762,10 @@ impl BspMachine {
     }
 
     /// Drive a batch of independent key vectors through one lowered
-    /// program, one worker lane per vector, each lane running the serial
-    /// kernel on its own [`ScratchPool`] slot. Produces exactly the
+    /// program, each lane running the serial kernel on its own
+    /// [`ScratchPool`] slot. The lanes split into one contiguous chunk
+    /// per core, or run on the calling thread on a
+    /// [`BspMachine::serial`] machine. Produces exactly the
     /// configurations [`BspMachine::run`] would; steady-state batches
     /// reuse the pool's warm scratches instead of reallocating per lane.
     ///
@@ -779,12 +795,13 @@ impl BspMachine {
         let _batch_span = self
             .logger
             .span(Tier::Kernel, Stage::Batch, SpanClass::None);
+        let workers = self.batch_workers(batch.len());
         self.logger.log(|| Event::BatchScheduled {
             batch: batch.len() as u64,
-            lanes: batch.len().min(rayon::current_num_threads()) as u64,
+            lanes: workers as u64,
         });
         let scratches = pool.ensure(batch.len());
-        if batch.len() <= 1 {
+        if workers <= 1 {
             for (keys, scratch) in batch.iter_mut().zip(scratches.iter_mut()) {
                 exec_kernel(keys, kernel, scratch);
             }

@@ -171,12 +171,12 @@ impl Machine {
     /// both — no recompilation, no re-lowering, observable via the
     /// cache's hit counters.
     ///
-    /// Sorts run through [`BspMachine::run_kernel_parallel`]; batches
-    /// ([`Machine::sort_batch`]) run through
-    /// [`BspMachine::run_kernel_batch`], or through the bit-sliced
-    /// vertical tier ([`BspMachine::run_vertical_batch`]) once the
-    /// batch reaches [`VERTICAL_MIN_LANES`] lanes. All are bit-identical
-    /// to serial BSP execution.
+    /// Sorts run through the serial kernel ([`BspMachine::run_kernel`])
+    /// on the calling thread; batches ([`Machine::sort_batch`]) run
+    /// through [`BspMachine::run_kernel_batch`], or through the
+    /// bit-sliced vertical tier ([`BspMachine::run_vertical_batch`])
+    /// once the batch reaches [`VERTICAL_MIN_LANES`] lanes. All are
+    /// bit-identical to serial BSP execution.
     #[must_use]
     pub fn compiled(
         factor: &Graph,
@@ -406,8 +406,7 @@ impl Machine {
             }
             (EngineKind::Compiled(c), checked) => {
                 let mut scratch = ExecScratch::new();
-                c.bsp
-                    .run_kernel_parallel(&mut keys, &c.kernel, &mut scratch);
+                c.bsp.run_kernel(&mut keys, &c.kernel, &mut scratch);
                 // The per-stage invariant of `network_sort_checked` does
                 // not survive lowering; checked mode verifies the final
                 // configuration instead.
@@ -431,12 +430,14 @@ impl Machine {
     /// one `Result` per lane in input order.
     ///
     /// On a compiled machine ([`Machine::compiled`]) the valid lanes run
-    /// through one lowered kernel with one thread per vector
-    /// ([`BspMachine::run_kernel_batch`]); batches of at least
-    /// [`VERTICAL_MIN_LANES`] valid lanes switch to the bit-sliced
-    /// vertical tier ([`BspMachine::run_vertical_batch`]), which blocks
-    /// 64 lanes to a word. Other engine kinds sort the vectors one
-    /// after another; results are identical on every path.
+    /// through one lowered kernel ([`BspMachine::run_kernel_batch`]),
+    /// split into one contiguous chunk of lanes per core; the calling
+    /// thread runs one chunk and a scoped thread each other. Batches of
+    /// at least [`VERTICAL_MIN_LANES`] valid lanes switch to the
+    /// bit-sliced vertical tier ([`BspMachine::run_vertical_batch`]),
+    /// which blocks 64 lanes to a word and fans the blocks out the same
+    /// way. Other engine kinds sort the vectors one after another;
+    /// results are identical on every path.
     ///
     /// A lane whose vector is not one key per node reports
     /// [`SortError::WrongKeyCount`] without affecting the other lanes —

@@ -593,7 +593,9 @@ impl BspMachine {
     /// node-major columns and executed with word-wide swap masks, then
     /// transposed back. Bit-identical to [`BspMachine::run_kernel_batch`]
     /// (and therefore to per-lane [`BspMachine::run`]) on every input;
-    /// blocks run in parallel, and warm pools make reruns allocation-free.
+    /// blocks run in parallel (on the calling thread on a
+    /// [`BspMachine::serial`] machine), and warm pools make reruns
+    /// allocation-free.
     ///
     /// Returns the number of rounds executed (same for every lane).
     ///
@@ -622,13 +624,14 @@ impl BspMachine {
         let _batch_span = self
             .logger
             .span(Tier::Vertical, Stage::Batch, SpanClass::None);
+        let blocks = batch.len().div_ceil(WORD_LANES);
+        let workers = self.batch_workers(blocks);
         self.logger.log(|| Event::BatchScheduled {
             batch: batch.len() as u64,
-            lanes: batch.len().min(rayon::current_num_threads()) as u64,
+            lanes: workers as u64,
         });
-        let blocks = batch.len().div_ceil(WORD_LANES);
         let scratches = pool.ensure(blocks);
-        if blocks <= 1 {
+        if workers <= 1 {
             for (lanes, scratch) in batch.chunks_mut(WORD_LANES).zip(scratches.iter_mut()) {
                 exec_cols_block(lanes, kernel, scratch);
             }
@@ -885,10 +888,6 @@ impl BspMachine {
             "vertical program lowered for another shape"
         );
         let _batch_span = self.logger.span(Tier::Fault, Stage::Batch, SpanClass::None);
-        self.logger.log(|| Event::BatchScheduled {
-            batch: batch.len() as u64,
-            lanes: batch.len().min(rayon::current_num_threads()) as u64,
-        });
         let shape = self.shape();
         let expected = shape.len();
         let n = expected as usize;
@@ -903,6 +902,11 @@ impl BspMachine {
             })
             .collect();
         let good: Vec<usize> = (0..batch.len()).filter(|&i| results[i].is_none()).collect();
+        self.logger.log(|| Event::BatchScheduled {
+            batch: batch.len() as u64,
+            // The blocks run one after another on this thread.
+            lanes: u64::from(!good.is_empty()),
+        });
         let mut lane_buf: Vec<K> = Vec::new();
         let mut checkpoint: Vec<K> = Vec::new();
         for chunk in good.chunks(WORD_LANES) {
