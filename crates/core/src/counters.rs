@@ -18,7 +18,7 @@
 //! (E12), not the time bounds.
 
 /// Instrumentation accumulated by the algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct Counters {
     /// Parallel rounds of `N²`-key base sorts (time-like: parallel
     /// invocations in the same round count once).

@@ -130,11 +130,10 @@ impl Shape {
 #[inline]
 #[must_use]
 pub fn pow(n: usize, e: usize) -> u64 {
-    let mut acc: u64 = 1;
-    for _ in 0..e {
-        acc = acc.checked_mul(n as u64).expect("radix power overflow");
-    }
-    acc
+    u32::try_from(e)
+        .ok()
+        .and_then(|e| (n as u64).checked_pow(e))
+        .expect("radix power overflow")
 }
 
 /// Digit of `rank` (base `n`) at 0-based position `i`.
@@ -252,5 +251,12 @@ mod tests {
         assert_eq!(pow(2, 10), 1024);
         assert_eq!(pow(7, 0), 1);
         assert_eq!(pow(10, 3), 1000);
+        assert_eq!(pow(2, 63), 1 << 63);
+    }
+
+    #[test]
+    #[should_panic(expected = "radix power overflow")]
+    fn pow_panics_on_overflow() {
+        let _ = pow(2, 64);
     }
 }

@@ -164,10 +164,12 @@ impl ServiceBuilder {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Rejected`] with
-    /// [`RejectReason::InvalidRequest`]-class reasons when the factor is
-    /// unusable (disconnected, or lowering fails) — configuration
-    /// errors are typed, not panics.
+    /// [`ServiceError::Internal`] when the factor is unusable —
+    /// configuration errors are typed, not panics:
+    /// `"factor graph must be connected"` for a disconnected factor,
+    /// `"shape compilation panicked"` if compiling or lowering panics,
+    /// and `"shape failed to lower"` if the compiled program fails
+    /// validation.
     pub fn register_shape(mut self, factor: &Graph, r: usize) -> Result<Self, ServiceError> {
         if !pns_graph::is_connected(factor) {
             return Err(ServiceError::Internal("factor graph must be connected"));

@@ -20,8 +20,9 @@
 //! ([`BspMachine::run`]).
 
 use crate::engine::{Engine, Pg2Instance};
-use crate::netsort::network_merge;
+use crate::netsort::{network_stage, NetSortOutcome};
 use crate::sorters::Pg2Sorter;
+use pns_core::Counters;
 use pns_graph::Graph;
 use pns_obs::{Event, EventLogger, SpanClass, Stage, Tier, ROUND_OBS_MIN_OPS};
 use pns_order::radix::Shape;
@@ -133,20 +134,26 @@ pub struct CertPoint {
 /// A compiled, input-independent schedule for one sort. Serializable, so
 /// a schedule can be compiled once and shipped to the machine that runs
 /// it (the machine re-validates every operation anyway).
+///
+/// A program from [`compile`] also carries the logical unit
+/// [`Counters`] its replay of the algorithm accumulated
+/// ([`CompiledProgram::counters`]), so a machine built on it needs no
+/// second replay to report them.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CompiledProgram {
     shape: Shape,
     rounds: Vec<BspRound>,
     stats: ProgramStats,
     cert_points: Vec<CertPoint>,
+    counters: Counters,
 }
 
 impl CompiledProgram {
     /// Build a program directly from rounds (for hand-written or
     /// deserialized schedules; the machine validates every operation).
-    /// Hand-built programs carry no certificate points — nothing is
-    /// known about what they compute, so fault-injecting executors have
-    /// no invariant to check.
+    /// Hand-built programs carry no certificate points and zero
+    /// counters — nothing is known about what they compute, so
+    /// fault-injecting executors have no invariant to check.
     #[must_use]
     pub fn from_rounds(shape: Shape, rounds: Vec<BspRound>) -> Self {
         let ops = rounds.iter().map(Vec::len).sum::<usize>() as u64;
@@ -156,6 +163,7 @@ impl CompiledProgram {
             rounds,
             stats,
             cert_points: Vec::new(),
+            counters: Counters::default(),
         }
     }
 
@@ -164,6 +172,16 @@ impl CompiledProgram {
     #[must_use]
     pub fn cert_points(&self) -> &[CertPoint] {
         &self.cert_points
+    }
+
+    /// The algorithm's logical unit counters for one sort through this
+    /// program: what [`compile`]'s replay accumulated, equal in every
+    /// field to a unit-cost [`network_sort`](crate::netsort::network_sort)
+    /// of the same shape. Optimization keeps them; hand-built programs
+    /// carry zeros.
+    #[must_use]
+    pub fn counters(&self) -> Counters {
+        self.counters
     }
 
     /// Number of synchronous rounds.
@@ -262,6 +280,7 @@ impl CompiledProgram {
             rounds,
             stats,
             cert_points,
+            counters: self.counters,
         }
     }
 }
@@ -445,7 +464,8 @@ pub enum ProgramError {
         node: u64,
     },
     /// A node's resident key was both read (relay first hop) and
-    /// written (compare/resolve) in one round — order-dependent.
+    /// written (compare/resolve) in one round — order-dependent. Names
+    /// the round's first such read in op order.
     KeyReadAndWritten {
         /// Offending round index.
         round: usize,
@@ -497,6 +517,7 @@ pub enum ProgramError {
         slot: u8,
     },
     /// A move wrote into a slot still occupied from a previous round.
+    /// Names the round's first such write in op order.
     SlotOccupied {
         /// Offending round index.
         round: usize,
@@ -583,9 +604,15 @@ pub struct BspMachine {
 }
 
 /// Adjacency view over the product network (rank-based, no edge lists).
+/// Every query costs a few divisions whatever `r` is.
 struct NetworkView {
     factor: Graph,
     shape: Shape,
+    /// `N^0 ..= N^r`.
+    strides: Vec<u64>,
+    /// The factor's maximum degree: directed edges that can leave one
+    /// node along one dimension.
+    degree: usize,
 }
 
 impl NetworkView {
@@ -593,26 +620,69 @@ impl NetworkView {
         NetworkView {
             factor: factor.clone(),
             shape,
+            strides: (0..=shape.r()).map(|i| shape.stride(i)).collect(),
+            degree: factor.max_degree(),
         }
+    }
+
+    /// If ranks `a` and `b` of the network differ in exactly one digit:
+    /// that dimension and their digits there. Only the largest `i` with
+    /// `N^i ≤ |a − b|` can be that dimension; the digits below it agree
+    /// iff `N^i` divides `|a − b|`, and the digits above iff adding the
+    /// quotient to the smaller rank's digit `i` does not carry.
+    fn split(&self, a: u64, b: u64) -> Option<(usize, usize, usize)> {
+        let (lo, hi) = (a.min(b), a.max(b));
+        if lo == hi || hi >= self.shape.len() {
+            return None;
+        }
+        let diff = hi - lo;
+        // strides[0] = 1 ≤ diff < N^r = strides[r], so 0 ≤ dim < r.
+        let dim = self.strides.partition_point(|&s| s <= diff) - 1;
+        let stride = self.strides[dim];
+        if diff % stride != 0 {
+            return None;
+        }
+        let n = self.shape.n() as u64;
+        let d_lo = (lo / stride) % n;
+        let d_hi = d_lo + diff / stride;
+        if d_hi >= n {
+            return None;
+        }
+        let (da, db) = if a < b { (d_lo, d_hi) } else { (d_hi, d_lo) };
+        Some((dim, da as usize, db as usize))
     }
 
     /// `true` iff `(a, b)` is an edge of the product network.
     fn has_edge(&self, a: u64, b: u64) -> bool {
-        if a == b {
-            return false;
-        }
-        let mut differing = None;
-        for i in 0..self.shape.r() {
-            let (da, db) = (self.shape.digit(a, i), self.shape.digit(b, i));
-            if da != db {
-                if differing.is_some() {
-                    return false;
-                }
-                differing = Some((da, db));
-            }
-        }
-        differing.is_some_and(|(da, db)| self.factor.has_edge(da as u32, db as u32))
+        self.split(a, b)
+            .is_some_and(|(_, da, db)| self.factor.has_edge(da as u32, db as u32))
     }
+
+    /// If `(a, b)` is an edge of the product network: the ids of its two
+    /// directions, `a → b` then `b → a`, each below
+    /// [`NetworkView::edge_id_count`]. A direction's id is made of its
+    /// tail, its dimension, and the head's digit's position among the
+    /// tail's digit's factor neighbours.
+    fn edge_ids(&self, a: u64, b: u64) -> Option<(usize, usize)> {
+        let (dim, da, db) = self.split(a, b)?;
+        let (da, db) = (da as u32, db as u32);
+        let ahead = self.factor.neighbors(da).binary_search(&db).ok()?;
+        let back = self.factor.neighbors(db).binary_search(&da).ok()?;
+        let id = |tail: u64, at: usize| (tail as usize * self.shape.r() + dim) * self.degree + at;
+        Some((id(a, ahead), id(b, back)))
+    }
+
+    /// Directed-edge ids: `N^r · r · Δ`, with `Δ` the factor's maximum
+    /// degree.
+    fn edge_id_count(&self) -> usize {
+        self.shape.len() as usize * self.shape.r() * self.degree
+    }
+}
+
+/// Add `i` to the set whose members hold `epoch`; `false` if it was
+/// already there.
+fn stamp(set: &mut [u32], i: usize, epoch: u32) -> bool {
+    std::mem::replace(&mut set[i], epoch) != epoch
 }
 
 impl BspMachine {
@@ -849,9 +919,20 @@ impl BspMachine {
     /// found as a [`ProgramError`] naming the round and the resource.
     /// Emits the `Validate` event on success only.
     ///
+    /// Linear in the program's op count: each op's edge test costs a few
+    /// divisions whatever `r` is, and the per-round sets are flat arrays
+    /// of round stamps (keys, transit slots, and one entry per directed
+    /// edge of the network), allocated once per call.
+    ///
     /// # Errors
     ///
-    /// Returns the first machine-model violation in program order.
+    /// Returns the first machine-model violation in program order. A
+    /// round's ops are checked one by one, then the round as a whole:
+    /// [`ProgramError::KeyReadAndWritten`] names the first key read, in
+    /// op order, that the round also writes, and
+    /// [`ProgramError::SlotOccupied`] the first write, in op order, into
+    /// a slot still full from an earlier round. A rank outside the
+    /// network is never an edge endpoint and holds no transit value.
     pub fn try_validate(
         &self,
         program: &CompiledProgram,
@@ -861,23 +942,42 @@ impl BspMachine {
         }
         let n_nodes = self.shape.len() as usize;
         let mut occupied = vec![[false; 2]; n_nodes];
+        // The round's sets, flat and allocated once: an entry is in the
+        // current round's set iff it holds the round's epoch, so starting
+        // a round empties every set. Slots are indexed `2·node + slot`.
+        let mut key_written = vec![0u32; n_nodes];
+        let mut slot_taken = vec![0u32; 2 * n_nodes];
+        let mut slot_written = vec![0u32; 2 * n_nodes];
+        let mut edge_used = vec![0u32; self.network.edge_id_count()];
+        let mut epoch = 0u32;
+        // The round's key reads and slot takes and writes, in op order,
+        // for the end-of-round checks.
+        let mut reads: Vec<u64> = Vec::new();
+        let mut taken: Vec<(u64, u8)> = Vec::new();
+        let mut written: Vec<(u64, u8)> = Vec::new();
         for (ri, round) in program.rounds.iter().enumerate() {
-            let mut key_read: std::collections::HashSet<u64> = std::collections::HashSet::new();
-            let mut key_written: std::collections::HashSet<u64> = std::collections::HashSet::new();
-            let mut slot_taken: std::collections::HashSet<(u64, u8)> =
-                std::collections::HashSet::new();
-            let mut slot_written: std::collections::HashSet<(u64, u8)> =
-                std::collections::HashSet::new();
-            let mut edge_used: std::collections::HashSet<(u64, u64)> =
-                std::collections::HashSet::new();
+            epoch = epoch.checked_add(1).unwrap_or_else(|| {
+                for set in [
+                    &mut key_written,
+                    &mut slot_taken,
+                    &mut slot_written,
+                    &mut edge_used,
+                ] {
+                    set.fill(0);
+                }
+                1
+            });
+            reads.clear();
+            taken.clear();
+            written.clear();
             for op in round {
                 match *op {
                     Op::CompareExchange { a, b, .. } => {
-                        if !self.network.has_edge(a, b) {
+                        let Some((ab, ba)) = self.network.edge_ids(a, b) else {
                             return Err(ProgramError::CompareNotEdge { round: ri, a, b });
-                        }
-                        for (x, y) in [(a, b), (b, a)] {
-                            if !edge_used.insert((x, y)) {
+                        };
+                        for (x, y, edge) in [(a, b, ab), (b, a, ba)] {
+                            if !stamp(&mut edge_used, edge, epoch) {
                                 return Err(ProgramError::EdgeReused {
                                     round: ri,
                                     from: x,
@@ -886,7 +986,7 @@ impl BspMachine {
                             }
                         }
                         for v in [a, b] {
-                            if !key_written.insert(v) {
+                            if !stamp(&mut key_written, v as usize, epoch) {
                                 return Err(ProgramError::KeyReused { round: ri, node: v });
                             }
                         }
@@ -900,14 +1000,14 @@ impl BspMachine {
                         if slot >= 2 {
                             return Err(ProgramError::BadSlot { round: ri, slot });
                         }
-                        if !self.network.has_edge(from, to) {
+                        let Some((edge, _)) = self.network.edge_ids(from, to) else {
                             return Err(ProgramError::MoveNotEdge {
                                 round: ri,
                                 from,
                                 to,
                             });
-                        }
-                        if !edge_used.insert((from, to)) {
+                        };
+                        if !stamp(&mut edge_used, edge, epoch) {
                             return Err(ProgramError::EdgeReused {
                                 round: ri,
                                 from,
@@ -915,7 +1015,7 @@ impl BspMachine {
                             });
                         }
                         if from_key {
-                            key_read.insert(from);
+                            reads.push(from);
                         } else {
                             if !occupied[from as usize][slot as usize] {
                                 return Err(ProgramError::SlotEmpty {
@@ -924,61 +1024,69 @@ impl BspMachine {
                                     slot,
                                 });
                             }
-                            if !slot_taken.insert((from, slot)) {
+                            if !stamp(&mut slot_taken, 2 * from as usize + slot as usize, epoch) {
                                 return Err(ProgramError::SlotTakenTwice {
                                     round: ri,
                                     node: from,
                                     slot,
                                 });
                             }
+                            taken.push((from, slot));
                         }
-                        if !slot_written.insert((to, slot)) {
+                        if !stamp(&mut slot_written, 2 * to as usize + slot as usize, epoch) {
                             return Err(ProgramError::SlotWrittenTwice {
                                 round: ri,
                                 node: to,
                                 slot,
                             });
                         }
+                        written.push((to, slot));
                     }
                     Op::Resolve { node, slot, .. } => {
                         if slot >= 2 {
                             return Err(ProgramError::BadSlot { round: ri, slot });
                         }
-                        if !occupied[node as usize][slot as usize] {
+                        // A rank outside the network has no slot to resolve.
+                        if !occupied
+                            .get(node as usize)
+                            .is_some_and(|slots| slots[slot as usize])
+                        {
                             return Err(ProgramError::ResolveEmptySlot {
                                 round: ri,
                                 node,
                                 slot,
                             });
                         }
-                        if !slot_taken.insert((node, slot)) {
+                        if !stamp(&mut slot_taken, 2 * node as usize + slot as usize, epoch) {
                             return Err(ProgramError::SlotTakenTwice {
                                 round: ri,
                                 node,
                                 slot,
                             });
                         }
-                        if !key_written.insert(node) {
+                        taken.push((node, slot));
+                        if !stamp(&mut key_written, node as usize, epoch) {
                             return Err(ProgramError::KeyReused { round: ri, node });
                         }
                     }
                 }
             }
-            if let Some(&v) = key_read.intersection(&key_written).next() {
+            if let Some(&v) = reads.iter().find(|&&v| key_written[v as usize] == epoch) {
                 return Err(ProgramError::KeyReadAndWritten { round: ri, node: v });
             }
-            for &(v, s) in &slot_taken {
+            for &(v, s) in &taken {
                 occupied[v as usize][s as usize] = false;
             }
-            for &(v, s) in &slot_written {
-                if occupied[v as usize][s as usize] {
+            for &(v, s) in &written {
+                let dst = &mut occupied[v as usize][s as usize];
+                if *dst {
                     return Err(ProgramError::SlotOccupied {
                         round: ri,
                         node: v,
                         slot: s,
                     });
                 }
-                occupied[v as usize][s as usize] = true;
+                *dst = true;
             }
         }
         if !occupied.iter().all(|t| !t[0] && !t[1]) {
@@ -1385,42 +1493,33 @@ impl<K: Ord + Clone + Send + Sync> Engine<K> for RecordingEngine {
 /// [`Op::CompareExchange`] rounds; non-adjacent pairs (non-Hamiltonian
 /// labelings) are lowered to bidirectional relays along shortest paths,
 /// scheduled into edge-disjoint waves.
+///
+/// # Panics
+///
+/// Panics if `r < 2`, like [`network_sort`](crate::netsort::network_sort).
 #[must_use]
 pub fn compile(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> CompiledProgram {
+    assert!(r >= 2, "the algorithm needs at least two dimensions");
     let shape = Shape::new(factor.n(), r);
+    let network = NetworkView::new(factor, shape);
     let mut engine = RecordingEngine::new(sorter, shape.n());
     // Replay on dummy data, stage by stage; the schedule is
     // input-independent. Lowering after each stage lets the program
     // record a certificate point at every stage boundary: after stage
     // `k`, the paper's invariant says every `k`-dimensional subgraph is
     // snake-sorted (the final boundary, `k = r`, is global
-    // snake-sortedness).
+    // snake-sortedness). The replay's unit counters are the ones every
+    // sort through the program reports.
     let mut dummy: Vec<u32> = (0..shape.len() as u32).collect();
     let dims: Vec<usize> = (0..r).collect();
-    let mut out = crate::netsort::NetSortOutcome::default();
+    let mut out = NetSortOutcome::default();
     let mut rounds: Vec<BspRound> = Vec::new();
     let mut cert_points: Vec<CertPoint> = Vec::new();
-    let mut lowered = 0;
-    let lower_new_rounds =
-        |engine: &RecordingEngine, rounds: &mut Vec<BspRound>, lowered: &mut usize| {
-            for logical in &engine.recorded[*lowered..] {
-                lower_pair_round(factor, shape, &logical.pairs, rounds);
-            }
-            *lowered = engine.recorded.len();
-        };
-
-    // Stage 2 (the initial parallel PG_2 sort round) is exactly the
-    // 2-dimensional merge's base case; the recorded schedule is
-    // identical to network_sort's.
-    network_merge(shape, &mut dummy, &mut engine, &dims[..2], &mut out);
-    lower_new_rounds(&engine, &mut rounds, &mut lowered);
-    cert_points.push(CertPoint {
-        round: rounds.len() as u64,
-        dims: 2,
-    });
-    for k in 3..=r {
-        network_merge(shape, &mut dummy, &mut engine, &dims[..k], &mut out);
-        lower_new_rounds(&engine, &mut rounds, &mut lowered);
+    for k in 2..=r {
+        network_stage(shape, &mut dummy, &mut engine, &dims[..k], &mut out);
+        for logical in engine.recorded.drain(..) {
+            lower_pair_round(&network, &logical.pairs, &mut rounds);
+        }
         cert_points.push(CertPoint {
             round: rounds.len() as u64,
             dims: k as u32,
@@ -1429,6 +1528,7 @@ pub fn compile(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> CompiledProg
 
     let mut program = CompiledProgram::from_rounds(shape, rounds);
     program.cert_points = cert_points;
+    program.counters = out.counters;
     program
 }
 
@@ -1436,12 +1536,7 @@ pub fn compile(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> CompiledProg
 /// compare-exchange round; relayed pairs are grouped into waves whose
 /// path edge sets are disjoint, each wave taking `max path length` move
 /// rounds plus a shared resolve round.
-fn lower_pair_round(
-    factor: &Graph,
-    shape: Shape,
-    pairs: &[(u64, u64, bool)],
-    rounds: &mut Vec<BspRound>,
-) {
+fn lower_pair_round(network: &NetworkView, pairs: &[(u64, u64, bool)], rounds: &mut Vec<BspRound>) {
     if pairs.is_empty() {
         // The synchronous round elapses even when this parity class is
         // empty (matching the executed engine's accounting).
@@ -1451,17 +1546,19 @@ fn lower_pair_round(
     let mut adjacent: BspRound = Vec::new();
     let mut relayed: Vec<(Vec<u64>, bool)> = Vec::new(); // (path a..b, min_to_a)
     for &(a, b, min_to_a) in pairs {
-        // Pairs differ in exactly one dimension; the path stays inside
-        // that factor copy. A degenerate `(a, a)` pair (a sorter bug)
-        // is a semantic no-op — comparing a key with itself never
-        // swaps — so it lowers to nothing rather than panicking.
-        let Some(dim) = (0..shape.r()).find(|&i| shape.digit(a, i) != shape.digit(b, i)) else {
+        // Pairs differ in exactly one dimension (a sorter's comparators
+        // span one axis of their `PG_2`, a transposition pair one group
+        // digit); the path stays inside that factor copy. A degenerate
+        // `(a, a)` pair (a sorter bug) is a semantic no-op — comparing a
+        // key with itself never swaps — so it lowers to nothing rather
+        // than panicking.
+        let Some((dim, da, db)) = network.split(a, b) else {
             continue;
         };
-        let (da, db) = (shape.digit(a, dim) as u32, shape.digit(b, dim) as u32);
-        if factor.has_edge(da, db) {
+        let (factor, shape) = (&network.factor, network.shape);
+        if factor.has_edge(da as u32, db as u32) {
             adjacent.push(Op::CompareExchange { a, b, min_to_a });
-        } else if let Some(fpath) = pns_graph::shortest_path(factor, da, db) {
+        } else if let Some(fpath) = pns_graph::shortest_path(factor, da as u32, db as u32) {
             let path: Vec<u64> = fpath
                 .iter()
                 .map(|&f| shape.with_digit(a, dim, f as usize))
@@ -2342,6 +2439,254 @@ mod tests {
             machine.try_validate(&program),
             Err(ProgramError::TransitLeftover)
         );
+    }
+
+    fn cx(a: u64, b: u64) -> Op {
+        Op::CompareExchange {
+            a,
+            b,
+            min_to_a: true,
+        }
+    }
+
+    fn mv(from: u64, to: u64, slot: u8, from_key: bool) -> Op {
+        Op::Move {
+            from,
+            to,
+            slot,
+            from_key,
+        }
+    }
+
+    fn resolve(node: u64, slot: u8) -> Op {
+        Op::Resolve {
+            node,
+            slot,
+            keep_min: true,
+        }
+    }
+
+    /// Validate hand-built rounds on `path(3)^2`: node `d0 + 3·d1`, with
+    /// edges between ranks that differ by one in a single digit.
+    fn validate_on_path3_squared(rounds: Vec<BspRound>) -> Result<ValidationReport, ProgramError> {
+        let machine = BspMachine::new(&factories::path(3), 2);
+        machine.try_validate(&CompiledProgram::from_rounds(machine.shape(), rounds))
+    }
+
+    #[test]
+    fn try_validate_names_every_single_violation() {
+        // Each program breaks exactly one rule; the rest of it is valid.
+        let cases: Vec<(Vec<BspRound>, ProgramError)> = vec![
+            (
+                vec![vec![mv(0, 2, 0, true)], vec![resolve(2, 0)]],
+                ProgramError::MoveNotEdge {
+                    round: 0,
+                    from: 0,
+                    to: 2,
+                },
+            ),
+            (
+                vec![
+                    vec![mv(0, 1, 0, true), mv(0, 1, 1, true)],
+                    vec![resolve(1, 0)],
+                    vec![resolve(1, 1)],
+                ],
+                ProgramError::EdgeReused {
+                    round: 0,
+                    from: 0,
+                    to: 1,
+                },
+            ),
+            (
+                vec![vec![cx(0, 1), cx(1, 2)]],
+                ProgramError::KeyReused { round: 0, node: 1 },
+            ),
+            (
+                vec![vec![mv(1, 2, 0, true), cx(0, 1)], vec![resolve(2, 0)]],
+                ProgramError::KeyReadAndWritten { round: 0, node: 1 },
+            ),
+            (
+                vec![vec![mv(0, 1, 2, true)]],
+                ProgramError::BadSlot { round: 0, slot: 2 },
+            ),
+            (
+                vec![vec![resolve(0, 3)]],
+                ProgramError::BadSlot { round: 0, slot: 3 },
+            ),
+            (
+                vec![vec![mv(0, 1, 0, false)], vec![resolve(1, 0)]],
+                ProgramError::SlotEmpty {
+                    round: 0,
+                    node: 0,
+                    slot: 0,
+                },
+            ),
+            (
+                vec![
+                    vec![mv(0, 1, 0, true)],
+                    vec![mv(1, 2, 0, false), resolve(1, 0)],
+                    vec![resolve(2, 0)],
+                ],
+                ProgramError::SlotTakenTwice {
+                    round: 1,
+                    node: 1,
+                    slot: 0,
+                },
+            ),
+            (
+                vec![
+                    vec![mv(0, 1, 0, true), mv(2, 1, 0, true)],
+                    vec![resolve(1, 0)],
+                ],
+                ProgramError::SlotWrittenTwice {
+                    round: 0,
+                    node: 1,
+                    slot: 0,
+                },
+            ),
+            (
+                vec![
+                    vec![mv(0, 1, 0, true)],
+                    vec![mv(2, 1, 0, true)],
+                    vec![resolve(1, 0)],
+                ],
+                ProgramError::SlotOccupied {
+                    round: 1,
+                    node: 1,
+                    slot: 0,
+                },
+            ),
+        ];
+        for (rounds, expected) in cases {
+            let context = format!("{rounds:?}");
+            assert_eq!(
+                validate_on_path3_squared(rounds),
+                Err(expected),
+                "{context}"
+            );
+        }
+    }
+
+    #[test]
+    fn round_level_errors_name_the_first_node_in_op_order() {
+        // Nodes 1 and 4 are both read (relay first hops) and written
+        // (compare-exchanges) in round 0; the first read names the error.
+        let (read4, read1) = (mv(4, 7, 0, true), mv(1, 2, 0, true));
+        for (first, second, node) in [(read4, read1, 4), (read1, read4, 1)] {
+            let rounds = vec![
+                vec![first, second, cx(0, 1), cx(3, 4)],
+                vec![resolve(7, 0), resolve(2, 0)],
+            ];
+            assert_eq!(
+                validate_on_path3_squared(rounds),
+                Err(ProgramError::KeyReadAndWritten { round: 0, node })
+            );
+        }
+        // Round 1 writes into slot 0 of nodes 7 and 1, both still full
+        // from round 0; the first write names the error.
+        let (into7, into1) = (mv(8, 7, 0, true), mv(2, 1, 0, true));
+        for (first, second, node) in [(into7, into1, 7), (into1, into7, 1)] {
+            let rounds = vec![
+                vec![mv(0, 1, 0, true), mv(6, 7, 0, true)],
+                vec![first, second],
+                vec![resolve(1, 0), resolve(7, 0)],
+            ];
+            assert_eq!(
+                validate_on_path3_squared(rounds),
+                Err(ProgramError::SlotOccupied {
+                    round: 1,
+                    node,
+                    slot: 0
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn ranks_outside_the_network_are_typed_errors() {
+        // path(3)^2 has ranks 0..9. Rank 10 = 9 + 1 shares its low digits
+        // with rank 1, so a digit loop over r digits would see (0, 10) as
+        // the edge (0, 1).
+        for (rounds, expected) in [
+            (
+                vec![vec![cx(0, 10)]],
+                ProgramError::CompareNotEdge {
+                    round: 0,
+                    a: 0,
+                    b: 10,
+                },
+            ),
+            (
+                vec![vec![mv(10, 0, 0, true)], vec![resolve(0, 0)]],
+                ProgramError::MoveNotEdge {
+                    round: 0,
+                    from: 10,
+                    to: 0,
+                },
+            ),
+            (
+                vec![vec![resolve(9, 0)]],
+                ProgramError::ResolveEmptySlot {
+                    round: 0,
+                    node: 9,
+                    slot: 0,
+                },
+            ),
+        ] {
+            assert_eq!(validate_on_path3_squared(rounds), Err(expected));
+        }
+    }
+
+    /// The product-edge definition, digit by digit: `a` and `b` differ in
+    /// exactly one digit, and the factor joins their two digits there.
+    fn edge_by_digits(factor: &Graph, shape: Shape, a: u64, b: u64) -> bool {
+        let differing: Vec<usize> = (0..shape.r())
+            .filter(|&i| shape.digit(a, i) != shape.digit(b, i))
+            .collect();
+        match differing[..] {
+            [i] => factor.has_edge(shape.digit(a, i) as u32, shape.digit(b, i) as u32),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn edge_test_agrees_with_the_digit_definition_on_every_pair() {
+        // A 3-node path labelled 0–2–1, so factor adjacency is not
+        // "labels differ by one".
+        let zigzag = Graph::from_edges(3, &[(0, 2), (2, 1)]);
+        for (factor, r) in [
+            (factories::path(3), 3usize),
+            (factories::star(4), 2),
+            (factories::k2(), 5),
+            (zigzag, 2),
+        ] {
+            let shape = Shape::new(factor.n(), r);
+            let view = NetworkView::new(&factor, shape);
+            for a in shape.ranks() {
+                for b in shape.ranks() {
+                    assert_eq!(
+                        view.has_edge(a, b),
+                        edge_by_digits(&factor, shape, a, b),
+                        "{factor:?} r={r} ({a},{b})"
+                    );
+                }
+            }
+        }
+        // Rank differences that look like one digit, between ranks that
+        // differ in two or more: base 3, 2 = (2,0) and 3 = (0,1) are one
+        // apart, 1 = (1,0) and 5 = (2,1) four; base 2, 1 = 01 and 2 = 10,
+        // 3 = 011 and 4 = 100.
+        let path3 = NetworkView::new(&factories::path(3), Shape::new(3, 2));
+        let cube = NetworkView::new(&factories::k2(), Shape::new(2, 3));
+        for (view, a, b) in [
+            (&path3, 2, 3),
+            (&path3, 3, 2),
+            (&path3, 1, 5),
+            (&cube, 1, 2),
+            (&cube, 3, 4),
+        ] {
+            assert!(!view.has_edge(a, b), "({a},{b})");
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ struct CompiledKind {
     /// cache) — the form large batches execute.
     vertical: Arc<VerticalProgram>,
     /// Logical unit counters for one sort on this shape — a pure
-    /// function of the shape, captured once at construction.
+    /// function of the shape, carried by the compiled program.
     counters: pns_core::Counters,
     /// Steps one `PG_2` sort round costs under the executed engine.
     s2_steps: u64,
@@ -253,10 +253,8 @@ impl Machine {
         assert_eq!(kernel.shape(), shape, "cached kernel shape mismatch");
         assert_eq!(vertical.shape(), shape, "cached vertical shape mismatch");
         // The logical unit counters are engine-independent (pure control
-        // flow of the algorithm): capture them with a unit-cost replay.
-        let mut dummy: Vec<u32> = (0..shape.len() as u32).collect();
-        let mut counter_engine = ChargedEngine::new(CostModel::custom("unit", 1, 1));
-        let counters = network_sort(shape, &mut dummy, &mut counter_engine).counters;
+        // flow of the algorithm); compilation's replay accumulated them.
+        let counters = program.counters();
         let s2_steps = ExecutedEngine::new(factor, shape, sorter).s2_steps();
         Machine {
             shape,

@@ -63,15 +63,29 @@ where
     assert!(r >= 2, "the algorithm needs at least two dimensions");
     let mut out = NetSortOutcome::default();
     let dims: Vec<usize> = (0..r).collect();
-
-    // Stage 2: sort every PG_2 subgraph over dimensions {1, 2}, ascending.
-    sort_round(shape, keys, engine, 0, 1, None, &mut out);
-
-    // Stages 3 … r: merge over growing dimension prefixes.
-    for k in 3..=r {
-        network_merge(shape, keys, engine, &dims[..k], &mut out);
+    for k in 2..=r {
+        network_stage(shape, keys, engine, &dims[..k], &mut out);
     }
     out
+}
+
+/// Stage `k = dims.len()` of [`network_sort`]. Stage 2 sorts every `PG_2`
+/// subgraph over `dims`, ascending; stages `3 … r` merge over `dims`.
+pub(crate) fn network_stage<K, E>(
+    shape: Shape,
+    keys: &mut [K],
+    engine: &mut E,
+    dims: &[usize],
+    out: &mut NetSortOutcome,
+) where
+    K: Ord + Clone + Send + Sync,
+    E: Engine<K>,
+{
+    if dims.len() == 2 {
+        sort_round(shape, keys, engine, dims[0], dims[1], None, out);
+    } else {
+        network_merge(shape, keys, engine, dims, out);
+    }
 }
 
 /// The network multiway merge over `dims` (all parallel instances over the
