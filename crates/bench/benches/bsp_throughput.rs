@@ -14,8 +14,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pns_graph::{factories, Graph};
 use pns_simulator::bsp::{BspMachine, CompiledProgram};
 use pns_simulator::{
-    compile, BitScratch, ExecScratch, Hypercube2Sorter, KernelProgram, Machine, ProgramCache,
-    ScratchPool, ShearSorter, VerticalPool, VerticalProgram,
+    compile, ExecScratch, Hypercube2Sorter, KernelProgram, Machine, ProgramCache, ScratchPool,
+    ShearSorter, VerticalPool, VerticalProgram,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -261,11 +261,10 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
     let words: Vec<u64> = random_keys(100, 43);
     let bits_machine = BspMachine::new(&fx.petersen, 2);
-    let mut bits = BitScratch::new();
     group.bench_function("vertical_bits_disabled", |b| {
         b.iter(|| {
             let mut w = words.clone();
-            black_box(bits_machine.run_vertical_bits(&mut w, &fx.petersen_vertical, &mut bits));
+            black_box(bits_machine.run_vertical_bits(&mut w, &fx.petersen_vertical));
             black_box(w)
         });
     });
@@ -284,7 +283,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut w = words.clone();
-                black_box(traced.run_vertical_bits(&mut w, &fx.petersen_vertical, &mut bits));
+                black_box(traced.run_vertical_bits(&mut w, &fx.petersen_vertical));
                 black_box(w)
             });
         });
@@ -374,11 +373,10 @@ fn bench_vertical_speedup(c: &mut Criterion) {
             black_box(batch)
         });
     });
-    let mut bits = BitScratch::new();
     group.bench_function("vertical_bits_64x_zero_one", |b| {
         b.iter(|| {
             let mut w = words.clone();
-            black_box(bsp.run_vertical_bits(&mut w, &fx.petersen_vertical, &mut bits));
+            black_box(bsp.run_vertical_bits(&mut w, &fx.petersen_vertical));
             black_box(w)
         });
     });

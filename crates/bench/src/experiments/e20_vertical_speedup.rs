@@ -26,8 +26,8 @@ use crate::Report;
 use pns_graph::factories;
 use pns_simulator::bsp::BspMachine;
 use pns_simulator::{
-    compile, unpack_zero_one_lane, BitScratch, FaultPlan, Hypercube2Sorter, Machine,
-    OetSnakeSorter, Pg2Sorter, RetryPolicy, ScratchPool, ShearSorter, VerticalPool, WORD_LANES,
+    compile, unpack_zero_one_lane, FaultPlan, Hypercube2Sorter, Machine, OetSnakeSorter, Pg2Sorter,
+    RetryPolicy, ScratchPool, ShearSorter, VerticalPool, WORD_LANES,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -146,11 +146,10 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E20Row> {
         let mut pool = ScratchPool::new();
         let mut kernel01 = batch01.clone();
         bsp.run_kernel_batch(&mut kernel01, &kernel, &mut pool);
-        let mut bits = BitScratch::new();
         let mut identical = true;
         for v in [&vertical, &vertical_opt] {
             let mut words = input_words.clone();
-            bsp.run_vertical_bits(&mut words, v, &mut bits);
+            bsp.run_vertical_bits(&mut words, v);
             for (l, want) in kernel01.iter().enumerate() {
                 let got = unpack_zero_one_lane(&words, l);
                 identical &= got.iter().map(|&k| u64::from(k)).eq(want.iter().copied());
@@ -198,12 +197,12 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E20Row> {
         let kernel01_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let mut words = input_words.clone();
-        bsp.run_vertical_bits(&mut words, &vertical, &mut bits); // warm-up
+        bsp.run_vertical_bits(&mut words, &vertical); // warm-up
         let a0 = allocs(probe);
         let t1 = Instant::now();
         for _ in 0..REPS {
             words.copy_from_slice(&input_words);
-            bsp.run_vertical_bits(&mut words, &vertical, &mut bits);
+            bsp.run_vertical_bits(&mut words, &vertical);
         }
         let bits_ms = t1.elapsed().as_secs_f64() * 1e3;
         let bits_allocs = probe.map(|p| p() - a0);

@@ -31,9 +31,7 @@ use pns_obs::{
     EventLogger, MemorySink, Profile, SpanClass, Stage, Tier, ROUND_OBS_MIN_OPS, SORT_OBS_MIN_OPS,
 };
 use pns_simulator::bsp::BspMachine;
-use pns_simulator::{
-    compile, BitScratch, ExecScratch, Hypercube2Sorter, Machine, ProgramCache, WORD_LANES,
-};
+use pns_simulator::{compile, ExecScratch, Hypercube2Sorter, Machine, ProgramCache, WORD_LANES};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -285,12 +283,11 @@ pub fn collect() -> Vec<E21Row> {
             .expect("compiled programs validate");
         let words = random_words(len, 0xE21);
         let mut work = words.clone();
-        let mut scratch = BitScratch::new();
         let mut wall_ns = 0u64;
         for _ in 0..runs {
             work.copy_from_slice(&words);
             let t = Instant::now();
-            bsp.run_vertical_bits(&mut work, &vertical, &mut scratch);
+            bsp.run_vertical_bits(&mut work, &vertical);
             wall_ns += t.elapsed().as_nanos() as u64;
         }
         logger.flush();

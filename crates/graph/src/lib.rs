@@ -29,4 +29,6 @@ pub use graph::Graph;
 pub use hamiltonian::{hamiltonian_cycle, hamiltonian_path};
 pub use render::{adjacency_table, to_dot};
 pub use routing::{route_compare_exchange, RoutingOutcome, SyncRouter};
-pub use traversal::{bfs_distances, diameter, is_connected, shortest_path, spanning_tree};
+pub use traversal::{
+    bfs_distances, diameter, is_connected, shortest_path, shortest_path_along, spanning_tree,
+};

@@ -43,13 +43,21 @@ pub fn distance(g: &Graph, a: u32, b: u32) -> Option<u32> {
 /// `None` if disconnected. Ties broken toward lower node ids.
 #[must_use]
 pub fn shortest_path(g: &Graph, src: u32, dst: u32) -> Option<Vec<u32>> {
-    let dist = bfs_distances(g, dst);
+    shortest_path_along(g, &bfs_distances(g, dst), src)
+}
+
+/// [`shortest_path`] from `src` to the root of `dist`, a distance field
+/// from [`bfs_distances`]: callers that route many paths to one
+/// destination run its BFS once. Each step goes to the lowest-id
+/// neighbour one hop closer.
+#[must_use]
+pub fn shortest_path_along(g: &Graph, dist: &[u32], src: u32) -> Option<Vec<u32>> {
     if dist[src as usize] == u32::MAX {
         return None;
     }
     let mut path = vec![src];
     let mut cur = src;
-    while cur != dst {
+    while dist[cur as usize] != 0 {
         let dc = dist[cur as usize];
         let next = g
             .neighbors(cur)

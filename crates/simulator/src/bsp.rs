@@ -528,6 +528,19 @@ pub enum ProgramError {
     },
     /// The program ended with values still in transit.
     TransitLeftover,
+    /// A relay whose resolves do not compute one compare-exchange: the
+    /// resolve at `node` has no partner resolve in its round that holds
+    /// a current copy of `node`'s key while `node` holds one of the
+    /// partner's, with the other end keeping the other extreme. The
+    /// program is valid and [`BspMachine::run`] runs it, but the kernel
+    /// tier cannot lower it ([`BspMachine::lower`]); [`compile`] never
+    /// emits one. Names the first unpaired resolve in op order.
+    UnpairedRelay {
+        /// Round of the unpaired resolve.
+        round: usize,
+        /// Resolving node.
+        node: u64,
+    },
 }
 
 impl std::fmt::Display for ProgramError {
@@ -575,6 +588,11 @@ impl std::fmt::Display for ProgramError {
             ProgramError::TransitLeftover => {
                 write!(f, "transit values left in flight after the program ended")
             }
+            ProgramError::UnpairedRelay { round, node } => write!(
+                f,
+                "round {round}: resolve at node {node} pairs with no partner resolve \
+                 (the relay computes no single compare-exchange)"
+            ),
         }
     }
 }
@@ -1515,10 +1533,11 @@ pub fn compile(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> CompiledProg
     let mut out = NetSortOutcome::default();
     let mut rounds: Vec<BspRound> = Vec::new();
     let mut cert_points: Vec<CertPoint> = Vec::new();
+    let mut paths = FactorPaths::new(factor);
     for k in 2..=r {
         network_stage(shape, &mut dummy, &mut engine, &dims[..k], &mut out);
         for logical in engine.recorded.drain(..) {
-            lower_pair_round(&network, &logical.pairs, &mut rounds);
+            lower_pair_round(&network, &mut paths, &logical.pairs, &mut rounds);
         }
         cert_points.push(CertPoint {
             round: rounds.len() as u64,
@@ -1532,11 +1551,43 @@ pub fn compile(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> CompiledProg
     program
 }
 
+/// `compile`'s shortest factor paths: one BFS distance field per
+/// destination, run the first time a relay heads there and walked for
+/// every later one — the paths [`pns_graph::shortest_path`] returns,
+/// without a BFS per relayed pair.
+struct FactorPaths<'g> {
+    factor: &'g Graph,
+    dist_to: Vec<Option<Vec<u32>>>,
+}
+
+impl<'g> FactorPaths<'g> {
+    fn new(factor: &'g Graph) -> Self {
+        FactorPaths {
+            factor,
+            dist_to: vec![None; factor.n()],
+        }
+    }
+
+    /// A shortest factor path `src → dst`, endpoints included, or `None`
+    /// if `dst` is unreachable.
+    fn path(&mut self, src: u32, dst: u32) -> Option<Vec<u32>> {
+        let factor = self.factor;
+        let dist =
+            self.dist_to[dst as usize].get_or_insert_with(|| pns_graph::bfs_distances(factor, dst));
+        pns_graph::shortest_path_along(factor, dist, src)
+    }
+}
+
 /// Lower one logical pair round. Adjacent pairs go into a single
 /// compare-exchange round; relayed pairs are grouped into waves whose
 /// path edge sets are disjoint, each wave taking `max path length` move
 /// rounds plus a shared resolve round.
-fn lower_pair_round(network: &NetworkView, pairs: &[(u64, u64, bool)], rounds: &mut Vec<BspRound>) {
+fn lower_pair_round(
+    network: &NetworkView,
+    paths: &mut FactorPaths<'_>,
+    pairs: &[(u64, u64, bool)],
+    rounds: &mut Vec<BspRound>,
+) {
     if pairs.is_empty() {
         // The synchronous round elapses even when this parity class is
         // empty (matching the executed engine's accounting).
@@ -1558,7 +1609,7 @@ fn lower_pair_round(network: &NetworkView, pairs: &[(u64, u64, bool)], rounds: &
         let (factor, shape) = (&network.factor, network.shape);
         if factor.has_edge(da as u32, db as u32) {
             adjacent.push(Op::CompareExchange { a, b, min_to_a });
-        } else if let Some(fpath) = pns_graph::shortest_path(factor, da as u32, db as u32) {
+        } else if let Some(fpath) = paths.path(da as u32, db as u32) {
             let path: Vec<u64> = fpath
                 .iter()
                 .map(|&f| shape.with_digit(a, dim, f as usize))
@@ -1839,6 +1890,31 @@ mod tests {
         let program = compile(&factor, 2, &OetSnakeSorter);
         assert!(program.op_count() > 0);
         assert!(program.rounds() > 0);
+    }
+
+    #[test]
+    fn compile_path_table_returns_the_searched_shortest_paths() {
+        let disconnected = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
+        for factor in [
+            factories::star(5),
+            factories::complete_binary_tree(3),
+            factories::petersen(),
+            factories::de_bruijn(3),
+            disconnected,
+        ] {
+            let mut paths = FactorPaths::new(&factor);
+            let n = factor.n() as u32;
+            for dst in 0..n {
+                for src in 0..n {
+                    assert_eq!(
+                        paths.path(src, dst),
+                        pns_graph::shortest_path(&factor, src, dst),
+                        "{} {src} -> {dst}",
+                        factor.name()
+                    );
+                }
+            }
+        }
     }
 
     /// Deterministic pseudo-random keys for differential checks.

@@ -53,7 +53,7 @@ use crate::bsp::{
     exec_program, exec_round_serial_scratch, BspMachine, CertPoint, CompiledProgram, Op,
     ProgramError,
 };
-use crate::kernel::{exec_kernel_round, ExecScratch, KernelProgram, RoundClass};
+use crate::kernel::{exec_kernel, ExecScratch, KernelProgram, RoundClass};
 use crate::verify::subgraphs_snake_sorted;
 use pns_core::RetryCounters;
 
@@ -348,7 +348,7 @@ fn exec_kernel_round_faulty<K: Ord + Clone>(
     match desc.class {
         RoundClass::Empty => {}
         RoundClass::Compare => {
-            for (oi, gi) in (desc.start as usize..desc.end as usize).enumerate() {
+            for (oi, gi) in desc.cx().enumerate() {
                 let (a, b) = kernel.cx_pairs[gi];
                 let op = Op::CompareExchange {
                     a: u64::from(a),
@@ -360,10 +360,7 @@ fn exec_kernel_round_faulty<K: Ord + Clone>(
             }
         }
         RoundClass::Route => {
-            for (oi, m) in kernel.micro[desc.start as usize..desc.end as usize]
-                .iter()
-                .enumerate()
-            {
+            for (oi, m) in kernel.micro[desc.micro()].iter().enumerate() {
                 let op = m.to_op();
                 let class = match op {
                     Op::CompareExchange { .. } => OpClass::Compare,
@@ -519,25 +516,22 @@ fn exec_with_faults<K: Ord + Clone>(
 }
 
 /// Kernel-path fault executor: the same [`checkpoint_retry_loop`] over
-/// [`exec_kernel_round_faulty`]. `scratch` serves the disabled-plan
-/// fast path (identical to [`BspMachine::run_kernel`], zero allocations
-/// when warm); the enabled path allocates its own checkpoints like the
-/// interpreter does.
+/// [`exec_kernel_round_faulty`]. A disabled plan takes the clean fast
+/// path (the program's paired compare-exchanges, as
+/// [`BspMachine::run_kernel`] runs them, allocation-free); the enabled
+/// path replays every micro-op and allocates its own transit slots and
+/// checkpoints like the interpreter does.
 fn exec_kernel_with_faults<K: Ord + Clone>(
     shape: Shape,
     keys: &mut [K],
     kernel: &KernelProgram,
     plan: &FaultPlan,
     policy: &RetryPolicy,
-    scratch: &mut ExecScratch<K>,
 ) -> (FaultReport, Option<(u64, u32)>) {
     let mut report = FaultReport::default();
     if !plan.is_enabled() {
-        // Fast path: plain kernel execution, no hashing, no checks.
-        scratch.reset(keys.len());
-        for ri in 0..kernel.rounds() {
-            exec_kernel_round(keys, kernel, ri, scratch);
-        }
+        // Fast path: plain clean kernel execution, no hashing, no checks.
+        exec_kernel(keys, kernel);
         report.counters.useful_rounds = kernel.rounds() as u64;
         report.rounds = kernel.rounds() as u64;
         return (report, None);
@@ -645,7 +639,8 @@ impl BspMachine {
     /// The kernel is already validated (lowering validates), so the only
     /// input check left is the key count. With a disabled plan this is
     /// [`BspMachine::run_kernel`] plus report assembly — zero heap
-    /// allocations once `scratch` is warm.
+    /// allocations. `_scratch` is not touched: fault runs keep their
+    /// transit slots to themselves, and clean runs need none.
     ///
     /// # Errors
     ///
@@ -661,7 +656,7 @@ impl BspMachine {
         kernel: &KernelProgram,
         plan: &FaultPlan,
         policy: &RetryPolicy,
-        scratch: &mut ExecScratch<K>,
+        _scratch: &mut ExecScratch<K>,
     ) -> Result<FaultReport, FaultError> {
         assert_eq!(
             kernel.shape(),
@@ -675,8 +670,7 @@ impl BspMachine {
             });
         }
         let _sort_span = self.logger.span(Tier::Fault, Stage::Sort, SpanClass::None);
-        let (report, failed) =
-            exec_kernel_with_faults(self.shape(), keys, kernel, plan, policy, scratch);
+        let (report, failed) = exec_kernel_with_faults(self.shape(), keys, kernel, plan, policy);
         self.emit_fault_events(&report, None);
         match failed {
             None => Ok(report),

@@ -6,26 +6,36 @@
 //! vectors). For the throughput experiments that execute one schedule
 //! thousands of times, that interpretive overhead dominates. This module
 //! lowers a validated [`CompiledProgram`] **once** into a
-//! [`KernelProgram`]:
+//! [`KernelProgram`], which keeps two views of every round:
 //!
-//! * **Pure compare-exchange rounds** become one contiguous slice of
-//!   `(u32, u32)` rank pairs plus a direction bitmask (`cx_dirs`, one
-//!   bit per pair, indexed globally). Execution is a single tight loop —
-//!   no per-op discriminant, no bounds-checked enum payloads.
-//! * **Route rounds** (any round containing a `Move` or `Resolve`)
-//!   become a packed [`MicroOp`] array in **original op order**, so the
-//!   micro-op index within the round equals the op index within the
-//!   interpreted round — this is what keeps `FaultSite { round, op }`
-//!   keys *path-independent* (a `FaultPlan` fires at the same sites on
-//!   the kernel path as on the interpreter path).
+//! * **The clean view: one compare-exchange list per round.** Every
+//!   round owns one contiguous range of `(u32, u32)` rank pairs plus a
+//!   direction bitmask (`cx_dirs`, one bit per pair, indexed globally).
+//!   A compare round's range is its own ops. A route round's range holds
+//!   its own compare-exchanges plus one compare-exchange per *paired
+//!   relay*: on fault-free data, the two `Resolve`s that end a relay
+//!   compute exactly one compare-exchange between the relay's endpoints
+//!   (see [`KernelProgram::lower`] for the proof the pass checks). So a
+//!   clean run is a single loop over pairs, with no transit slots, no
+//!   deferred moves and no per-round dispatch, and the serial, batch,
+//!   column and bit-sliced executors all run it.
+//! * **The round-faithful view: packed micro-ops.** Route rounds (any
+//!   round containing a `Move` or `Resolve`) also keep a packed
+//!   [`MicroOp`] array in **original op order**, so the micro-op index
+//!   within the round equals the op index within the interpreted round —
+//!   this is what keeps `FaultSite { round, op }` keys *path-independent*
+//!   (a `FaultPlan` fires at the same sites on the kernel path as on the
+//!   interpreter path). Only the fault executors read it; relays, and
+//!   the transit slots they travel through, stay with them and with the
+//!   oracle [`BspMachine::run`], which keeps the paper's step counts.
 //! * **Empty rounds** keep a descriptor so kernel round indices map 1:1
 //!   to `CompiledProgram` round indices; `CertPoint` boundaries and
 //!   reported step counts stay valid unchanged.
 //!
-//! Each round carries a [`RoundClass`] tag, so dispatch is one `match`
-//! per round instead of one per op. Execution state lives in a reusable
-//! [`ExecScratch`]: after the first (warm-up) run, `run_kernel` performs
-//! **zero heap allocations** — proven by a counting-allocator test
+//! Each round carries a [`RoundClass`] tag, which the fault executors
+//! dispatch on and round spans report. A clean run keeps no state of
+//! its own, so `run_kernel` performs **zero heap allocations**, even on
+//! a fresh [`ExecScratch`] — proven by a counting-allocator test
 //! (`tests/kernel_alloc.rs`).
 //!
 //! Lowering happens after static validation ([`BspMachine::lower`]), so
@@ -38,15 +48,18 @@
 //! list) with chunked execution over disjoint pair ranges: worker
 //! threads write swap decisions into a reusable `u64` bitmask, and the
 //! swaps commit serially — bit-identical to serial order because
-//! validated compare rounds touch each key at most once. It has no
-//! library caller: it spawns scoped threads in every large round, which
-//! costs more than the serial kernel saves, so `Machine::sort` runs
+//! validated rounds touch each key at most once. It has no library
+//! caller: it spawns scoped threads in every large round, which costs
+//! more than the serial kernel saves, so `Machine::sort` runs
 //! [`BspMachine::run_kernel`]. The path is kept for the differential
 //! tests and the benchmark's fork-join probe.
 //!
 //! Batches ([`BspMachine::run_kernel_batch`]) fan their lanes out over
 //! the vendored `rayon`, unless the machine is
 //! [`BspMachine::serial`], as the service's workers are.
+
+use std::marker::PhantomData;
+use std::ops::Range;
 
 use pns_obs::{Event, SpanClass, Stage, Tier, ROUND_OBS_MIN_OPS, SORT_OBS_MIN_OPS};
 use pns_order::radix::Shape;
@@ -61,15 +74,18 @@ use crate::bsp::{BspMachine, CertPoint, CompiledProgram, Op, ProgramError};
 /// the benchmark's fork-join probe.
 pub const KERNEL_PAR_THRESHOLD: usize = 8192;
 
-/// What a lowered round contains, so dispatch is one `match` per round.
+/// What a lowered round contains. The fault executors dispatch on it;
+/// round spans report it. Clean runs ignore it: every round is a
+/// compare-exchange list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundClass {
     /// No operations (padding the optimizer did not elide).
     Empty,
-    /// Only compare-exchanges: runs as a tight pair-list loop.
+    /// Only compare-exchanges.
     Compare,
-    /// At least one `Move`/`Resolve`: runs as packed micro-ops with a
-    /// deferred incoming commit (transit reads see previous-round state).
+    /// At least one `Move`/`Resolve`: the fault executors replay it as
+    /// packed micro-ops with a deferred incoming commit (transit reads
+    /// see previous-round state).
     Route,
 }
 
@@ -86,14 +102,30 @@ impl RoundClass {
     }
 }
 
-/// One lowered round: a class tag plus a `start..end` range into
-/// [`KernelProgram::cx_pairs`] (Compare) or [`KernelProgram::micro`]
-/// (Route).
+/// One lowered round: a class tag, the round's clean compare-exchanges
+/// (`cx_start..cx_end` in [`KernelProgram::cx_pairs`]) and, for a route
+/// round, its micro-ops in source op order (`micro_start..micro_end` in
+/// [`KernelProgram::micro`]; empty otherwise). A compare round's pair
+/// range is its source ops, in order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RoundDesc {
     pub(crate) class: RoundClass,
-    pub(crate) start: u32,
-    pub(crate) end: u32,
+    cx_start: u32,
+    cx_end: u32,
+    micro_start: u32,
+    micro_end: u32,
+}
+
+impl RoundDesc {
+    /// Global indices of the round's clean compare-exchanges.
+    pub(crate) fn cx(self) -> Range<usize> {
+        self.cx_start as usize..self.cx_end as usize
+    }
+
+    /// Indices of a route round's micro-ops (empty for other classes).
+    pub(crate) fn micro(self) -> Range<usize> {
+        self.micro_start as usize..self.micro_end as usize
+    }
 }
 
 /// Micro-op tags: the [`MicroOp::tag`] values.
@@ -180,7 +212,7 @@ impl MicroOp {
 
 /// A compiled program lowered to flat structure-of-arrays form. Rounds
 /// map 1:1 to the source program's rounds (certificates and step counts
-/// transfer unchanged); within a round, lowered op order equals
+/// transfer unchanged); within a route round, micro-op order equals
 /// interpreted op order (fault sites transfer unchanged).
 ///
 /// Build one with [`BspMachine::lower`] (validates first) or
@@ -190,7 +222,9 @@ impl MicroOp {
 pub struct KernelProgram {
     pub(crate) shape: Shape,
     pub(crate) rounds: Vec<RoundDesc>,
-    /// All compare rounds' `(a, b)` rank pairs, concatenated.
+    /// Every round's clean compare-exchanges, concatenated in round
+    /// order: the compare rounds' pairs, and each route round's own
+    /// compare-exchanges and paired relays.
     pub(crate) cx_pairs: Vec<(u32, u32)>,
     /// `min_to_a` per pair, one bit per **global** pair index.
     pub(crate) cx_dirs: Vec<u64>,
@@ -199,22 +233,210 @@ pub struct KernelProgram {
     pub(crate) cert_points: Vec<CertPoint>,
     compare_rounds: usize,
     route_rounds: usize,
+    /// Pairs in the compare rounds alone; `cx_pairs` also holds the
+    /// route rounds' clean lists.
+    compare_pairs: usize,
+}
+
+/// Append one compare-exchange to the pair and direction tables.
+fn push_cx(pairs: &mut Vec<(u32, u32)>, dirs: &mut Vec<u64>, a: u64, b: u64, min_to_a: bool) {
+    let gi = pairs.len();
+    if dirs.len() <= gi >> 6 {
+        dirs.push(0);
+    }
+    if min_to_a {
+        dirs[gi >> 6] |= 1u64 << (gi & 63);
+    }
+    pairs.push((a as u32, b as u32));
+}
+
+/// A transit value as the pairing pass sees it: a copy of `src`'s
+/// resident key, taken when `src` had been written `writes` times.
+#[derive(Debug, Clone, Copy)]
+struct KeyCopy {
+    src: u64,
+    writes: u32,
+}
+
+/// State of the relay-pairing pass ([`KernelProgram::lower`]): which
+/// node's key each transit slot carries, and how often each key has
+/// been written while some copy was in flight. Built at the first route
+/// round, so relay-free programs never pay for it.
+struct RelayPairing {
+    /// What each node's two transit slots carry.
+    slots: Vec<[Option<KeyCopy>; 2]>,
+    /// Per-node write counts. Only writes made while a copy is in flight
+    /// are counted: a copy compares its count with the source's, so
+    /// writes before it left do not matter. A node is written at most
+    /// once per round, so a count wraps back to a copy's value only
+    /// after 2^32 rounds with that copy in flight.
+    writes: Vec<u32>,
+    /// Occupied transit slots.
+    in_flight: usize,
+    /// Per node, the round (`ri + 1`) of its latest resolve, the copy it
+    /// took, and its `keep_min`.
+    resolved: Vec<(usize, KeyCopy, bool)>,
+    /// The round's moves, committed at its end like the executors do.
+    incoming: Vec<(u64, u8, KeyCopy)>,
+    /// The round's key writes, counted at its end.
+    written: Vec<u64>,
+}
+
+impl RelayPairing {
+    fn new(n: usize) -> Self {
+        let none = KeyCopy { src: 0, writes: 0 };
+        RelayPairing {
+            slots: vec![[None, None]; n],
+            writes: vec![0; n],
+            in_flight: 0,
+            resolved: vec![(0, none, false); n],
+            incoming: Vec::new(),
+            written: Vec::new(),
+        }
+    }
+
+    /// A compare round wrote `a` and `b`.
+    fn compared(&mut self, a: u64, b: u64) {
+        if self.in_flight > 0 {
+            for v in [a, b] {
+                self.writes[v as usize] = self.writes[v as usize].wrapping_add(1);
+            }
+        }
+    }
+
+    /// `true` iff `copy` still equals its source's key (at the start of
+    /// the current round).
+    fn current(&self, copy: KeyCopy) -> bool {
+        self.writes[copy.src as usize] == copy.writes
+    }
+
+    /// One route round: emit, in op order, its compare-exchanges and one
+    /// compare-exchange per paired relay (at the resolve that keeps the
+    /// minimum), then commit its moves.
+    ///
+    /// A valid round reads every key before any op writes it (a key is
+    /// read and written in one round only by a rejected program), so
+    /// every resolve sees start-of-round keys, and the pair
+    /// `Resolve { y, keep_min: true }`, `Resolve { x, keep_min: false }`
+    /// leaves `y = min(y, x)` and `x = max(x, y)` exactly when `y`'s slot
+    /// holds a copy of `x`'s current key and `x`'s one of `y`'s. On equal
+    /// keys both resolves keep the resident, and so does
+    /// `CompareExchange { a: y, b: x, min_to_a: true }`.
+    fn route_round(
+        &mut self,
+        ri: usize,
+        round: &[Op],
+        mut emit: impl FnMut(u64, u64, bool),
+    ) -> Result<(), ProgramError> {
+        let stamp = ri + 1;
+        for op in round {
+            match *op {
+                Op::CompareExchange { a, b, .. } => self.written.extend([a, b]),
+                Op::Move {
+                    from,
+                    to,
+                    slot,
+                    from_key,
+                } => {
+                    let copy = if from_key {
+                        KeyCopy {
+                            src: from,
+                            writes: self.writes[from as usize],
+                        }
+                    } else {
+                        let copy = self.slots[from as usize][slot as usize]
+                            .take()
+                            .expect("validated: slot occupied");
+                        self.in_flight -= 1;
+                        copy
+                    };
+                    self.incoming.push((to, slot, copy));
+                }
+                Op::Resolve {
+                    node,
+                    slot,
+                    keep_min,
+                } => {
+                    let copy = self.slots[node as usize][slot as usize]
+                        .take()
+                        .expect("validated: slot occupied");
+                    self.in_flight -= 1;
+                    self.resolved[node as usize] = (stamp, copy, keep_min);
+                    self.written.push(node);
+                }
+            }
+        }
+        for op in round {
+            match *op {
+                Op::CompareExchange { a, b, min_to_a } => emit(a, b, min_to_a),
+                Op::Move { .. } => {}
+                Op::Resolve { node: y, .. } => {
+                    let (_, copy, keep_min) = self.resolved[y as usize];
+                    let x = copy.src;
+                    let (x_stamp, x_copy, x_keep_min) = self.resolved[x as usize];
+                    let paired = self.current(copy)
+                        && x_stamp == stamp
+                        && x_copy.src == y
+                        && self.current(x_copy)
+                        && x_keep_min != keep_min;
+                    if !paired {
+                        return Err(ProgramError::UnpairedRelay { round: ri, node: y });
+                    }
+                    if keep_min {
+                        emit(y, x, true);
+                    }
+                }
+            }
+        }
+        for (to, slot, copy) in self.incoming.drain(..) {
+            self.slots[to as usize][slot as usize] = Some(copy);
+            self.in_flight += 1;
+        }
+        if self.in_flight > 0 {
+            for &v in &self.written {
+                self.writes[v as usize] = self.writes[v as usize].wrapping_add(1);
+            }
+        }
+        self.written.clear();
+        Ok(())
+    }
 }
 
 impl KernelProgram {
-    /// Lower a program. Pure and infallible — but the lowered kernels
-    /// execute **unchecked**, so the input must already satisfy
+    /// Lower a program. Pure — but the lowered kernels execute
+    /// **unchecked**, so the input must already satisfy
     /// [`BspMachine::try_validate`]'s invariants ([`crate::bsp::compile`]
     /// output always does; for hand-built programs go through
     /// [`BspMachine::lower`]).
     ///
+    /// Relays lower to the compare-exchanges they compute. One pass over
+    /// the route rounds tracks which node's key each transit slot
+    /// carries and whether that key has been written since its copy
+    /// left. `Resolve { node: y, keep_min: true }` pairs with
+    /// `Resolve { node: x, keep_min: false }` when both are in one round,
+    /// `y` holds a copy of `x`'s current key and `x` one of `y`'s; the
+    /// pair becomes `CompareExchange { a: y, b: x, min_to_a: true }` in
+    /// the round's clean list. Writes are tracked only while some copy
+    /// is in flight, so relay-free programs pay nothing per op.
+    ///
     /// # Panics
     ///
     /// Panics if the network has more than `u32::MAX` nodes (ranks are
-    /// packed into `u32`) or a slot index is not 0/1 (validation rejects
-    /// those programs anyway).
+    /// packed into `u32`), if a slot index is not 0/1 (validation
+    /// rejects those programs anyway), or if a relay does not pair — a
+    /// resolve without a partner resolve in its round, one whose copy
+    /// went stale in flight, or a pair whose ends both keep the minimum
+    /// or both the maximum. `compile` output always pairs, raw or
+    /// optimized; [`BspMachine::lower`] reports the others as
+    /// [`ProgramError::UnpairedRelay`].
     #[must_use]
     pub fn lower(program: &CompiledProgram) -> KernelProgram {
+        KernelProgram::try_lower(program).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`KernelProgram::lower`], with an unpaired relay as a typed error
+    /// naming the first unpaired resolve in op order.
+    pub(crate) fn try_lower(program: &CompiledProgram) -> Result<KernelProgram, ProgramError> {
         assert!(
             program.shape().len() <= u64::from(u32::MAX),
             "kernel tier packs ranks into u32"
@@ -224,54 +446,51 @@ impl KernelProgram {
         let mut cx_pairs: Vec<(u32, u32)> = Vec::new();
         let mut cx_dirs: Vec<u64> = Vec::new();
         let mut micro: Vec<MicroOp> = Vec::new();
-        let (mut compare_rounds, mut route_rounds) = (0, 0);
-        for round in source {
-            if round.is_empty() {
-                rounds.push(RoundDesc {
-                    class: RoundClass::Empty,
-                    start: 0,
-                    end: 0,
-                });
+        let mut relays: Option<RelayPairing> = None;
+        let (mut compare_rounds, mut route_rounds, mut compare_pairs) = (0, 0, 0);
+        for (ri, round) in source.iter().enumerate() {
+            let (cx_start, micro_start) = (cx_pairs.len() as u32, micro.len() as u32);
+            let class = if round.is_empty() {
+                RoundClass::Empty
             } else if round
                 .iter()
                 .all(|op| matches!(op, Op::CompareExchange { .. }))
             {
                 compare_rounds += 1;
-                let start = cx_pairs.len() as u32;
+                compare_pairs += round.len();
                 for op in round {
                     if let Op::CompareExchange { a, b, min_to_a } = *op {
-                        let gi = cx_pairs.len();
-                        if cx_dirs.len() <= gi >> 6 {
-                            cx_dirs.push(0);
+                        push_cx(&mut cx_pairs, &mut cx_dirs, a, b, min_to_a);
+                        if let Some(relays) = relays.as_mut() {
+                            relays.compared(a, b);
                         }
-                        if min_to_a {
-                            cx_dirs[gi >> 6] |= 1u64 << (gi & 63);
-                        }
-                        cx_pairs.push((a as u32, b as u32));
                     }
                 }
-                rounds.push(RoundDesc {
-                    class: RoundClass::Compare,
-                    start,
-                    end: cx_pairs.len() as u32,
-                });
+                RoundClass::Compare
             } else {
                 route_rounds += 1;
-                let start = micro.len() as u32;
                 for op in round {
                     if let Op::Move { slot, .. } | Op::Resolve { slot, .. } = *op {
                         assert!(slot < 2, "validation rejects slots >= 2");
                     }
                     micro.push(MicroOp::pack(op));
                 }
-                rounds.push(RoundDesc {
-                    class: RoundClass::Route,
-                    start,
-                    end: micro.len() as u32,
-                });
-            }
+                relays
+                    .get_or_insert_with(|| RelayPairing::new(program.shape().len() as usize))
+                    .route_round(ri, round, |a, b, min_to_a| {
+                        push_cx(&mut cx_pairs, &mut cx_dirs, a, b, min_to_a);
+                    })?;
+                RoundClass::Route
+            };
+            rounds.push(RoundDesc {
+                class,
+                cx_start,
+                cx_end: cx_pairs.len() as u32,
+                micro_start,
+                micro_end: micro.len() as u32,
+            });
         }
-        KernelProgram {
+        Ok(KernelProgram {
             shape: program.shape(),
             rounds,
             cx_pairs,
@@ -280,7 +499,8 @@ impl KernelProgram {
             cert_points: program.cert_points().to_vec(),
             compare_rounds,
             route_rounds,
-        }
+            compare_pairs,
+        })
     }
 
     /// The shape the kernel was lowered for.
@@ -313,7 +533,10 @@ impl KernelProgram {
     #[must_use]
     pub fn round_len(&self, ri: usize) -> usize {
         let d = self.rounds[ri];
-        (d.end - d.start) as usize
+        match d.class {
+            RoundClass::Route => d.micro().len(),
+            RoundClass::Empty | RoundClass::Compare => d.cx().len(),
+        }
     }
 
     /// Pure compare-exchange rounds.
@@ -331,7 +554,7 @@ impl KernelProgram {
     /// Total compare-exchange pairs across all compare rounds.
     #[must_use]
     pub fn cx_pair_count(&self) -> usize {
-        self.cx_pairs.len()
+        self.compare_pairs
     }
 
     /// Total packed micro-ops across all route rounds.
@@ -340,11 +563,19 @@ impl KernelProgram {
         self.micro.len()
     }
 
-    /// Total lowered operations across all rounds — the program-size
+    /// Compare-exchanges one clean run executes: the compare rounds'
+    /// pairs, the route rounds' own compare-exchanges, and one per
+    /// paired relay.
+    #[must_use]
+    pub fn clean_cx_count(&self) -> usize {
+        self.cx_pairs.len()
+    }
+
+    /// Total source operations across all rounds — the program-size
     /// measure [`SORT_OBS_MIN_OPS`] gates sort-grain spans on.
     #[must_use]
     pub fn total_ops(&self) -> usize {
-        self.cx_pairs.len() + self.micro.len()
+        self.compare_pairs + self.micro.len()
     }
 
     /// Stage certificates, carried over from the source program (round
@@ -361,85 +592,52 @@ impl KernelProgram {
     }
 }
 
-/// Reusable execution state for the kernel tier: transit slots, the
-/// deferred incoming queue, and the parallel path's swap bitmask. One
-/// scratch serves one key vector at a time; create it once and reuse it
-/// across runs — after the first run sizes the buffers, every later
-/// [`BspMachine::run_kernel`] call performs zero heap allocations.
+/// Reusable execution state for the kernel tier: the chunked parallel
+/// path's swap bitmask. A clean run keeps no state between
+/// compare-exchanges (relays were paired at lowering, so no transit
+/// slot is ever filled), which is why [`BspMachine::run_kernel`] and
+/// [`BspMachine::run_kernel_with_faults`] leave the scratch untouched
+/// and allocate nothing even on a fresh one. `K` is the key type of the
+/// runs it serves.
 #[derive(Debug, Default)]
 pub struct ExecScratch<K> {
-    pub(crate) transit: Vec<[Option<K>; 2]>,
-    pub(crate) incoming: Vec<(u32, u8, K)>,
     pub(crate) swap_words: Vec<u64>,
+    keys: PhantomData<K>,
 }
 
 impl<K> ExecScratch<K> {
-    /// An empty scratch; the first run warms it up to the network size.
+    /// An empty scratch; the chunked path sizes it on first use.
     #[must_use]
     pub fn new() -> Self {
         ExecScratch {
-            transit: Vec::new(),
-            incoming: Vec::new(),
             swap_words: Vec::new(),
+            keys: PhantomData,
         }
-    }
-
-    /// Size for `n` nodes and clear leftovers (capacity is kept, so
-    /// resizing to the same `n` allocates nothing).
-    pub(crate) fn reset(&mut self, n: usize) {
-        if self.transit.len() == n {
-            for t in &mut self.transit {
-                t[0] = None;
-                t[1] = None;
-            }
-        } else {
-            self.transit.clear();
-            self.transit.resize_with(n, || [None, None]);
-        }
-        self.incoming.clear();
     }
 }
 
-/// A pool of [`ExecScratch`]es, one per batch lane, reused across
-/// [`BspMachine::run_kernel_batch`] calls so steady-state batches do not
-/// reallocate per-lane state.
+/// The pool [`BspMachine::run_kernel_batch`] takes. Clean lanes keep no
+/// state of their own, so the pool holds none; it keeps the batch
+/// executors' call shape (the vertical tier's [`crate::VerticalPool`]
+/// does hold per-block columns).
 #[derive(Debug, Default)]
 pub struct ScratchPool<K> {
-    slots: Vec<ExecScratch<K>>,
+    keys: PhantomData<K>,
 }
 
 impl<K> ScratchPool<K> {
-    /// An empty pool; lanes are added on demand.
+    /// An empty pool.
     #[must_use]
     pub fn new() -> Self {
-        ScratchPool { slots: Vec::new() }
-    }
-
-    /// At least `n` scratches, growing if needed.
-    pub(crate) fn ensure(&mut self, n: usize) -> &mut [ExecScratch<K>] {
-        while self.slots.len() < n {
-            self.slots.push(ExecScratch::new());
-        }
-        &mut self.slots[..n]
-    }
-
-    /// Lanes currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` iff no lane has been warmed up yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        ScratchPool { keys: PhantomData }
     }
 }
 
-/// One compare round, serial: a tight loop over the pair list.
+/// Clean compare-exchanges `range` of the pair table, in order: the
+/// whole clean execution of one round, or of a run of rounds.
 #[inline]
-fn exec_compare_round<K: Ord>(keys: &mut [K], kernel: &KernelProgram, desc: RoundDesc) {
-    for gi in desc.start as usize..desc.end as usize {
+fn exec_cx<K: Ord>(keys: &mut [K], kernel: &KernelProgram, range: Range<usize>) {
+    for gi in range {
         let (a, b) = kernel.cx_pairs[gi];
         let (ai, bi) = (a as usize, b as usize);
         if (keys[ai] <= keys[bi]) != kernel.dir(gi) {
@@ -448,103 +646,34 @@ fn exec_compare_round<K: Ord>(keys: &mut [K], kernel: &KernelProgram, desc: Roun
     }
 }
 
-/// One route round: micro-ops in original order, incoming values
-/// buffered and committed at the end (transit reads see previous-round
-/// state — the same semantics as `exec_round_serial`).
-fn exec_route_round<K: Ord + Clone>(
-    keys: &mut [K],
-    transit: &mut [[Option<K>; 2]],
-    incoming: &mut Vec<(u32, u8, K)>,
-    micro: &[MicroOp],
-) {
-    incoming.clear();
-    for m in micro {
-        let ai = m.a as usize;
-        match m.tag {
-            TAG_CX => {
-                let bi = m.b as usize;
-                if (keys[ai] <= keys[bi]) != (m.flags & FLAG_PRIMARY != 0) {
-                    keys.swap(ai, bi);
-                }
-            }
-            TAG_MOVE => {
-                let si = usize::from(m.flags & FLAG_SLOT1 != 0);
-                let payload = if m.flags & FLAG_PRIMARY != 0 {
-                    keys[ai].clone()
-                } else {
-                    transit[ai][si].take().expect("validated: slot occupied")
-                };
-                incoming.push((m.b, si as u8, payload));
-            }
-            _ => {
-                let si = usize::from(m.flags & FLAG_SLOT1 != 0);
-                let arrived = transit[ai][si].take().expect("validated: slot occupied");
-                let resident = &mut keys[ai];
-                let keep_arrived = if m.flags & FLAG_PRIMARY != 0 {
-                    arrived < *resident
-                } else {
-                    arrived > *resident
-                };
-                if keep_arrived {
-                    *resident = arrived;
-                }
-            }
-        }
-    }
-    for (to, slot, payload) in incoming.drain(..) {
-        transit[to as usize][slot as usize] = Some(payload);
-    }
-}
-
-/// One kernel round, serial, unlogged — shared by the serial runner,
-/// batch lanes, and the small-round path of the parallel runner.
+/// One kernel round, serial, unlogged.
 #[inline]
-pub(crate) fn exec_kernel_round<K: Ord + Clone>(
-    keys: &mut [K],
-    kernel: &KernelProgram,
-    ri: usize,
-    scratch: &mut ExecScratch<K>,
-) {
-    let desc = kernel.rounds[ri];
-    match desc.class {
-        RoundClass::Empty => {}
-        RoundClass::Compare => exec_compare_round(keys, kernel, desc),
-        RoundClass::Route => exec_route_round(
-            keys,
-            &mut scratch.transit,
-            &mut scratch.incoming,
-            &kernel.micro[desc.start as usize..desc.end as usize],
-        ),
-    }
+fn exec_kernel_round<K: Ord>(keys: &mut [K], kernel: &KernelProgram, ri: usize) {
+    exec_cx(keys, kernel, kernel.rounds[ri].cx());
 }
 
-/// A whole kernel program on one key vector, serial, unlogged.
-pub(crate) fn exec_kernel<K: Ord + Clone>(
-    keys: &mut [K],
-    kernel: &KernelProgram,
-    scratch: &mut ExecScratch<K>,
-) {
-    scratch.reset(keys.len());
-    for ri in 0..kernel.rounds.len() {
-        exec_kernel_round(keys, kernel, ri, scratch);
-    }
+/// A whole kernel program on one key vector, serial, unlogged — shared
+/// by batch lanes, the fault executors' disabled-plan paths and their
+/// quarantine re-runs.
+pub(crate) fn exec_kernel<K: Ord>(keys: &mut [K], kernel: &KernelProgram) {
+    exec_cx(keys, kernel, 0..kernel.cx_pairs.len());
 }
 
-/// One compare round with its decision phase split across threads:
-/// disjoint 64-pair-aligned chunks of the swap bitmask are filled by
-/// workers reading the immutable start-of-round keys, then the swaps
-/// commit serially. Validated compare rounds touch each key at most
+/// One round's compare-exchanges with the decision phase split across
+/// threads: disjoint 64-pair-aligned chunks of the swap bitmask are
+/// filled by workers reading the immutable start-of-round keys, then
+/// the swaps commit serially. Validated rounds touch each key at most
 /// once, so start-of-round decisions equal in-order serial decisions —
-/// bit-identical to [`exec_compare_round`].
-fn exec_compare_round_chunked<K: Ord + Send + Sync>(
+/// bit-identical to [`exec_kernel_round`].
+fn exec_round_chunked<K: Ord + Send + Sync>(
     keys: &mut [K],
     kernel: &KernelProgram,
-    desc: RoundDesc,
+    range: Range<usize>,
     words: &mut Vec<u64>,
     threads: usize,
 ) {
-    let start = desc.start as usize;
-    let n_pairs = (desc.end - desc.start) as usize;
+    let start = range.start;
+    let n_pairs = range.len();
     let n_words = n_pairs.div_ceil(64);
     words.clear();
     words.resize(n_words, 0);
@@ -585,14 +714,19 @@ fn exec_compare_round_chunked<K: Ord + Send + Sync>(
 
 impl BspMachine {
     /// Validate `program` against this machine, then lower it to a
-    /// [`KernelProgram`]. The kernels then run unchecked — validation is
-    /// paid once per program instead of once per run (`run_parallel`
-    /// re-validates on every call).
+    /// [`KernelProgram`], pairing its relays into compare-exchanges. The
+    /// kernels then run unchecked — validation is paid once per program
+    /// instead of once per run (`run_parallel` re-validates on every
+    /// call).
     ///
     /// # Errors
     ///
     /// The first machine-model violation, as from
-    /// [`BspMachine::try_validate`].
+    /// [`BspMachine::try_validate`]; then
+    /// [`ProgramError::UnpairedRelay`] for a valid program whose relays
+    /// do not pair (see [`KernelProgram::lower`]), naming the first
+    /// unpaired resolve in op order. [`BspMachine::run`] still runs
+    /// such a program.
     pub fn lower(&self, program: &CompiledProgram) -> Result<KernelProgram, ProgramError> {
         let _lower_span = self
             .logger
@@ -603,13 +737,15 @@ impl BspMachine {
                 .span(Tier::Kernel, Stage::Validate, SpanClass::None);
             self.try_validate(program)?;
         }
-        Ok(KernelProgram::lower(program))
+        KernelProgram::try_lower(program)
     }
 
-    /// Execute a lowered program on `keys`, serially. Bit-identical to
+    /// Execute a lowered program on `keys`, serially: every round is one
+    /// loop over its clean compare-exchanges. Bit-identical to
     /// [`BspMachine::run`] on every input; performs **zero heap
-    /// allocations** once `scratch` is warm (reuse the scratch across
-    /// calls — the first call sizes it).
+    /// allocations**. `_scratch` is not touched (a clean run keeps no
+    /// state); it keeps the call shape of
+    /// [`BspMachine::run_kernel_parallel`].
     ///
     /// Returns the number of rounds executed (= `kernel.rounds()`).
     ///
@@ -621,7 +757,7 @@ impl BspMachine {
         &self,
         keys: &mut [K],
         kernel: &KernelProgram,
-        scratch: &mut ExecScratch<K>,
+        _scratch: &mut ExecScratch<K>,
     ) -> u64 {
         assert_eq!(
             kernel.shape,
@@ -637,7 +773,6 @@ impl BspMachine {
             Stage::Sort,
             SpanClass::None,
         );
-        scratch.reset(keys.len());
         for (ri, desc) in kernel.rounds.iter().enumerate() {
             // Round-grain observability only above the op threshold:
             // sub-µs kernel rounds would otherwise pay more for the
@@ -656,25 +791,19 @@ impl BspMachine {
                 Stage::Round,
                 desc.class.span_class(),
             );
-            exec_kernel_round(keys, kernel, ri, scratch);
+            exec_kernel_round(keys, kernel, ri);
             if observed {
                 self.logger.log(|| Event::RoundEnd { round: ri as u64 });
             }
         }
-        debug_assert!(
-            scratch
-                .transit
-                .iter()
-                .all(|t| t[0].is_none() && t[1].is_none()),
-            "transit values left in flight after the program ended"
-        );
         kernel.rounds.len() as u64
     }
 
-    /// As [`BspMachine::run_kernel`], with compare rounds of at least
-    /// [`KERNEL_PAR_THRESHOLD`] pairs split across threads (chunked
-    /// bitmask decision phase + serial commit). Route and small rounds
-    /// run serially. Bit-identical to the serial kernel on every input.
+    /// As [`BspMachine::run_kernel`], with rounds of at least
+    /// [`KERNEL_PAR_THRESHOLD`] clean compare-exchanges split across
+    /// threads (chunked bitmask decision phase + serial commit). Smaller
+    /// rounds run serially. Bit-identical to the serial kernel on every
+    /// input.
     ///
     /// No library path calls this: the scoped threads it spawns in every
     /// large round cost more than they save (`Machine::sort` runs
@@ -698,10 +827,10 @@ impl BspMachine {
     }
 
     /// [`BspMachine::run_kernel_parallel`] with an explicit serial
-    /// fallback threshold (compare rounds with fewer pairs run serially).
-    /// Exposed so tests and benchmarks can force the chunked path on
-    /// small rounds; the default threshold is tuned for threads spawned
-    /// per round.
+    /// fallback threshold (rounds with fewer clean compare-exchanges run
+    /// serially). Exposed so tests and benchmarks can force the chunked
+    /// path on small rounds; the default threshold is tuned for threads
+    /// spawned per round.
     ///
     /// # Panics
     ///
@@ -730,11 +859,8 @@ impl BspMachine {
             SpanClass::None,
         );
         let threads = rayon::current_num_threads();
-        scratch.reset(keys.len());
         for (ri, desc) in kernel.rounds.iter().enumerate() {
-            let par = desc.class == RoundClass::Compare
-                && (desc.end - desc.start) as usize >= threshold.max(1)
-                && threads > 1;
+            let par = desc.cx().len() >= threshold.max(1) && threads > 1;
             let observed = kernel.round_len(ri) >= ROUND_OBS_MIN_OPS;
             if observed {
                 self.logger.log(|| Event::RoundStart {
@@ -750,9 +876,9 @@ impl BspMachine {
                 desc.class.span_class(),
             );
             if par {
-                exec_compare_round_chunked(keys, kernel, *desc, &mut scratch.swap_words, threads);
+                exec_round_chunked(keys, kernel, desc.cx(), &mut scratch.swap_words, threads);
             } else {
-                exec_kernel_round(keys, kernel, ri, scratch);
+                exec_kernel_round(keys, kernel, ri);
             }
             if observed {
                 self.logger.log(|| Event::RoundEnd { round: ri as u64 });
@@ -762,12 +888,11 @@ impl BspMachine {
     }
 
     /// Drive a batch of independent key vectors through one lowered
-    /// program, each lane running the serial kernel on its own
-    /// [`ScratchPool`] slot. The lanes split into one contiguous chunk
-    /// per core, or run on the calling thread on a
-    /// [`BspMachine::serial`] machine. Produces exactly the
-    /// configurations [`BspMachine::run`] would; steady-state batches
-    /// reuse the pool's warm scratches instead of reallocating per lane.
+    /// program, each lane running the serial clean kernel. The lanes
+    /// split into one contiguous chunk per core, or run on the calling
+    /// thread on a [`BspMachine::serial`] machine. Produces exactly the
+    /// configurations [`BspMachine::run`] would. Lanes keep no state, so
+    /// `_pool` is not touched.
     ///
     /// Returns the number of rounds executed (same for every vector).
     ///
@@ -779,7 +904,7 @@ impl BspMachine {
         &self,
         batch: &mut [Vec<K>],
         kernel: &KernelProgram,
-        pool: &mut ScratchPool<K>,
+        _pool: &mut ScratchPool<K>,
     ) -> u64
     where
         K: Ord + Clone + Send + Sync,
@@ -800,27 +925,15 @@ impl BspMachine {
             batch: batch.len() as u64,
             lanes: workers as u64,
         });
-        let scratches = pool.ensure(batch.len());
         if workers <= 1 {
-            for (keys, scratch) in batch.iter_mut().zip(scratches.iter_mut()) {
-                exec_kernel(keys, kernel, scratch);
+            for keys in batch.iter_mut() {
+                exec_kernel(keys, kernel);
             }
         } else {
-            /// Distinct `&mut` targets per worker (the vendored `rayon`
-            /// subset has no zip, so lanes pair keys with scratch).
-            struct Lane<'a, K> {
-                keys: &'a mut Vec<K>,
-                scratch: &'a mut ExecScratch<K>,
-            }
             use rayon::prelude::*;
-            let mut lanes: Vec<Lane<'_, K>> = batch
-                .iter_mut()
-                .zip(scratches.iter_mut())
-                .map(|(keys, scratch)| Lane { keys, scratch })
-                .collect();
-            lanes
+            batch
                 .par_iter_mut()
-                .for_each(|lane| exec_kernel(lane.keys, kernel, lane.scratch));
+                .for_each(|keys| exec_kernel(keys, kernel));
         }
         kernel.rounds.len() as u64
     }
@@ -866,11 +979,27 @@ mod tests {
             if kernel.class(ri) == RoundClass::Route {
                 let d = kernel.rounds[ri];
                 for (oi, op) in round.iter().enumerate() {
-                    let m = kernel.micro[d.start as usize + oi];
+                    let m = kernel.micro[d.micro().start + oi];
                     assert_eq!(&m.to_op(), op, "round {ri} op {oi} must round-trip");
                 }
             }
         }
+        // The clean view: every round's list is its compare-exchanges
+        // plus one per pair of resolves.
+        let mut relays = 0;
+        for (ri, round) in program.round_ops().iter().enumerate() {
+            let count = |f: fn(&Op) -> bool| round.iter().filter(|op| f(op)).count();
+            let cx = count(|op| matches!(op, Op::CompareExchange { .. }));
+            let resolves = count(|op| matches!(op, Op::Resolve { .. }));
+            assert_eq!(
+                kernel.rounds[ri].cx().len(),
+                cx + resolves / 2,
+                "round {ri}"
+            );
+            relays += resolves / 2;
+        }
+        assert!(relays > 0, "the fixture must relay");
+        assert_eq!(kernel.clean_cx_count(), kernel.cx_pair_count() + relays);
     }
 
     #[test]
@@ -942,7 +1071,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_batch_matches_per_vector_runs_and_reuses_the_pool() {
+    fn kernel_batch_matches_per_vector_runs() {
         let factor = factories::path(3);
         let program = compile(&factor, 3, &ShearSorter);
         let bsp = BspMachine::new(&factor, 3);
@@ -962,7 +1091,6 @@ mod tests {
                 .collect();
             bsp.run_kernel_batch(&mut batch, &kernel, &mut pool);
             assert_eq!(batch, want, "pass {round}");
-            assert_eq!(pool.len(), 6, "one warm scratch per lane");
         }
     }
 

@@ -66,5 +66,5 @@ pub use sorters::{
 pub use verify::{network_sort_checked, subgraphs_snake_sorted, LoggingEngine, RoundRecord};
 pub use vertical::{
     pack_zero_one_masks, pack_zero_one_masks_into, unpack_zero_one_lane, unpack_zero_one_lane_into,
-    BitScratch, VerticalPool, VerticalProgram, VerticalScratch, VERTICAL_MIN_LANES, WORD_LANES,
+    VerticalPool, VerticalProgram, VerticalScratch, VERTICAL_MIN_LANES, WORD_LANES,
 };

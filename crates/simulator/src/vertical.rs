@@ -17,23 +17,25 @@
 //!   exactly that for every small fixture).
 //! * **Full keys** ([`BspMachine::run_vertical_batch`]): lanes are
 //!   blocked into groups of ≤ [`WORD_LANES`] and each node becomes a
-//!   contiguous *column* of `w` keys. Compare rounds build a `u64`
-//!   swap-decision mask per edge and commit set bits; route rounds move
-//!   whole columns through word-indexed transit slots. Same memory
+//!   contiguous *column* of `w` keys. Every compare-exchange builds a
+//!   `u64` swap-decision mask per edge and commits set bits. Same memory
 //!   discipline as the kernel tier: a caller-owned
 //!   [`VerticalScratch`]/[`VerticalPool`] makes warm runs allocation-free
 //!   (`tests/vertical_alloc.rs` proves zero heap allocations).
 //!
-//! Both executors walk the *same* [`KernelProgram`] rounds in the same
-//! order — a [`VerticalProgram`] is a layout commitment, not a new
-//! lowering — so round indices, op indices, and therefore
-//! `FaultSite {round, op}` keys are shared 1:1 with the interpreter and
-//! kernel paths. [`BspMachine::run_vertical_batch_with_faults`] leans
-//! on that: it injects from the identical per-lane forked plans and is
-//! bit-identical, reports included, to
-//! [`BspMachine::run_batch_with_faults`].
+//! Clean runs of both layouts execute the kernel's clean
+//! compare-exchange lists: relays were paired into compare-exchanges at
+//! lowering, so no transit column exists outside the fault lockstep.
+//! [`BspMachine::run_vertical_batch_with_faults`] walks the *same*
+//! [`KernelProgram`] rounds, micro-ops included, in the same order — a
+//! [`VerticalProgram`] is a layout commitment, not a new lowering — so
+//! round indices, op indices, and therefore `FaultSite {round, op}` keys
+//! are shared 1:1 with the interpreter and kernel paths. It injects
+//! from the identical per-lane forked plans and is bit-identical,
+//! reports included, to [`BspMachine::run_batch_with_faults`].
 
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 use pns_fault::detect::sampled_subgraph_certificate;
@@ -44,8 +46,7 @@ use pns_order::radix::Shape;
 use crate::bsp::BspMachine;
 use crate::fault::{segments, Detection, FaultError, FaultReport, InjectedFault, Retry};
 use crate::kernel::{
-    exec_kernel, ExecScratch, KernelProgram, RoundClass, RoundDesc, FLAG_PRIMARY, FLAG_SLOT1,
-    TAG_CX, TAG_MOVE,
+    exec_kernel, KernelProgram, RoundClass, FLAG_PRIMARY, FLAG_SLOT1, TAG_CX, TAG_MOVE,
 };
 use crate::verify::subgraphs_snake_sorted;
 
@@ -62,9 +63,10 @@ pub const VERTICAL_MIN_LANES: usize = WORD_LANES;
 /// A kernel program committed to the vertical (lane-major) layout.
 ///
 /// Lowering is a wrapper, not a rewrite: the vertical executors read
-/// the kernel's flat round/pair/micro-op tables directly, which is what
-/// guarantees round and op indices — and with them fault sites and
-/// certificate boundaries — stay aligned across all three tiers. The
+/// the kernel's flat round/pair/micro-op tables directly (clean runs
+/// its compare-exchange lists, the fault lockstep its micro-ops), which
+/// is what guarantees round and op indices — and with them fault sites
+/// and certificate boundaries — stay aligned across all three tiers. The
 /// type exists so the [`crate::cache::ProgramCache`] can track vertical
 /// adoption separately and so callers cannot accidentally hand a
 /// horizontal scratch to a vertical run.
@@ -98,48 +100,19 @@ impl VerticalProgram {
         &self.kernel
     }
 
-    /// Word-level operations one full-width run executes: every
-    /// compare-exchange pair and every route micro-op touches one word
-    /// (or one column) regardless of how many lanes ride in it.
+    /// Word-level operations one full-width run executes: every clean
+    /// compare-exchange touches one word (or one column pair) regardless
+    /// of how many lanes ride in it
+    /// ([`KernelProgram::clean_cx_count`]).
     #[must_use]
     pub fn word_ops(&self) -> usize {
-        self.kernel.cx_pair_count() + self.kernel.micro_op_count()
+        self.kernel.clean_cx_count()
     }
 }
 
 // ---------------------------------------------------------------------------
 // 0/1 path: one u64 word per node, 64 lanes per bit position.
 // ---------------------------------------------------------------------------
-
-/// Reusable state for [`BspMachine::run_vertical_bits`]: word-wide
-/// transit slots (two per node, like the scalar machine model) and the
-/// deferred-move buffer. Warm resets reuse capacity — zero allocations.
-#[derive(Debug, Default)]
-pub struct BitScratch {
-    /// Transit words, indexed `node * 2 + slot`.
-    transit: Vec<u64>,
-    /// Deferred moves `(node * 2 + slot, payload word)`, committed at
-    /// round end so transit reads see previous-round state.
-    incoming: Vec<(u32, u64)>,
-}
-
-impl BitScratch {
-    /// Fresh, empty scratch; the first run sizes it.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn reset(&mut self, n: usize) {
-        if self.transit.len() == 2 * n {
-            self.transit.fill(0);
-        } else {
-            self.transit.clear();
-            self.transit.resize(2 * n, 0);
-        }
-        self.incoming.clear();
-    }
-}
 
 /// Pack up to [`WORD_LANES`] zero-one vectors into the vertical word
 /// layout: bit `i` of `masks[l]` is lane `l`'s key at node rank `i`,
@@ -214,49 +187,12 @@ fn bit_cx(words: &mut [u64], a: u32, b: u32, min_to_a: bool) {
     }
 }
 
-/// One vertical 0/1 round: the same micro-op order as
-/// [`crate::kernel`]'s `exec_kernel_round`, word-wide. `Resolve` is a
-/// one-op merge: keep-min is `AND`, keep-max is `OR` — the arrived word
-/// folds into the resident word per lane.
-fn exec_bits_round(words: &mut [u64], kernel: &KernelProgram, ri: usize, scratch: &mut BitScratch) {
-    let desc = kernel.rounds[ri];
-    match desc.class {
-        RoundClass::Empty => {}
-        RoundClass::Compare => {
-            for gi in desc.start as usize..desc.end as usize {
-                let (a, b) = kernel.cx_pairs[gi];
-                bit_cx(words, a, b, kernel.dir(gi));
-            }
-        }
-        RoundClass::Route => {
-            for m in &kernel.micro[desc.start as usize..desc.end as usize] {
-                let ai = m.a as usize;
-                match m.tag {
-                    TAG_CX => bit_cx(words, m.a, m.b, m.flags & FLAG_PRIMARY != 0),
-                    TAG_MOVE => {
-                        let si = usize::from(m.flags & FLAG_SLOT1 != 0);
-                        let payload = if m.flags & FLAG_PRIMARY != 0 {
-                            words[ai]
-                        } else {
-                            scratch.transit[ai * 2 + si]
-                        };
-                        scratch.incoming.push((m.b * 2 + si as u32, payload));
-                    }
-                    _ => {
-                        let si = usize::from(m.flags & FLAG_SLOT1 != 0);
-                        let arrived = scratch.transit[ai * 2 + si];
-                        if m.flags & FLAG_PRIMARY != 0 {
-                            words[ai] &= arrived;
-                        } else {
-                            words[ai] |= arrived;
-                        }
-                    }
-                }
-            }
-            for (idx, payload) in scratch.incoming.drain(..) {
-                scratch.transit[idx as usize] = payload;
-            }
-        }
+/// Clean compare-exchanges `range` of the kernel's pair table on the
+/// 0/1 word layout.
+fn exec_bits(words: &mut [u64], kernel: &KernelProgram, range: Range<usize>) {
+    for gi in range {
+        let (a, b) = kernel.cx_pairs[gi];
+        bit_cx(words, a, b, kernel.dir(gi));
     }
 }
 
@@ -265,20 +201,19 @@ fn exec_bits_round(words: &mut [u64], kernel: &KernelProgram, ri: usize, scratch
 // ---------------------------------------------------------------------------
 
 /// Reusable state for one vertical block of up to [`WORD_LANES`] lanes:
-/// the transposed key columns, column-wide transit slots, and the
-/// round-local staging buffer for deferred moves.
+/// the transposed key columns and, for the fault lockstep only,
+/// column-wide transit slots and the round-local staging buffer for
+/// deferred moves. Clean blocks run paired compare-exchanges and never
+/// size the transit columns: on `K2^14` a 64-lane block would otherwise
+/// hold 2 × 32 MiB of them.
 ///
-/// `reset` is **width-aware**: transit and staging are indexed
-/// `(node * 2 + slot) * w + lane`, so a scratch warmed for a 64-lane
-/// block must be rebuilt — not blindly reused — when a narrower tail
-/// block borrows it, or stale wider-stride slots would alias live ones.
-/// The pool therefore resizes on any `(nodes, lanes)` change and only
-/// skips the rebuild on an exact match.
+/// Transit and staging are indexed `(node * 2 + slot) * w + lane`, so
+/// the fault lockstep empties every slot before each block: a scratch
+/// warmed for a 64-lane block must not leak wider-stride slots into a
+/// narrower tail block that borrows it.
 #[derive(Debug)]
 pub struct VerticalScratch<K> {
-    /// Node count the buffers are currently sized for.
-    n: usize,
-    /// Lane width (block size) the buffers are currently sized for.
+    /// Lane width (block size) of the current block.
     w: usize,
     /// Transposed keys, node-major: `cols[node * w + lane]`.
     cols: Vec<K>,
@@ -293,7 +228,6 @@ pub struct VerticalScratch<K> {
 impl<K> Default for VerticalScratch<K> {
     fn default() -> Self {
         VerticalScratch {
-            n: 0,
             w: 0,
             cols: Vec::new(),
             transit: Vec::new(),
@@ -310,39 +244,37 @@ impl<K> VerticalScratch<K> {
         Self::default()
     }
 
-    /// Lane width the scratch is currently sized for (0 when unused).
+    /// Lane width of the block the scratch last served (0 when unused).
     #[must_use]
     pub fn lanes(&self) -> usize {
         self.w
     }
 
-    /// Size for an `n`-node, `w`-lane block, rebuilding the strided
-    /// buffers whenever either dimension changed.
-    fn reset(&mut self, n: usize, w: usize) {
+    /// Start a `w`-lane block: empty columns, capacity kept.
+    fn reset(&mut self, w: usize) {
         debug_assert!((1..=WORD_LANES).contains(&w), "block width fits one word");
-        if self.n == n && self.w == w {
-            for t in &mut self.transit {
-                *t = None;
-            }
-            for s in &mut self.staged {
-                *s = None;
-            }
-        } else {
-            self.n = n;
-            self.w = w;
-            self.transit.clear();
-            self.transit.resize_with(n * 2 * w, || None);
-            self.staged.clear();
-            self.staged.resize_with(n * 2 * w, || None);
-        }
+        self.w = w;
         self.cols.clear();
+    }
+
+    /// Empty transit and staging columns for the current block over `n`
+    /// nodes (the fault lockstep's), reusing them when the size matches.
+    fn reset_transit(&mut self, n: usize) {
+        let len = n * 2 * self.w;
+        for buf in [&mut self.transit, &mut self.staged] {
+            if buf.len() == len {
+                buf.fill_with(|| None);
+            } else {
+                buf.clear();
+                buf.resize_with(len, || None);
+            }
+        }
         self.touched.clear();
     }
 }
 
 /// A pool of per-block [`VerticalScratch`]es for batched vertical runs,
-/// grown on demand and reused across batches — the vertical analogue of
-/// [`crate::kernel::ScratchPool`].
+/// grown on demand and reused across batches.
 #[derive(Debug)]
 pub struct VerticalPool<K> {
     slots: Vec<VerticalScratch<K>>,
@@ -399,77 +331,16 @@ fn col_cx<K: Ord>(cols: &mut [K], w: usize, a: u32, b: u32, min_to_a: bool) {
     }
 }
 
-/// One vertical full-key round over a `w`-lane block. Identical op
-/// order and transit schedule as the scalar kernel round — moves stage
-/// into `staged` and commit at round end, so transit reads see
-/// previous-round state.
-fn exec_cols_round<K: Ord + Clone>(
-    kernel: &KernelProgram,
-    desc: RoundDesc,
-    w: usize,
-    cols: &mut [K],
-    transit: &mut [Option<K>],
-    staged: &mut [Option<K>],
-    touched: &mut Vec<u32>,
-) {
-    match desc.class {
-        RoundClass::Empty => {}
-        RoundClass::Compare => {
-            for gi in desc.start as usize..desc.end as usize {
-                let (a, b) = kernel.cx_pairs[gi];
-                col_cx(cols, w, a, b, kernel.dir(gi));
-            }
-        }
-        RoundClass::Route => {
-            touched.clear();
-            for m in &kernel.micro[desc.start as usize..desc.end as usize] {
-                let ai = m.a as usize;
-                let si = usize::from(m.flags & FLAG_SLOT1 != 0);
-                let primary = m.flags & FLAG_PRIMARY != 0;
-                match m.tag {
-                    TAG_CX => col_cx(cols, w, m.a, m.b, primary),
-                    TAG_MOVE => {
-                        let fbase = (ai * 2 + si) * w;
-                        let tbase = (m.b as usize * 2 + si) * w;
-                        for l in 0..w {
-                            let payload = if primary {
-                                cols[ai * w + l].clone()
-                            } else {
-                                transit[fbase + l].take().expect("validated: slot occupied")
-                            };
-                            staged[tbase + l] = Some(payload);
-                        }
-                        touched.push(m.b * 2 + si as u32);
-                    }
-                    _ => {
-                        let base = (ai * 2 + si) * w;
-                        for l in 0..w {
-                            let arrived =
-                                transit[base + l].take().expect("validated: slot occupied");
-                            let resident = &mut cols[ai * w + l];
-                            let keep_arrived = if primary {
-                                arrived < *resident
-                            } else {
-                                arrived > *resident
-                            };
-                            if keep_arrived {
-                                *resident = arrived;
-                            }
-                        }
-                    }
-                }
-            }
-            for &idx in touched.iter() {
-                let base = idx as usize * w;
-                for l in 0..w {
-                    transit[base + l] = staged[base + l].take();
-                }
-            }
-        }
+/// Clean compare-exchanges `range` of the kernel's pair table over a
+/// `w`-lane block of columns.
+fn exec_cols<K: Ord>(kernel: &KernelProgram, w: usize, cols: &mut [K], range: Range<usize>) {
+    for gi in range {
+        let (a, b) = kernel.cx_pairs[gi];
+        col_cx(cols, w, a, b, kernel.dir(gi));
     }
 }
 
-/// Transpose a block of lanes in, run every round, transpose back.
+/// Transpose a block of lanes in, run the clean program, transpose back.
 fn exec_cols_block<K: Ord + Clone>(
     lanes: &mut [Vec<K>],
     kernel: &KernelProgram,
@@ -477,27 +348,13 @@ fn exec_cols_block<K: Ord + Clone>(
 ) {
     let w = lanes.len();
     let n = lanes[0].len();
-    scratch.reset(n, w);
+    scratch.reset(w);
     for node in 0..n {
         for lane in lanes.iter() {
             scratch.cols.push(lane[node].clone());
         }
     }
-    for ri in 0..kernel.rounds() {
-        exec_cols_round(
-            kernel,
-            kernel.rounds[ri],
-            w,
-            &mut scratch.cols,
-            &mut scratch.transit,
-            &mut scratch.staged,
-            &mut scratch.touched,
-        );
-    }
-    debug_assert!(
-        scratch.transit.iter().all(Option::is_none),
-        "transit values left in flight after the program ended"
-    );
+    exec_cols(kernel, w, &mut scratch.cols, 0..kernel.cx_pairs.len());
     for node in 0..n {
         for (l, lane) in lanes.iter_mut().enumerate() {
             std::mem::swap(&mut lane[node], &mut scratch.cols[node * w + l]);
@@ -512,7 +369,9 @@ impl BspMachine {
     /// # Errors
     ///
     /// The first machine-model violation, as from
-    /// [`BspMachine::try_validate`].
+    /// [`BspMachine::try_validate`]; then
+    /// [`crate::bsp::ProgramError::UnpairedRelay`] for a valid program
+    /// whose relays do not pair, as from [`BspMachine::lower`].
     pub fn lower_vertical(
         &self,
         program: &crate::bsp::CompiledProgram,
@@ -528,22 +387,17 @@ impl BspMachine {
     /// once: `words[i]` holds bit `l` = lane `l`'s key at node rank
     /// `i` (see [`pack_zero_one_masks`]). Every lane lands exactly
     /// where [`BspMachine::run`] would put its scalar 0/1 vector —
-    /// compare-exchange on 0/1 keys *is* `AND`/`OR`, and the routing
-    /// schedule is data-independent.
+    /// compare-exchange on 0/1 keys *is* `AND`/`OR`, and every round is
+    /// its clean compare-exchange list.
     ///
     /// Returns the number of rounds executed; performs zero heap
-    /// allocations once `scratch` is warm.
+    /// allocations.
     ///
     /// # Panics
     ///
     /// Panics if the program was lowered for another shape or `words`
     /// is not one word per node.
-    pub fn run_vertical_bits(
-        &self,
-        words: &mut [u64],
-        vertical: &VerticalProgram,
-        scratch: &mut BitScratch,
-    ) -> u64 {
+    pub fn run_vertical_bits(&self, words: &mut [u64], vertical: &VerticalProgram) -> u64 {
         let kernel = vertical.kernel();
         assert_eq!(
             kernel.shape(),
@@ -561,8 +415,7 @@ impl BspMachine {
             Stage::Sort,
             SpanClass::None,
         );
-        scratch.reset(words.len());
-        for ri in 0..kernel.rounds() {
+        for (ri, desc) in kernel.rounds.iter().enumerate() {
             // Same round-grain gating as the kernel tier (DESIGN.md §13):
             // word-wide rounds run in nanoseconds, so only rounds with
             // enough ops get their own events and span.
@@ -578,9 +431,9 @@ impl BspMachine {
                 observed,
                 Tier::Vertical,
                 Stage::Round,
-                kernel.rounds[ri].class.span_class(),
+                desc.class.span_class(),
             );
-            exec_bits_round(words, kernel, ri, scratch);
+            exec_bits(words, kernel, desc.cx());
             if observed {
                 self.logger.log(|| Event::RoundEnd { round: ri as u64 });
             }
@@ -590,8 +443,9 @@ impl BspMachine {
 
     /// Drive a batch of full-key vectors through the vertical tier:
     /// lanes are blocked 64 to a word, each block transposed into
-    /// node-major columns and executed with word-wide swap masks, then
-    /// transposed back. Bit-identical to [`BspMachine::run_kernel_batch`]
+    /// node-major columns, run as one loop over the program's clean
+    /// compare-exchanges with word-wide swap masks, then transposed
+    /// back. Bit-identical to [`BspMachine::run_kernel_batch`]
     /// (and therefore to per-lane [`BspMachine::run`]) on every input;
     /// blocks run in parallel (on the calling thread on a
     /// [`BspMachine::serial`] machine), and warm pools make reruns
@@ -754,17 +608,14 @@ fn exec_cols_round_faulty<K: Ord + Clone>(
     match desc.class {
         RoundClass::Empty => {}
         RoundClass::Compare => {
-            for (oi, gi) in (desc.start as usize..desc.end as usize).enumerate() {
+            for (oi, gi) in desc.cx().enumerate() {
                 let (a, b) = kernel.cx_pairs[gi];
                 cx(cols, faults, oi, a, b, kernel.dir(gi));
             }
         }
         RoundClass::Route => {
             touched.clear();
-            for (oi, m) in kernel.micro[desc.start as usize..desc.end as usize]
-                .iter()
-                .enumerate()
-            {
+            for (oi, m) in kernel.micro[desc.micro()].iter().enumerate() {
                 let ai = m.a as usize;
                 let si = usize::from(m.flags & FLAG_SLOT1 != 0);
                 let primary = m.flags & FLAG_PRIMARY != 0;
@@ -912,7 +763,7 @@ impl BspMachine {
         for chunk in good.chunks(WORD_LANES) {
             let w = chunk.len();
             let scratch = &mut pool.ensure(1)[0];
-            scratch.reset(n, w);
+            scratch.reset(w);
             // Transpose in, node-major: `node` strides one position of
             // *every* lane's vector at once, so there is no single
             // container for the loop to iterate.
@@ -922,20 +773,10 @@ impl BspMachine {
                 cols.extend(chunk.iter().map(|&bi| batch[bi][node].clone()));
             }
             if !plan.is_enabled() {
-                // Fast path: plain vertical execution, no hashing, no
-                // checks — fault-free execution of a validated program
-                // is correct by construction.
-                for ri in 0..total_rounds {
-                    exec_cols_round(
-                        kernel,
-                        kernel.rounds[ri],
-                        w,
-                        &mut scratch.cols,
-                        &mut scratch.transit,
-                        &mut scratch.staged,
-                        &mut scratch.touched,
-                    );
-                }
+                // Fast path: plain clean vertical execution, no hashing,
+                // no checks, no transit — fault-free execution of a
+                // validated program is correct by construction.
+                exec_cols(kernel, w, &mut scratch.cols, 0..kernel.cx_pairs.len());
                 for (l, &bi) in chunk.iter().enumerate() {
                     for (node, key) in batch[bi].iter_mut().enumerate() {
                         *key = scratch.cols[node * w + l].clone();
@@ -950,6 +791,7 @@ impl BspMachine {
             // Lanes keep their *original batch index* as the fork key —
             // malformed lanes still consume an index, exactly as the
             // scalar batch numbers its lanes.
+            scratch.reset_transit(n);
             let plans: Vec<FaultPlan> = chunk.iter().map(|&bi| plan.fork(bi as u64)).collect();
             let originals: Vec<Vec<K>> = chunk.iter().map(|&bi| batch[bi].clone()).collect();
             let mut reports: Vec<FaultReport> = vec![FaultReport::default(); w];
@@ -1071,14 +913,13 @@ impl BspMachine {
                     }
                 }
             }
-            let mut clean = ExecScratch::new();
             for (l, &bi) in chunk.iter().enumerate() {
                 let mut report = std::mem::take(&mut reports[l]);
                 if dead >> l & 1 == 1 {
                     // Quarantine: everything executed so far is
                     // discarded; re-run clean from the original input.
                     batch[bi].clone_from(&originals[l]);
-                    exec_kernel(&mut batch[bi], kernel, &mut clean);
+                    exec_kernel(&mut batch[bi], kernel);
                     report.counters.wasted_rounds += report.counters.useful_rounds;
                     report.counters.useful_rounds = total_rounds as u64;
                     report.quarantined = true;
@@ -1131,11 +972,10 @@ mod tests {
         let machine = BspMachine::new(&factor, 3);
         let vertical = machine.lower_vertical(&program).expect("validates");
         let n = machine.shape().len() as usize;
-        let mut scratch = BitScratch::new();
         for base in (0u64..512).step_by(WORD_LANES) {
             let masks: Vec<u64> = (base..base + WORD_LANES as u64).collect();
             let mut words = pack_zero_one_masks(&masks, n);
-            machine.run_vertical_bits(&mut words, &vertical, &mut scratch);
+            machine.run_vertical_bits(&mut words, &vertical);
             for (l, &mask) in masks.iter().enumerate() {
                 let mut serial: Vec<u8> = (0..n).map(|i| ((mask >> i) & 1) as u8).collect();
                 machine.run(&mut serial, &program);

@@ -26,7 +26,7 @@ use product_sort::graph::factories;
 use product_sort::graph::Graph;
 use product_sort::obs::{Event, EventLogger, MemorySink, TimedEvent};
 use product_sort::order::radix::Shape;
-use product_sort::sim::bsp::{compile, BspMachine};
+use product_sort::sim::bsp::{compile, BspMachine, Op};
 use product_sort::sim::netsort::{is_snake_sorted, network_sort, read_snake_order};
 use product_sort::sim::{
     ChargedEngine, CostModel, ExecScratch, ExecutedEngine, FaultPlan, Hypercube2Sorter, Machine,
@@ -72,6 +72,24 @@ fn differential_case(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) {
     let bsp = BspMachine::new(factor, r);
     let kernel = bsp.lower(&program).expect("compiled programs validate");
     let kernel_opt = bsp.lower(&optimized).expect("optimized programs validate");
+    // Every relay pairs: a clean run executes each compare-exchange op
+    // and one compare-exchange per pair of resolves.
+    for (name, prog, k) in [
+        ("program", &program, &kernel),
+        ("optimized", &optimized, &kernel_opt),
+    ] {
+        let ops = prog.round_ops().iter().flatten();
+        let cx = ops
+            .clone()
+            .filter(|op| matches!(op, Op::CompareExchange { .. }))
+            .count();
+        let resolves = ops.filter(|op| matches!(op, Op::Resolve { .. })).count();
+        assert_eq!(
+            k.clean_cx_count(),
+            cx + resolves / 2,
+            "{ctx}: clean compare-exchanges of the {name}"
+        );
+    }
 
     let bank = input_bank(len);
     let mut serials: Vec<Vec<u64>> = Vec::new();

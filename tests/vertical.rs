@@ -16,7 +16,7 @@ use product_sort::order::radix::Shape;
 use product_sort::sim::bsp::{compile, BspMachine};
 use product_sort::sim::netsort::read_snake_order;
 use product_sort::sim::{
-    pack_zero_one_masks, pack_zero_one_masks_into, unpack_zero_one_lane, BitScratch, FaultPlan,
+    pack_zero_one_masks, pack_zero_one_masks_into, unpack_zero_one_lane, FaultPlan,
     Hypercube2Sorter, Machine, OetSnakeSorter, Pg2Sorter, ProgramCache, RetryPolicy, ScratchPool,
     ShearSorter, SortError, VerticalPool, WORD_LANES,
 };
@@ -45,7 +45,6 @@ fn exhaustive_bits_sweep(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> u6
     let order = snake_order_nodes(shape);
     let total: u64 = 1 << n;
     let mut checked = 0u64;
-    let mut scratch = BitScratch::new();
     let mut masks: Vec<u64> = Vec::with_capacity(WORD_LANES);
     let mut words: Vec<u64> = Vec::new();
     for (name, prog) in [("program", &program), ("optimized", &optimized)] {
@@ -58,7 +57,7 @@ fn exhaustive_bits_sweep(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> u6
             masks.clear();
             masks.extend(base..base + lanes as u64);
             pack_zero_one_masks_into(&masks, n, &mut words);
-            machine.run_vertical_bits(&mut words, &vertical, &mut scratch);
+            machine.run_vertical_bits(&mut words, &vertical);
             // A sorted 0/1 lane reads, in snake order, `zeros` zeros then
             // ones — so at snake position `p`, lane `l`'s expected bit is
             // `p >= zeros(l)`. Build that expected word per position and
@@ -106,31 +105,52 @@ fn exhaustive_zero_one_vertical_star_relays() {
     exhaustive_bits_sweep(&factories::star(4), 2, &OetSnakeSorter);
 }
 
-#[test]
-fn vertical_bits_match_the_serial_machine_bit_for_bit() {
-    // Smallest fixture, strongest check: every lane of every word must
-    // equal the serial BSP machine's full output vector, not just "be
-    // sorted" — all 256 vectors of the 3-cube, four words total.
-    let factor = factories::k2();
-    let program = compile(&factor, 3, &Hypercube2Sorter);
-    let machine = BspMachine::new(&factor, 3);
-    let vertical = machine.lower_vertical(&program).expect("validates");
+/// Every lane of the bit path, on both lowerings, against the serial
+/// BSP machine's full output vector for each of `masks` (64 per word).
+fn bits_match_serial(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter, masks: &[u64]) {
+    let program = compile(factor, r, sorter);
+    let optimized = program.optimized();
+    let machine = BspMachine::new(factor, r);
     let n = machine.shape().len() as usize;
-    let mut scratch = BitScratch::new();
-    for base in (0u64..(1 << n)).step_by(WORD_LANES) {
-        let masks: Vec<u64> = (base..base + WORD_LANES as u64).collect();
-        let mut words = pack_zero_one_masks(&masks, n);
-        machine.run_vertical_bits(&mut words, &vertical, &mut scratch);
-        for (l, &mask) in masks.iter().enumerate() {
-            let mut serial: Vec<u8> = (0..n).map(|i| ((mask >> i) & 1) as u8).collect();
-            machine.run(&mut serial, &program);
-            assert_eq!(
-                unpack_zero_one_lane(&words, l),
-                serial,
-                "mask={mask:#04x}: vertical lane vs serial machine"
-            );
+    let lowered = [("program", &program), ("optimized", &optimized)]
+        .map(|(name, prog)| (name, machine.lower_vertical(prog).expect("validates")));
+    for block in masks.chunks(WORD_LANES) {
+        let serials: Vec<Vec<u8>> = block
+            .iter()
+            .map(|&mask| {
+                let mut serial: Vec<u8> = (0..n).map(|i| ((mask >> i) & 1) as u8).collect();
+                machine.run(&mut serial, &program);
+                serial
+            })
+            .collect();
+        for (name, vertical) in &lowered {
+            let mut words = pack_zero_one_masks(block, n);
+            machine.run_vertical_bits(&mut words, vertical);
+            for (l, (mask, serial)) in block.iter().zip(&serials).enumerate() {
+                assert_eq!(
+                    &unpack_zero_one_lane(&words, l),
+                    serial,
+                    "factor={} r={r} {name} mask={mask:#x}: vertical lane vs serial machine",
+                    factor.name()
+                );
+            }
         }
     }
+}
+
+#[test]
+fn vertical_bits_match_the_serial_machine_bit_for_bit() {
+    // Strongest check: every lane of every word must equal the serial
+    // BSP machine's full output vector, not just "be sorted". All 256
+    // vectors of the 3-cube, which has no relays; and on the star
+    // square, whose relays the bit path runs as paired compare-exchanges
+    // while the serial machine replays every hop, every 31st of the
+    // 2^16 masks (2 115 of them: the debug-mode oracle takes ~0.5 ms
+    // per mask).
+    let cube: Vec<u64> = (0..1 << 8).collect();
+    bits_match_serial(&factories::k2(), 3, &Hypercube2Sorter, &cube);
+    let star: Vec<u64> = (0..1 << 16).step_by(31).collect();
+    bits_match_serial(&factories::star(4), 2, &OetSnakeSorter, &star);
 }
 
 #[test]
@@ -220,14 +240,20 @@ fn machine_sort_batch_auto_selects_the_vertical_tier() {
 /// Nightly cross-product: every engine tier × both lowerings × the
 /// fault layer, swept over **all** `2^16` zero-one vectors per fixture.
 /// The tier-1 tests above prove the bit path exhaustively; this run
-/// additionally pushes the full space through the column batch and the
-/// two batch fault executors and requires lane-for-lane agreement.
+/// additionally checks every bit-path lane against the serial machine
+/// and pushes the full space through the column batch and the two
+/// batch fault executors, requiring lane-for-lane agreement. On the
+/// star square, relay-free clean batches meet the round-faithful fault
+/// executors.
 #[test]
-#[ignore = "release-mode sweep: 2 fixtures x 2 lowerings x 65,536 lanes through three batch executors"]
+#[ignore = "release-mode sweep: 3 fixtures x 2 lowerings x 65,536 lanes through the bit path, three batch executors and the serial machine"]
 fn exhaustive_zero_one_engine_optimizer_fault_cross_product() {
-    let cases: [(&Graph, usize, &dyn Pg2Sorter); 2] = [
+    let cases: [(&Graph, usize, &dyn Pg2Sorter); 3] = [
         (&factories::k2(), 4, &Hypercube2Sorter),
         (&factories::path(4), 2, &ShearSorter),
+        // Relays: the clean tiers run them as paired compare-exchanges,
+        // the fault executors and the serial machine hop by hop.
+        (&factories::star(4), 2, &OetSnakeSorter),
     ];
     for (factor, r, sorter) in cases {
         let shape = Shape::new(factor.n(), r);
@@ -238,6 +264,10 @@ fn exhaustive_zero_one_engine_optimizer_fault_cross_product() {
         let all_inputs: Vec<Vec<u8>> = (0u64..1 << n)
             .map(|mask| (0..n).map(|i| ((mask >> i) & 1) as u8).collect())
             .collect();
+        // Bit path, both lowerings, vs the round-faithful serial machine
+        // on every mask.
+        let masks: Vec<u64> = (0u64..1 << n).collect();
+        bits_match_serial(factor, r, sorter, &masks);
         for (name, prog) in [("program", &program), ("optimized", &optimized)] {
             let ctx = format!("factor={} r={r} {name}", factor.name());
             let kernel = machine.lower(prog).expect("validates");

@@ -137,7 +137,7 @@ fn vertical_exhaustive_sweep_subsumes_the_sampled_check() {
     // so the exhaustive vertical sweep subsumes the sampled tier-1
     // check rather than merely running alongside it.
     use product_sort::sim::bsp::{compile, BspMachine};
-    use product_sort::sim::{pack_zero_one_masks, unpack_zero_one_lane, BitScratch, WORD_LANES};
+    use product_sort::sim::{pack_zero_one_masks, unpack_zero_one_lane, WORD_LANES};
 
     let factor = factories::k2();
     let program = compile(&factor, 4, &Hypercube2Sorter);
@@ -145,12 +145,11 @@ fn vertical_exhaustive_sweep_subsumes_the_sampled_check() {
     let vertical = machine
         .lower_vertical(&program)
         .expect("compiled programs validate");
-    let mut scratch = BitScratch::new();
     let masks = sampled_hypercube_masks();
     for block in masks.chunks(WORD_LANES) {
         let lanes: Vec<u64> = block.iter().map(|&m| u64::from(m)).collect();
         let mut words = pack_zero_one_masks(&lanes, 16);
-        machine.run_vertical_bits(&mut words, &vertical, &mut scratch);
+        machine.run_vertical_bits(&mut words, &vertical);
         for (l, &mask) in block.iter().enumerate() {
             let mut serial: Vec<u8> = (0..16).map(|i| ((mask >> i) & 1) as u8).collect();
             machine.run(&mut serial, &program);
