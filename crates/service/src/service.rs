@@ -315,9 +315,10 @@ impl SortService {
     }
 
     /// Export the current metrics into `registry` (see
-    /// [`ServiceStats::export_to`]).
+    /// [`ServiceStats::export_to`]). The state lock is held only for the
+    /// snapshot, not for the export.
     pub fn export_metrics(&self, registry: &mut Registry) {
-        self.shared.lock().core.stats.export_to(registry);
+        self.stats().export_to(registry);
     }
 
     /// Stop accepting work, answer everything queued with

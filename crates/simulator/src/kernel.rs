@@ -8,26 +8,32 @@
 //! lowers a validated [`CompiledProgram`] **once** into a
 //! [`KernelProgram`], which keeps two views of every round:
 //!
-//! * **The clean view: one compare-exchange list per round.** Every
-//!   round owns one contiguous range of `(u32, u32)` rank pairs plus a
-//!   direction bitmask (`cx_dirs`, one bit per pair, indexed globally).
-//!   A compare round's range is its own ops. A route round's range holds
-//!   its own compare-exchanges plus one compare-exchange per *paired
-//!   relay*: on fault-free data, the two `Resolve`s that end a relay
-//!   compute exactly one compare-exchange between the relay's endpoints
-//!   (see [`KernelProgram::lower`] for the proof the pass checks). So a
-//!   clean run is a single loop over pairs, with no transit slots, no
-//!   deferred moves and no per-round dispatch, and the serial, batch,
-//!   column and bit-sliced executors all run it.
-//! * **The round-faithful view: packed micro-ops.** Route rounds (any
-//!   round containing a `Move` or `Resolve`) also keep a packed
-//!   [`MicroOp`] array in **original op order**, so the micro-op index
-//!   within the round equals the op index within the interpreted round —
+//! * **The clean view: one run table.** A round's clean
+//!   compare-exchanges are a compare round's ops, or a route round's own
+//!   compare-exchanges plus one per *paired relay*: on fault-free data,
+//!   the two `Resolve`s that end a relay compute exactly one
+//!   compare-exchange between the relay's endpoints (see
+//!   [`KernelProgram::lower`] for the proof the pass checks). A validated
+//!   round touches each key at most once, so the order of its list is
+//!   free, and lowering groups it into maximal unit-stride runs
+//!   `(a, b, len, min_to_a)`: the pairs `(a + i, b + i)` for `i < len`,
+//!   one direction, two index ranges that never overlap. The serial,
+//!   batch, column and bit-sliced executors all run the runs, with no
+//!   transit slots, no deferred moves and no per-round dispatch. Each
+//!   compare-exchange is branch-free for keys without drop glue: the
+//!   `a` side gets `min_by`, the `b` side `max_by` (or the reverse),
+//!   which on a tie reproduces the oracle's swap exactly.
+//! * **The round-faithful view: per-op tables.** Compare rounds keep
+//!   their ops as `(u32, u32)` rank pairs plus a direction bitmask, and
+//!   route rounds (any round containing a `Move` or `Resolve`) a packed
+//!   [`MicroOp`] array, both in **original op order**, so the op index
+//!   within a round equals the op index within the interpreted round —
 //!   this is what keeps `FaultSite { round, op }` keys *path-independent*
 //!   (a `FaultPlan` fires at the same sites on the kernel path as on the
-//!   interpreter path). Only the fault executors read it; relays, and
-//!   the transit slots they travel through, stay with them and with the
-//!   oracle [`BspMachine::run`], which keeps the paper's step counts.
+//!   interpreter path). Only the fault executors (and the chunked
+//!   parallel path's compare rounds) read it; relays, and the transit
+//!   slots they travel through, stay with them and with the oracle
+//!   [`BspMachine::run`], which keeps the paper's step counts.
 //! * **Empty rounds** keep a descriptor so kernel round indices map 1:1
 //!   to `CompiledProgram` round indices; `CertPoint` boundaries and
 //!   reported step counts stay valid unchanged.
@@ -45,7 +51,8 @@
 //! The intra-round parallel path ([`BspMachine::run_kernel_parallel`])
 //! replaces the interpreter's `par_iter().map().collect::<Vec<Action>>()`
 //! (one allocation per parallel round, plus one heap-allocated action
-//! list) with chunked execution over disjoint pair ranges: worker
+//! list) with chunked execution over a large compare round's disjoint
+//! per-op pair ranges (other rounds run their runs serially): worker
 //! threads write swap decisions into a reusable `u64` bitmask, and the
 //! swaps commit serially — bit-identical to serial order because
 //! validated rounds touch each key at most once. It has no library
@@ -58,6 +65,7 @@
 //! the vendored `rayon`, unless the machine is
 //! [`BspMachine::serial`], as the service's workers are.
 
+use std::cmp::{max_by, min_by};
 use std::marker::PhantomData;
 use std::ops::Range;
 
@@ -75,8 +83,8 @@ use crate::bsp::{BspMachine, CertPoint, CompiledProgram, Op, ProgramError};
 pub const KERNEL_PAR_THRESHOLD: usize = 8192;
 
 /// What a lowered round contains. The fault executors dispatch on it;
-/// round spans report it. Clean runs ignore it: every round is a
-/// compare-exchange list.
+/// round spans report it. Clean runs ignore it: every round is a range
+/// of the run table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundClass {
     /// No operations (padding the optimizer did not elide).
@@ -103,13 +111,19 @@ impl RoundClass {
 }
 
 /// One lowered round: a class tag, the round's clean compare-exchanges
-/// (`cx_start..cx_end` in [`KernelProgram::cx_pairs`]) and, for a route
-/// round, its micro-ops in source op order (`micro_start..micro_end` in
-/// [`KernelProgram::micro`]; empty otherwise). A compare round's pair
-/// range is its source ops, in order.
+/// as runs (`run_start..run_end` in [`KernelProgram::runs`]), a compare
+/// round's ops in source order (`cx_start..cx_end` in
+/// [`KernelProgram::cx_pairs`]; empty otherwise) and a route round's
+/// micro-ops in source op order (`micro_start..micro_end` in
+/// [`KernelProgram::micro`]; empty otherwise).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RoundDesc {
     pub(crate) class: RoundClass,
+    run_start: u32,
+    /// The round's runs of two or more pairs come first, its one-pair
+    /// runs from here on.
+    unit_start: u32,
+    run_end: u32,
     cx_start: u32,
     cx_end: u32,
     micro_start: u32,
@@ -117,7 +131,23 @@ pub(crate) struct RoundDesc {
 }
 
 impl RoundDesc {
-    /// Global indices of the round's clean compare-exchanges.
+    /// Indices of the round's clean runs.
+    pub(crate) fn runs(self) -> Range<usize> {
+        self.run_start as usize..self.run_end as usize
+    }
+
+    /// Indices of the round's runs of two or more pairs.
+    fn long_runs(self) -> Range<usize> {
+        self.run_start as usize..self.unit_start as usize
+    }
+
+    /// Indices of the round's one-pair runs.
+    fn unit_runs(self) -> Range<usize> {
+        self.unit_start as usize..self.run_end as usize
+    }
+
+    /// Global pair indices of a compare round's ops (empty for other
+    /// classes): what the fault executors index through `FaultSite`.
     pub(crate) fn cx(self) -> Range<usize> {
         self.cx_start as usize..self.cx_end as usize
     }
@@ -125,6 +155,142 @@ impl RoundDesc {
     /// Indices of a route round's micro-ops (empty for other classes).
     pub(crate) fn micro(self) -> Range<usize> {
         self.micro_start as usize..self.micro_end as usize
+    }
+}
+
+/// Direction bit of [`Run::len_dir`]: `min_to_a`.
+const RUN_MIN_TO_A: u32 = 1 << 31;
+
+/// One maximal unit-stride run of a round's clean compare-exchanges:
+/// the pairs `(a + i, b + i)` for `i < len`, all with one direction.
+/// A validated round touches each key at most once, so the run's two
+/// index ranges never overlap. 12 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Run {
+    pub(crate) a: u32,
+    pub(crate) b: u32,
+    /// The length, with `min_to_a` in the top bit.
+    len_dir: u32,
+}
+
+impl Run {
+    /// Compare-exchanges in the run.
+    #[inline]
+    pub(crate) fn len(self) -> usize {
+        (self.len_dir & !RUN_MIN_TO_A) as usize
+    }
+
+    /// Whether every pair of the run sends the minimum to `a + i`.
+    #[inline]
+    pub(crate) fn min_to_a(self) -> bool {
+        self.len_dir & RUN_MIN_TO_A != 0
+    }
+}
+
+/// How many of the latest partial runs [`RunBuilder::push`] tries to
+/// extend. Compiled programs often interleave two to four runs in
+/// source order (a snake row's pairs alternate direction, say); on
+/// `K2^14` this leaves 1.1 M partial runs of 5.25 M pairs, and the
+/// stamp tables see only those.
+const MERGE_WINDOW: usize = 4;
+
+/// Groups each round's clean compare-exchanges into maximal runs in
+/// O(pairs), without sorting. Each pair first extends one of the latest
+/// few partial runs when it continues it. The round's partial runs then
+/// chain through two epoch-stamped, node-indexed tables, of the partial
+/// run whose first pair starts at each node and of the one whose last
+/// pair does: a partial run begins a run unless the one ending at
+/// `(a - 1, b - 1)` has its direction, and each beginning walks its
+/// chain up. Allocated once per lowering.
+struct RunBuilder {
+    /// Per node: the epoch of the round whose partial run starts there,
+    /// and its index in `parts`.
+    starts: Vec<(u32, u32)>,
+    /// Per node: the same for the partial run whose last pair starts
+    /// there.
+    ends: Vec<(u32, u32)>,
+    epoch: u32,
+    /// The current round's partial runs, in source order.
+    parts: Vec<Run>,
+    /// The current round's one-pair runs, appended after its longer
+    /// ones.
+    units: Vec<Run>,
+}
+
+impl RunBuilder {
+    fn new(n: usize) -> Self {
+        RunBuilder {
+            starts: vec![(0, 0); n],
+            ends: vec![(0, 0); n],
+            epoch: 0,
+            parts: Vec::new(),
+            units: Vec::new(),
+        }
+    }
+
+    /// Add the current round's next clean compare-exchange: it extends
+    /// one of the [`MERGE_WINDOW`] latest partial runs when it continues
+    /// it, and opens a new one otherwise.
+    #[inline]
+    fn push(&mut self, a: u32, b: u32, min_to_a: bool) {
+        let recent = self.parts.len().saturating_sub(MERGE_WINDOW);
+        for part in self.parts[recent..].iter_mut().rev() {
+            let len = part.len() as u32;
+            if part.a + len == a && part.b + len == b && part.min_to_a() == min_to_a {
+                part.len_dir += 1;
+                return;
+            }
+        }
+        self.parts.push(Run {
+            a,
+            b,
+            len_dir: 1 | (u32::from(min_to_a) * RUN_MIN_TO_A),
+        });
+    }
+
+    /// The current round's partial run that `table` records at node `v`.
+    fn part(&self, table: &[(u32, u32)], v: u32) -> Option<Run> {
+        match table.get(v as usize) {
+            Some(&(epoch, i)) if epoch == self.epoch => Some(self.parts[i as usize]),
+            _ => None,
+        }
+    }
+
+    /// Append the current round's runs to `runs` and clear it: the runs
+    /// of two or more pairs, then the one-pair runs, each in the source
+    /// order of their first pairs. Returns where the one-pair runs
+    /// start.
+    fn flush(&mut self, runs: &mut Vec<Run>) -> usize {
+        self.epoch += 1;
+        for (i, part) in self.parts.iter().enumerate() {
+            let at = (self.epoch, i as u32);
+            self.starts[part.a as usize] = at;
+            self.ends[part.a as usize + part.len() - 1] = at;
+        }
+        for &part in &self.parts {
+            let continues = |prev: Run| {
+                prev.min_to_a() == part.min_to_a() && prev.b + prev.len() as u32 == part.b
+            };
+            if part.a > 0 && self.part(&self.ends, part.a - 1).is_some_and(continues) {
+                continue;
+            }
+            let mut run = part;
+            while let Some(next) = self.part(&self.starts, run.a + run.len() as u32) {
+                if next.min_to_a() != run.min_to_a() || next.b != run.b + run.len() as u32 {
+                    break;
+                }
+                run.len_dir += next.len() as u32;
+            }
+            if run.len() == 1 {
+                self.units.push(run);
+            } else {
+                runs.push(run);
+            }
+        }
+        let unit_start = runs.len();
+        runs.append(&mut self.units);
+        self.parts.clear();
+        unit_start
     }
 }
 
@@ -212,8 +378,10 @@ impl MicroOp {
 
 /// A compiled program lowered to flat structure-of-arrays form. Rounds
 /// map 1:1 to the source program's rounds (certificates and step counts
-/// transfer unchanged); within a route round, micro-op order equals
-/// interpreted op order (fault sites transfer unchanged).
+/// transfer unchanged). Clean runs execute the run table, each round's
+/// clean compare-exchanges grouped into maximal unit-stride runs; the
+/// fault executors index the per-op tables, whose order within a round
+/// equals interpreted op order (fault sites transfer unchanged).
 ///
 /// Build one with [`BspMachine::lower`] (validates first) or
 /// [`KernelProgram::lower`] (assumes a valid program, e.g. straight out
@@ -222,9 +390,13 @@ impl MicroOp {
 pub struct KernelProgram {
     pub(crate) shape: Shape,
     pub(crate) rounds: Vec<RoundDesc>,
-    /// Every round's clean compare-exchanges, concatenated in round
-    /// order: the compare rounds' pairs, and each route round's own
-    /// compare-exchanges and paired relays.
+    /// The clean view: every round's clean compare-exchanges as maximal
+    /// unit-stride runs, concatenated in round order. A compare round's
+    /// list is its ops; a route round's is its own compare-exchanges and
+    /// its paired relays.
+    pub(crate) runs: Vec<Run>,
+    /// The compare rounds' ops in source order, concatenated: what the
+    /// fault executors index through `FaultSite`.
     pub(crate) cx_pairs: Vec<(u32, u32)>,
     /// `min_to_a` per pair, one bit per **global** pair index.
     pub(crate) cx_dirs: Vec<u64>,
@@ -233,21 +405,8 @@ pub struct KernelProgram {
     pub(crate) cert_points: Vec<CertPoint>,
     compare_rounds: usize,
     route_rounds: usize,
-    /// Pairs in the compare rounds alone; `cx_pairs` also holds the
-    /// route rounds' clean lists.
-    compare_pairs: usize,
-}
-
-/// Append one compare-exchange to the pair and direction tables.
-fn push_cx(pairs: &mut Vec<(u32, u32)>, dirs: &mut Vec<u64>, a: u64, b: u64, min_to_a: bool) {
-    let gi = pairs.len();
-    if dirs.len() <= gi >> 6 {
-        dirs.push(0);
-    }
-    if min_to_a {
-        dirs[gi >> 6] |= 1u64 << (gi & 63);
-    }
-    pairs.push((a as u32, b as u32));
+    /// Sum of the run lengths.
+    clean_cx: usize,
 }
 
 /// A transit value as the pairing pass sees it: a copy of `src`'s
@@ -442,25 +601,38 @@ impl KernelProgram {
             "kernel tier packs ranks into u32"
         );
         let source = program.round_ops();
+        let is_compare = |round: &[Op]| {
+            round
+                .iter()
+                .all(|op| matches!(op, Op::CompareExchange { .. }))
+        };
+        let n = program.shape().len() as usize;
         let mut rounds = Vec::with_capacity(source.len());
+        // At most one run per op: reserved up front and shrunk in place
+        // at the end, so the table is never copied while it grows, and
+        // the untouched tail is never resident.
+        let mut runs: Vec<Run> = Vec::with_capacity(program.op_count());
         let mut cx_pairs: Vec<(u32, u32)> = Vec::new();
         let mut cx_dirs: Vec<u64> = Vec::new();
         let mut micro: Vec<MicroOp> = Vec::new();
         let mut relays: Option<RelayPairing> = None;
-        let (mut compare_rounds, mut route_rounds, mut compare_pairs) = (0, 0, 0);
+        let mut builder = RunBuilder::new(n);
+        let (mut compare_rounds, mut route_rounds) = (0, 0);
         for (ri, round) in source.iter().enumerate() {
             let (cx_start, micro_start) = (cx_pairs.len() as u32, micro.len() as u32);
             let class = if round.is_empty() {
                 RoundClass::Empty
-            } else if round
-                .iter()
-                .all(|op| matches!(op, Op::CompareExchange { .. }))
-            {
+            } else if is_compare(round) {
                 compare_rounds += 1;
-                compare_pairs += round.len();
                 for op in round {
                     if let Op::CompareExchange { a, b, min_to_a } = *op {
-                        push_cx(&mut cx_pairs, &mut cx_dirs, a, b, min_to_a);
+                        let gi = cx_pairs.len();
+                        if gi & 63 == 0 {
+                            cx_dirs.push(0);
+                        }
+                        cx_dirs[gi >> 6] |= u64::from(min_to_a) << (gi & 63);
+                        cx_pairs.push((a as u32, b as u32));
+                        builder.push(a as u32, b as u32, min_to_a);
                         if let Some(relays) = relays.as_mut() {
                             relays.compared(a, b);
                         }
@@ -476,30 +648,37 @@ impl KernelProgram {
                     micro.push(MicroOp::pack(op));
                 }
                 relays
-                    .get_or_insert_with(|| RelayPairing::new(program.shape().len() as usize))
+                    .get_or_insert_with(|| RelayPairing::new(n))
                     .route_round(ri, round, |a, b, min_to_a| {
-                        push_cx(&mut cx_pairs, &mut cx_dirs, a, b, min_to_a);
+                        builder.push(a as u32, b as u32, min_to_a);
                     })?;
                 RoundClass::Route
             };
+            let run_start = runs.len() as u32;
+            let unit_start = builder.flush(&mut runs) as u32;
             rounds.push(RoundDesc {
                 class,
+                run_start,
+                unit_start,
+                run_end: runs.len() as u32,
                 cx_start,
                 cx_end: cx_pairs.len() as u32,
                 micro_start,
                 micro_end: micro.len() as u32,
             });
         }
+        runs.shrink_to_fit();
         Ok(KernelProgram {
             shape: program.shape(),
             rounds,
+            clean_cx: runs.iter().map(|run| run.len()).sum(),
+            runs,
             cx_pairs,
             cx_dirs,
             micro,
             cert_points: program.cert_points().to_vec(),
             compare_rounds,
             route_rounds,
-            compare_pairs,
         })
     }
 
@@ -554,7 +733,7 @@ impl KernelProgram {
     /// Total compare-exchange pairs across all compare rounds.
     #[must_use]
     pub fn cx_pair_count(&self) -> usize {
-        self.compare_pairs
+        self.cx_pairs.len()
     }
 
     /// Total packed micro-ops across all route rounds.
@@ -565,17 +744,17 @@ impl KernelProgram {
 
     /// Compare-exchanges one clean run executes: the compare rounds'
     /// pairs, the route rounds' own compare-exchanges, and one per
-    /// paired relay.
+    /// paired relay (the sum of the run lengths).
     #[must_use]
     pub fn clean_cx_count(&self) -> usize {
-        self.cx_pairs.len()
+        self.clean_cx
     }
 
     /// Total source operations across all rounds — the program-size
     /// measure [`SORT_OBS_MIN_OPS`] gates sort-grain spans on.
     #[must_use]
     pub fn total_ops(&self) -> usize {
-        self.compare_pairs + self.micro.len()
+        self.cx_pairs.len() + self.micro.len()
     }
 
     /// Stage certificates, carried over from the source program (round
@@ -593,12 +772,12 @@ impl KernelProgram {
 }
 
 /// Reusable execution state for the kernel tier: the chunked parallel
-/// path's swap bitmask. A clean run keeps no state between
-/// compare-exchanges (relays were paired at lowering, so no transit
-/// slot is ever filled), which is why [`BspMachine::run_kernel`] and
-/// [`BspMachine::run_kernel_with_faults`] leave the scratch untouched
-/// and allocate nothing even on a fresh one. `K` is the key type of the
-/// runs it serves.
+/// path's swap bitmask. A clean run keeps no state between runs (relays
+/// were paired at lowering, so no transit slot is ever filled, and the
+/// branch-free step needs no buffer), which is why
+/// [`BspMachine::run_kernel`] and [`BspMachine::run_kernel_with_faults`]
+/// leave the scratch untouched and allocate nothing even on a fresh
+/// one. `K` is the key type of the runs it serves.
 #[derive(Debug, Default)]
 pub struct ExecScratch<K> {
     pub(crate) swap_words: Vec<u64>,
@@ -633,30 +812,111 @@ impl<K> ScratchPool<K> {
     }
 }
 
-/// Clean compare-exchanges `range` of the pair table, in order: the
-/// whole clean execution of one round, or of a run of rounds.
-#[inline]
-fn exec_cx<K: Ord>(keys: &mut [K], kernel: &KernelProgram, range: Range<usize>) {
-    for gi in range {
-        let (a, b) = kernel.cx_pairs[gi];
-        let (ai, bi) = (a as usize, b as usize);
-        if (keys[ai] <= keys[bi]) != kernel.dir(gi) {
-            keys.swap(ai, bi);
+/// Walk `runs` over `data`, in which every node owns `w` consecutive
+/// elements (`w = 1` for a key vector, the block width for node-major
+/// columns): `step` gets each run's two disjoint slices of `len * w`
+/// elements, the `a` side first, and its `min_to_a`. Always inlined, so
+/// each tier's step compiles into one flat loop per run.
+#[inline(always)]
+pub(crate) fn for_each_run<T>(
+    data: &mut [T],
+    runs: &[Run],
+    w: usize,
+    mut step: impl FnMut(&mut [T], &mut [T], bool),
+) {
+    for run in runs {
+        let (a, b, m) = (run.a as usize * w, run.b as usize * w, run.len() * w);
+        let (xs, ys) = if a < b {
+            let (lo, hi) = data.split_at_mut(b);
+            (&mut lo[a..a + m], &mut hi[..m])
+        } else {
+            let (lo, hi) = data.split_at_mut(a);
+            (&mut hi[..m], &mut lo[b..b + m])
+        };
+        step(xs, ys, run.min_to_a());
+    }
+}
+
+/// The branch-free compare-exchange of `p` (the `a` side) and `q`:
+/// `(min_by(p, q), max_by(p, q))` of clones. `min_by` returns its first
+/// argument on `Equal` and `max_by` its second, so on a tie the sides
+/// keep their keys when the minimum goes to `a`, and trade them
+/// otherwise — exactly the oracle's swap when `(p <= q) != min_to_a`.
+#[inline(always)]
+fn min_max<K: Ord + Clone>(p: &K, q: &K) -> (K, K) {
+    (
+        min_by(p.clone(), q.clone(), K::cmp),
+        max_by(p.clone(), q.clone(), K::cmp),
+    )
+}
+
+/// Compare-exchange `xs[i]` with `ys[i]` for every `i`, as the oracle
+/// does. Keys without drop glue (`u64`, say) take [`min_max`]; keys with
+/// drop glue (`String` payloads, say) keep compare-and-swap, since
+/// cloning them for every compare would cost more than the branch.
+/// `needs_drop` is a compile-time constant, so each key type compiles
+/// one arm.
+#[inline(always)]
+fn cx_slices<K: Ord + Clone>(xs: &mut [K], ys: &mut [K], min_to_a: bool) {
+    if std::mem::needs_drop::<K>() {
+        for (x, y) in xs.iter_mut().zip(ys) {
+            if (*x <= *y) != min_to_a {
+                std::mem::swap(x, y);
+            }
+        }
+    } else if min_to_a {
+        for (x, y) in xs.iter_mut().zip(ys) {
+            (*x, *y) = min_max(x, y);
+        }
+    } else {
+        for (x, y) in xs.iter_mut().zip(ys) {
+            (*y, *x) = min_max(x, y);
         }
     }
 }
 
-/// One kernel round, serial, unlogged.
-#[inline]
-fn exec_kernel_round<K: Ord>(keys: &mut [K], kernel: &KernelProgram, ri: usize) {
-    exec_cx(keys, kernel, kernel.rounds[ri].cx());
+/// Clean runs over `data` with stride `w` (see [`for_each_run`]): the
+/// kernel's runs of two or more pairs with `w = 1`, the column tier's
+/// whole table with the block width.
+#[inline(always)]
+pub(crate) fn exec_runs<K: Ord + Clone>(data: &mut [K], runs: &[Run], w: usize) {
+    for_each_run(data, runs, w, cx_slices);
+}
+
+/// One-pair runs on a key vector: a flat loop of single
+/// compare-exchanges, each as [`cx_slices`] does it, with no inner loop
+/// whose varying trip count the branch predictor would miss.
+#[inline(always)]
+fn exec_unit_runs<K: Ord + Clone>(keys: &mut [K], runs: &[Run]) {
+    for run in runs {
+        let (a, b, min_to_a) = (run.a as usize, run.b as usize, run.min_to_a());
+        if std::mem::needs_drop::<K>() {
+            if (keys[a] <= keys[b]) != min_to_a {
+                keys.swap(a, b);
+            }
+        } else {
+            let (lo, hi) = min_max(&keys[a], &keys[b]);
+            (keys[a], keys[b]) = if min_to_a { (lo, hi) } else { (hi, lo) };
+        }
+    }
+}
+
+/// One kernel round, serial, unlogged: its longer runs, then its
+/// one-pair runs (a round's pairs touch disjoint keys, so their order
+/// is free).
+#[inline(always)]
+fn exec_round<K: Ord + Clone>(keys: &mut [K], runs: &[Run], desc: RoundDesc) {
+    exec_runs(keys, &runs[desc.long_runs()], 1);
+    exec_unit_runs(keys, &runs[desc.unit_runs()]);
 }
 
 /// A whole kernel program on one key vector, serial, unlogged — shared
 /// by batch lanes, the fault executors' disabled-plan paths and their
 /// quarantine re-runs.
-pub(crate) fn exec_kernel<K: Ord>(keys: &mut [K], kernel: &KernelProgram) {
-    exec_cx(keys, kernel, 0..kernel.cx_pairs.len());
+pub(crate) fn exec_kernel<K: Ord + Clone>(keys: &mut [K], kernel: &KernelProgram) {
+    for &desc in &kernel.rounds {
+        exec_round(keys, &kernel.runs, desc);
+    }
 }
 
 /// One round's compare-exchanges with the decision phase split across
@@ -664,7 +924,7 @@ pub(crate) fn exec_kernel<K: Ord>(keys: &mut [K], kernel: &KernelProgram) {
 /// filled by workers reading the immutable start-of-round keys, then
 /// the swaps commit serially. Validated rounds touch each key at most
 /// once, so start-of-round decisions equal in-order serial decisions —
-/// bit-identical to [`exec_kernel_round`].
+/// bit-identical to the round's runs.
 fn exec_round_chunked<K: Ord + Send + Sync>(
     keys: &mut [K],
     kernel: &KernelProgram,
@@ -741,7 +1001,7 @@ impl BspMachine {
     }
 
     /// Execute a lowered program on `keys`, serially: every round is one
-    /// loop over its clean compare-exchanges. Bit-identical to
+    /// branch-free loop over its clean runs. Bit-identical to
     /// [`BspMachine::run`] on every input; performs **zero heap
     /// allocations**. `_scratch` is not touched (a clean run keeps no
     /// state); it keeps the call shape of
@@ -791,7 +1051,7 @@ impl BspMachine {
                 Stage::Round,
                 desc.class.span_class(),
             );
-            exec_kernel_round(keys, kernel, ri);
+            exec_round(keys, &kernel.runs, *desc);
             if observed {
                 self.logger.log(|| Event::RoundEnd { round: ri as u64 });
             }
@@ -799,11 +1059,11 @@ impl BspMachine {
         kernel.rounds.len() as u64
     }
 
-    /// As [`BspMachine::run_kernel`], with rounds of at least
-    /// [`KERNEL_PAR_THRESHOLD`] clean compare-exchanges split across
-    /// threads (chunked bitmask decision phase + serial commit). Smaller
-    /// rounds run serially. Bit-identical to the serial kernel on every
-    /// input.
+    /// As [`BspMachine::run_kernel`], with compare rounds of at least
+    /// [`KERNEL_PAR_THRESHOLD`] ops split across threads (chunked
+    /// bitmask decision phase over the per-op pair table, then a serial
+    /// commit). Other rounds run their runs serially. Bit-identical to
+    /// the serial kernel on every input.
     ///
     /// No library path calls this: the scoped threads it spawns in every
     /// large round cost more than they save (`Machine::sort` runs
@@ -878,7 +1138,7 @@ impl BspMachine {
             if par {
                 exec_round_chunked(keys, kernel, desc.cx(), &mut scratch.swap_words, threads);
             } else {
-                exec_kernel_round(keys, kernel, ri);
+                exec_round(keys, &kernel.runs, *desc);
             }
             if observed {
                 self.logger.log(|| Event::RoundEnd { round: ri as u64 });
@@ -984,22 +1244,127 @@ mod tests {
                 }
             }
         }
-        // The clean view: every round's list is its compare-exchanges
-        // plus one per pair of resolves.
+        // The clean view: every round's runs cover its compare-exchanges
+        // plus one per pair of resolves; only compare rounds keep their
+        // ops in the per-op pair table.
         let mut relays = 0;
         for (ri, round) in program.round_ops().iter().enumerate() {
             let count = |f: fn(&Op) -> bool| round.iter().filter(|op| f(op)).count();
             let cx = count(|op| matches!(op, Op::CompareExchange { .. }));
             let resolves = count(|op| matches!(op, Op::Resolve { .. }));
-            assert_eq!(
-                kernel.rounds[ri].cx().len(),
-                cx + resolves / 2,
-                "round {ri}"
-            );
+            let d = kernel.rounds[ri];
+            let run_pairs: usize = kernel.runs[d.runs()].iter().map(|run| run.len()).sum();
+            assert_eq!(run_pairs, cx + resolves / 2, "round {ri}");
+            let per_op = if kernel.class(ri) == RoundClass::Compare {
+                round.len()
+            } else {
+                0
+            };
+            assert_eq!(d.cx().len(), per_op, "round {ri}");
             relays += resolves / 2;
         }
         assert!(relays > 0, "the fixture must relay");
         assert_eq!(kernel.clean_cx_count(), kernel.cx_pair_count() + relays);
+    }
+
+    /// Each round's clean compare-exchanges, derived from the source
+    /// program alone: its compare-exchange ops, and for every resolve
+    /// that keeps the minimum, one with the node whose key its transit
+    /// slot holds.
+    fn clean_lists(program: &CompiledProgram) -> Vec<Vec<(u32, u32, bool)>> {
+        let mut slots = vec![[0u64; 2]; program.shape().len() as usize];
+        let mut incoming = Vec::new();
+        program
+            .round_ops()
+            .iter()
+            .map(|round| {
+                let mut list = Vec::new();
+                for op in round {
+                    match *op {
+                        Op::CompareExchange { a, b, min_to_a } => {
+                            list.push((a as u32, b as u32, min_to_a));
+                        }
+                        Op::Move {
+                            from,
+                            to,
+                            slot,
+                            from_key,
+                        } => {
+                            let src = if from_key {
+                                from
+                            } else {
+                                slots[from as usize][slot as usize]
+                            };
+                            incoming.push((to, slot, src));
+                        }
+                        Op::Resolve {
+                            node,
+                            slot,
+                            keep_min,
+                        } => {
+                            if keep_min {
+                                let src = slots[node as usize][slot as usize];
+                                list.push((node as u32, src as u32, true));
+                            }
+                        }
+                    }
+                }
+                for (to, slot, src) in incoming.drain(..) {
+                    slots[to as usize][slot as usize] = src;
+                }
+                list.sort_unstable();
+                list
+            })
+            .collect()
+    }
+
+    #[test]
+    fn runs_cover_each_rounds_clean_list_and_are_maximal() {
+        use crate::machine::Machine;
+        use crate::select::SorterChoice;
+        let cases = [
+            (factories::star(4), 3, 913),
+            (factories::complete_binary_tree(3), 3, 25_878),
+            (factories::petersen(), 2, 2_430),
+        ];
+        for (factor, r, raw_runs) in cases {
+            let factor = Machine::prepare_factor(&factor);
+            let program = compile(&factor, r, SorterChoice::Auto.resolve(&factor));
+            let optimized = program.optimized();
+            for (name, prog) in [("raw", &program), ("optimized", &optimized)] {
+                let ctx = format!("{}^{r} {name}", factor.name());
+                let kernel = KernelProgram::lower(prog);
+                let want = clean_lists(prog);
+                for (ri, d) in kernel.rounds.iter().enumerate() {
+                    let runs = &kernel.runs[d.runs()];
+                    let mut got: Vec<(u32, u32, bool)> = runs
+                        .iter()
+                        .flat_map(|run| {
+                            (0..run.len() as u32).map(|i| (run.a + i, run.b + i, run.min_to_a()))
+                        })
+                        .collect();
+                    got.sort_unstable();
+                    assert_eq!(got, want[ri], "{ctx}: round {ri}");
+                    let starts: std::collections::HashSet<_> = runs
+                        .iter()
+                        .map(|run| (run.a, run.b, run.min_to_a()))
+                        .collect();
+                    for run in runs {
+                        let next = (
+                            run.a + run.len() as u32,
+                            run.b + run.len() as u32,
+                            run.min_to_a(),
+                        );
+                        assert!(!starts.contains(&next), "{ctx}: round {ri} {run:?} merges");
+                    }
+                }
+                let total: usize = kernel.runs.iter().map(|run| run.len()).sum();
+                assert_eq!(total, kernel.clean_cx_count(), "{ctx}");
+                if name == "raw" {
+                    assert_eq!(kernel.runs.len(), raw_runs, "{ctx}: run count");
+                }
+            }
+        }
     }
 
     #[test]

@@ -136,7 +136,8 @@ impl CompiledKind {
 /// A simulated `PG_r` machine ready to sort.
 pub struct Machine {
     shape: Shape,
-    factor_name: String,
+    /// Shared with every [`SortReport`], so a sort does not copy it.
+    factor_name: Arc<str>,
     engine: EngineKind,
 }
 
@@ -147,7 +148,7 @@ impl Machine {
         assert!(pns_graph::is_connected(factor), "factor must be connected");
         Machine {
             shape: Shape::new(factor.n(), r),
-            factor_name: factor.name().to_owned(),
+            factor_name: factor.name().into(),
             engine: EngineKind::Charged(ChargedEngine::new(cost)),
         }
     }
@@ -160,7 +161,7 @@ impl Machine {
         let shape = Shape::new(factor.n(), r);
         Machine {
             shape,
-            factor_name: factor.name().to_owned(),
+            factor_name: factor.name().into(),
             engine: EngineKind::Executed(ExecutedEngine::new(factor, shape, sorter)),
         }
     }
@@ -258,7 +259,7 @@ impl Machine {
         let s2_steps = ExecutedEngine::new(factor, shape, sorter).s2_steps();
         Machine {
             shape,
-            factor_name: factor.name().to_owned(),
+            factor_name: factor.name().into(),
             engine: EngineKind::Compiled(CompiledKind {
                 bsp: BspMachine::new(factor, r),
                 program,
@@ -418,7 +419,7 @@ impl Machine {
         };
         Ok(SortReport {
             shape: self.shape,
-            factor_name: self.factor_name.clone(),
+            factor_name: Arc::clone(&self.factor_name),
             keys,
             outcome,
         })
@@ -490,7 +491,7 @@ impl Machine {
                         })
                         .map(|keys| SortReport {
                             shape: self.shape,
-                            factor_name: self.factor_name.clone(),
+                            factor_name: Arc::clone(&self.factor_name),
                             keys,
                             outcome,
                         })
@@ -506,7 +507,7 @@ impl Machine {
 #[derive(Debug, Clone)]
 pub struct SortReport<K> {
     shape: Shape,
-    factor_name: String,
+    factor_name: Arc<str>,
     /// Final keys, indexed by node rank.
     pub keys: Vec<K>,
     /// Unit counters and step totals.

@@ -17,15 +17,17 @@
 //!   exactly that for every small fixture).
 //! * **Full keys** ([`BspMachine::run_vertical_batch`]): lanes are
 //!   blocked into groups of ≤ [`WORD_LANES`] and each node becomes a
-//!   contiguous *column* of `w` keys. Every compare-exchange builds a
-//!   `u64` swap-decision mask per edge and commits set bits. Same memory
-//!   discipline as the kernel tier: a caller-owned
-//!   [`VerticalScratch`]/[`VerticalPool`] makes warm runs allocation-free
-//!   (`tests/vertical_alloc.rs` proves zero heap allocations).
+//!   contiguous *column* of `w` keys. A run of the kernel's run table
+//!   then covers two contiguous column slices, and the kernel's
+//!   branch-free min/max step runs over them as one flat loop, compiled
+//!   for AVX2 when the CPU has it. Same memory discipline as the kernel
+//!   tier: a caller-owned [`VerticalScratch`]/[`VerticalPool`] makes
+//!   warm runs allocation-free (`tests/vertical_alloc.rs` proves zero
+//!   heap allocations).
 //!
-//! Clean runs of both layouts execute the kernel's clean
-//! compare-exchange lists: relays were paired into compare-exchanges at
-//! lowering, so no transit column exists outside the fault lockstep.
+//! Clean runs of both layouts execute the kernel's run table: relays
+//! were paired into compare-exchanges at lowering, so no transit column
+//! exists outside the fault lockstep.
 //! [`BspMachine::run_vertical_batch_with_faults`] walks the *same*
 //! [`KernelProgram`] rounds, micro-ops included, in the same order — a
 //! [`VerticalProgram`] is a layout commitment, not a new lowering — so
@@ -35,7 +37,6 @@
 //! reports included, to [`BspMachine::run_batch_with_faults`].
 
 use std::collections::HashSet;
-use std::ops::Range;
 use std::sync::Arc;
 
 use pns_fault::detect::sampled_subgraph_certificate;
@@ -46,7 +47,8 @@ use pns_order::radix::Shape;
 use crate::bsp::BspMachine;
 use crate::fault::{segments, Detection, FaultError, FaultReport, InjectedFault, Retry};
 use crate::kernel::{
-    exec_kernel, KernelProgram, RoundClass, FLAG_PRIMARY, FLAG_SLOT1, TAG_CX, TAG_MOVE,
+    exec_kernel, exec_runs, for_each_run, KernelProgram, RoundClass, Run, FLAG_PRIMARY, FLAG_SLOT1,
+    TAG_CX, TAG_MOVE,
 };
 use crate::verify::subgraphs_snake_sorted;
 
@@ -63,8 +65,8 @@ pub const VERTICAL_MIN_LANES: usize = WORD_LANES;
 /// A kernel program committed to the vertical (lane-major) layout.
 ///
 /// Lowering is a wrapper, not a rewrite: the vertical executors read
-/// the kernel's flat round/pair/micro-op tables directly (clean runs
-/// its compare-exchange lists, the fault lockstep its micro-ops), which
+/// the kernel's flat tables directly (clean runs its run table, the
+/// fault lockstep its per-op pairs and micro-ops), which
 /// is what guarantees round and op indices — and with them fault sites
 /// and certificate boundaries — stay aligned across all three tiers. The
 /// type exists so the [`crate::cache::ProgramCache`] can track vertical
@@ -172,32 +174,20 @@ pub fn unpack_zero_one_lane_into(words: &[u64], lane: usize, keys: &mut Vec<u8>)
     keys.extend(words.iter().map(|&w| ((w >> lane) & 1) as u8));
 }
 
-/// Word-wide compare-exchange: `AND` is the 64-lane minimum of 0/1
-/// keys, `OR` the maximum — one edge, two ops, 64 lanes.
-#[inline]
-fn bit_cx(words: &mut [u64], a: u32, b: u32, min_to_a: bool) {
-    let (ai, bi) = (a as usize, b as usize);
-    let (mn, mx) = (words[ai] & words[bi], words[ai] | words[bi]);
-    if min_to_a {
-        words[ai] = mn;
-        words[bi] = mx;
-    } else {
-        words[ai] = mx;
-        words[bi] = mn;
-    }
-}
-
-/// Clean compare-exchanges `range` of the kernel's pair table on the
-/// 0/1 word layout.
-fn exec_bits(words: &mut [u64], kernel: &KernelProgram, range: Range<usize>) {
-    for gi in range {
-        let (a, b) = kernel.cx_pairs[gi];
-        bit_cx(words, a, b, kernel.dir(gi));
-    }
+/// Clean runs on the 0/1 word layout: for a word pair, `AND` is the
+/// 64-lane minimum of 0/1 keys and `OR` the maximum — one edge, two ops,
+/// 64 lanes.
+fn exec_bit_runs(words: &mut [u64], runs: &[Run]) {
+    for_each_run(words, runs, 1, |xs, ys, min_to_a| {
+        for (x, y) in xs.iter_mut().zip(ys) {
+            let (mn, mx) = (*x & *y, *x | *y);
+            (*x, *y) = if min_to_a { (mn, mx) } else { (mx, mn) };
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
-// Full-key path: node-major columns of w ≤ 64 lanes, swap-on-mask.
+// Full-key path: node-major columns of w ≤ 64 lanes; a run is two column slices.
 // ---------------------------------------------------------------------------
 
 /// Reusable state for one vertical block of up to [`WORD_LANES`] lanes:
@@ -313,31 +303,33 @@ impl<K> VerticalPool<K> {
     }
 }
 
-/// Column-wide compare-exchange: phase 1 builds a swap-decision bitmask
-/// for the whole column pair (branch-free per lane), phase 2 commits
-/// only the set bits — the same decide/commit split as the kernel
-/// tier's chunked parallel path, here over lanes instead of pairs.
-#[inline]
-fn col_cx<K: Ord>(cols: &mut [K], w: usize, a: u32, b: u32, min_to_a: bool) {
-    let (abase, bbase) = (a as usize * w, b as usize * w);
-    let mut swaps: u64 = 0;
-    for l in 0..w {
-        swaps |= u64::from((cols[abase + l] <= cols[bbase + l]) != min_to_a) << l;
+/// The column tier's clean loop: the kernel's runs over node-major
+/// columns of a `w`-lane block, so a run covers the two flat slices
+/// `cols[a·w .. (a + len)·w]` and `cols[b·w .. (b + len)·w]`. The same
+/// generic body runs compiled for AVX2 when the CPU has it (detected at
+/// run time, cached by `std`), and plain otherwise; both give identical
+/// outputs.
+fn exec_col_runs<K: Ord + Clone>(cols: &mut [K], runs: &[Run], w: usize) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `exec_runs_avx2` only requires AVX2, and the CPU was
+        // just detected to support it.
+        unsafe { exec_runs_avx2(cols, runs, w) };
+        return;
     }
-    while swaps != 0 {
-        let l = swaps.trailing_zeros() as usize;
-        swaps &= swaps - 1;
-        cols.swap(abase + l, bbase + l);
-    }
+    exec_runs(cols, runs, w);
 }
 
-/// Clean compare-exchanges `range` of the kernel's pair table over a
-/// `w`-lane block of columns.
-fn exec_cols<K: Ord>(kernel: &KernelProgram, w: usize, cols: &mut [K], range: Range<usize>) {
-    for gi in range {
-        let (a, b) = kernel.cx_pairs[gi];
-        col_cx(cols, w, a, b, kernel.dir(gi));
-    }
+/// [`exec_runs`] compiled with AVX2 enabled: the inlined min/max loop
+/// over column slices vectorizes four `u64` lanes to a register.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn exec_runs_avx2<K: Ord + Clone>(cols: &mut [K], runs: &[Run], w: usize) {
+    exec_runs(cols, runs, w);
 }
 
 /// Transpose a block of lanes in, run the clean program, transpose back.
@@ -354,7 +346,7 @@ fn exec_cols_block<K: Ord + Clone>(
             scratch.cols.push(lane[node].clone());
         }
     }
-    exec_cols(kernel, w, &mut scratch.cols, 0..kernel.cx_pairs.len());
+    exec_col_runs(&mut scratch.cols, &kernel.runs, w);
     for node in 0..n {
         for (l, lane) in lanes.iter_mut().enumerate() {
             std::mem::swap(&mut lane[node], &mut scratch.cols[node * w + l]);
@@ -388,7 +380,7 @@ impl BspMachine {
     /// `i` (see [`pack_zero_one_masks`]). Every lane lands exactly
     /// where [`BspMachine::run`] would put its scalar 0/1 vector —
     /// compare-exchange on 0/1 keys *is* `AND`/`OR`, and every round is
-    /// its clean compare-exchange list.
+    /// its range of the run table.
     ///
     /// Returns the number of rounds executed; performs zero heap
     /// allocations.
@@ -433,7 +425,7 @@ impl BspMachine {
                 Stage::Round,
                 desc.class.span_class(),
             );
-            exec_bits(words, kernel, desc.cx());
+            exec_bit_runs(words, &kernel.runs[desc.runs()]);
             if observed {
                 self.logger.log(|| Event::RoundEnd { round: ri as u64 });
             }
@@ -443,9 +435,10 @@ impl BspMachine {
 
     /// Drive a batch of full-key vectors through the vertical tier:
     /// lanes are blocked 64 to a word, each block transposed into
-    /// node-major columns, run as one loop over the program's clean
-    /// compare-exchanges with word-wide swap masks, then transposed
-    /// back. Bit-identical to [`BspMachine::run_kernel_batch`]
+    /// node-major columns, run through the kernel's run table (each run
+    /// one branch-free min/max loop over two column slices, AVX2 when
+    /// the CPU has it), then transposed back. Bit-identical to
+    /// [`BspMachine::run_kernel_batch`]
     /// (and therefore to per-lane [`BspMachine::run`]) on every input;
     /// blocks run in parallel (on the calling thread on a
     /// [`BspMachine::serial`] machine), and warm pools make reruns
@@ -776,7 +769,7 @@ impl BspMachine {
                 // Fast path: plain clean vertical execution, no hashing,
                 // no checks, no transit — fault-free execution of a
                 // validated program is correct by construction.
-                exec_cols(kernel, w, &mut scratch.cols, 0..kernel.cx_pairs.len());
+                exec_col_runs(&mut scratch.cols, &kernel.runs, w);
                 for (l, &bi) in chunk.iter().enumerate() {
                     for (node, key) in batch[bi].iter_mut().enumerate() {
                         *key = scratch.cols[node * w + l].clone();
@@ -1029,6 +1022,110 @@ mod tests {
                 assert!(is_snake_sorted(machine.shape(), keys));
             }
         }
+    }
+
+    /// A key ordered by `key` alone, so equal keys can differ in which
+    /// payload ended where; no drop glue, so it takes the min/max step.
+    #[derive(Debug, Clone, Copy)]
+    struct Tagged {
+        key: u8,
+        payload: u32,
+    }
+
+    impl PartialEq for Tagged {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+
+    impl Eq for Tagged {}
+
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    /// Run `body` over each block of `lanes` (64 lanes, then the tail)
+    /// as node-major columns, and assert every lane equals
+    /// `run_kernel_batch`'s output, compared through `view`.
+    fn check_column_body<K, V>(
+        name: &str,
+        body: fn(&mut [K], &[Run], usize),
+        lanes: &[Vec<K>],
+        view: impl Fn(&K) -> V,
+    ) where
+        K: Ord + Clone + Send + Sync,
+        V: PartialEq + std::fmt::Debug,
+    {
+        let factor = crate::machine::Machine::prepare_factor(&factories::complete_binary_tree(3));
+        let sorter = crate::select::SorterChoice::Auto.resolve(&factor);
+        let machine = BspMachine::new(&factor, 2);
+        let kernel = machine
+            .lower(&compile(&factor, 2, sorter))
+            .expect("validates");
+        let n = machine.shape().len() as usize;
+        let mut want = lanes.to_vec();
+        machine.run_kernel_batch(&mut want, &kernel, &mut crate::kernel::ScratchPool::new());
+        for (bi, (block, want)) in lanes
+            .chunks(WORD_LANES)
+            .zip(want.chunks(WORD_LANES))
+            .enumerate()
+        {
+            let w = block.len();
+            let mut cols: Vec<K> = (0..n)
+                .flat_map(|node| block.iter().map(move |lane| lane[node].clone()))
+                .collect();
+            body(&mut cols, &kernel.runs, w);
+            for (l, want) in want.iter().enumerate() {
+                let got: Vec<V> = (0..n).map(|node| view(&cols[node * w + l])).collect();
+                let want: Vec<V> = want.iter().map(&view).collect();
+                assert_eq!(got, want, "{name}: block {bi} lane {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn plain_and_dispatched_column_loops_match_the_kernel() {
+        // 70 lanes: a full 64-lane block and a 6-lane tail. Few distinct
+        // keys, so ties meet at every compare-exchange; the u64 keys
+        // straddle 2^63, where a signed vector compare would misorder.
+        let mut state = 0xC01_u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state >> 61
+        };
+        let n = 49; // complete_binary_tree(3)^2
+        let big = [0, 1, 2, 1 << 63, u64::MAX - 1, u64::MAX];
+        let words: Vec<Vec<u64>> = (0..70)
+            .map(|_| (0..n).map(|_| big[next() as usize % big.len()]).collect())
+            .collect();
+        let tagged: Vec<Vec<Tagged>> = (0..70u32)
+            .map(|lane| {
+                (0..n as u32)
+                    .map(|node| Tagged {
+                        key: (next() % 3) as u8,
+                        payload: lane * 1000 + node,
+                    })
+                    .collect()
+            })
+            .collect();
+        check_column_body("plain u64", exec_runs::<u64>, &words, |&k| k);
+        check_column_body("dispatched u64", exec_col_runs::<u64>, &words, |&k| k);
+        let fields = |t: &Tagged| (t.key, t.payload);
+        check_column_body("plain tagged", exec_runs::<Tagged>, &tagged, fields);
+        check_column_body(
+            "dispatched tagged",
+            exec_col_runs::<Tagged>,
+            &tagged,
+            fields,
+        );
     }
 
     #[test]

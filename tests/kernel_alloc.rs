@@ -2,14 +2,17 @@
 //! must perform **zero** heap allocations per call — the whole point of
 //! the flat structure-of-arrays lowering. A clean run executes paired
 //! compare-exchanges and keeps no transit state, so even the first run
-//! on a fresh [`ExecScratch`] allocates nothing.
+//! on a fresh [`ExecScratch`] allocates nothing. A warm
+//! `Machine::sort` on a compiled machine allocates nothing either: it
+//! sorts the caller's vector in place and shares the factor name with
+//! its report.
 //!
 //! The proof is a counting `#[global_allocator]` wrapping the system
 //! allocator. This must be the only test in the binary: the counter is
 //! process-global, and a concurrent test would pollute the deltas.
 
 use product_sort::graph::factories;
-use product_sort::sim::{compile, BspMachine, ExecScratch, ShearSorter};
+use product_sort::sim::{compile, BspMachine, ExecScratch, Machine, ProgramCache, ShearSorter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -98,5 +101,21 @@ fn kernel_runs_do_not_allocate() {
             "factor={} r={r}: kernel output must be sorted",
             factor.name()
         );
+
+        // The library entry point, warm: the input vector is made
+        // before the count starts and the report dropped after it ends.
+        let mut machine = Machine::compiled(&factor, r, &ShearSorter, &ProgramCache::new());
+        drop(machine.sort(input.clone()));
+        let keys = input.clone();
+        let before = allocations();
+        let report = machine.sort(keys).expect("one key per node");
+        let delta = allocations() - before;
+        assert_eq!(
+            delta,
+            0,
+            "factor={} r={r}: {delta} allocations in a warm Machine::sort call",
+            factor.name()
+        );
+        assert_eq!(report.keys, reference, "Machine::sort runs the same kernel");
     }
 }

@@ -188,60 +188,103 @@ fn partner_resolves_in_different_rounds_do_not_pair() {
     );
 }
 
-/// A key ordered by `key` alone, carrying a payload its `==` ignores, so
-/// two runs that agree under `==` can still differ in which equal key
-/// ended where.
+/// A key ordered by its `key` byte alone, carrying a payload its `==`
+/// ignores, so two runs that agree under `==` can still differ in which
+/// equal key ended where.
+trait TieKey: Ord + Clone + Send + Sync + std::fmt::Debug {
+    fn new(key: u8, payload: u32) -> Self;
+    fn fields(&self) -> (u8, u32);
+}
+
+/// Implements the key-only order for a `key: u8` field.
+macro_rules! key_only_order {
+    ($t:ty) => {
+        impl PartialEq for $t {
+            fn eq(&self, other: &Self) -> bool {
+                self.key == other.key
+            }
+        }
+
+        impl Eq for $t {}
+
+        impl PartialOrd for $t {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        impl Ord for $t {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                self.key.cmp(&other.key)
+            }
+        }
+    };
+}
+
+/// No drop glue: the clean tiers' branch-free min/max step.
 #[derive(Debug, Clone, Copy)]
 struct Tagged {
     key: u8,
     payload: u32,
 }
 
-impl PartialEq for Tagged {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+key_only_order!(Tagged);
+
+impl TieKey for Tagged {
+    fn new(key: u8, payload: u32) -> Self {
+        Tagged { key, payload }
+    }
+
+    fn fields(&self) -> (u8, u32) {
+        (self.key, self.payload)
     }
 }
 
-impl Eq for Tagged {}
+/// A `String` payload, so drop glue: the clean tiers' compare-and-swap
+/// step.
+#[derive(Debug, Clone)]
+struct Named {
+    key: u8,
+    payload: String,
+}
 
-impl PartialOrd for Tagged {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+key_only_order!(Named);
+
+impl TieKey for Named {
+    fn new(key: u8, payload: u32) -> Self {
+        Named {
+            key,
+            payload: payload.to_string(),
+        }
+    }
+
+    fn fields(&self) -> (u8, u32) {
+        (self.key, self.payload.parse().expect("a numeric payload"))
     }
 }
 
-impl Ord for Tagged {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-fn fields(keys: &[Tagged]) -> Vec<(u8, u32)> {
-    keys.iter().map(|t| (t.key, t.payload)).collect()
+fn fields<K: TieKey>(keys: &[K]) -> Vec<(u8, u32)> {
+    keys.iter().map(K::fields).collect()
 }
 
 /// Lanes of few distinct keys, so equal keys meet at every relay, with
 /// a distinct payload per lane and node.
-fn tagged_lanes(len: usize, lanes: usize) -> Vec<Vec<Tagged>> {
+fn tagged_lanes<K: TieKey>(len: usize, lanes: usize) -> Vec<Vec<K>> {
     let mut state = 0x7A6_u64;
     (0..lanes)
         .map(|lane| {
             (0..len)
                 .map(|node| {
                     state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    Tagged {
-                        key: (state >> 60) as u8 % 3,
-                        payload: (lane * len + node) as u32,
-                    }
+                    K::new((state >> 60) as u8 % 3, (lane * len + node) as u32)
                 })
                 .collect()
         })
         .collect()
 }
 
-#[test]
-fn ties_keep_their_payloads_on_every_clean_tier() {
+/// Every clean tier leaves each payload exactly where the oracle does.
+fn assert_ties_keep_their_payloads<K: TieKey>() {
     let star = factories::star(4);
     let tree = Machine::prepare_factor(&factories::complete_binary_tree(3));
     for factor in [star, tree] {
@@ -250,7 +293,7 @@ fn ties_keep_their_payloads_on_every_clean_tier() {
         let program = compile(&factor, 2, sorter);
         let optimized = program.optimized();
         let len = machine.shape().len() as usize;
-        let lanes = tagged_lanes(len, 70);
+        let lanes: Vec<Vec<K>> = tagged_lanes(len, 70);
         let cache = ProgramCache::new();
         for (name, prog) in [("program", &program), ("optimized", &optimized)] {
             let ctx = format!("factor={} {name}", factor.name());
@@ -310,4 +353,14 @@ fn ties_keep_their_payloads_on_every_clean_tier() {
             }
         }
     }
+}
+
+#[test]
+fn ties_keep_their_payloads_on_every_clean_tier() {
+    assert_ties_keep_their_payloads::<Tagged>();
+}
+
+#[test]
+fn ties_keep_their_payloads_for_keys_with_drop_glue() {
+    assert_ties_keep_their_payloads::<Named>();
 }
