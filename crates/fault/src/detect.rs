@@ -62,10 +62,11 @@ pub fn sampled_subgraph_certificate<K: Ord>(
 }
 
 /// The full `k`-dimensional certificate: every adjacent snake pair of
-/// every subgraph over dimensions `0 … k-1`, exhaustively. Equivalent
-/// to `pns-simulator`'s `subgraphs_snake_sorted` (re-derived here so
-/// detection has no executor dependency); with `k = shape.r()` this is
-/// global snake-sortedness.
+/// every subgraph over dimensions `0 … k-1`, exhaustively. Subgraph
+/// `g`'s nodes are the ranks `g·N^k + local`, so no node is rebuilt
+/// from digits. The fault executors check it, and `pns-simulator`'s
+/// `subgraphs_snake_sorted` is this; with `k = shape.r()` it is global
+/// snake-sortedness.
 ///
 /// # Panics
 ///

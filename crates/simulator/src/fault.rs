@@ -17,7 +17,7 @@
 //! 2. **Detection** — at each [`CertPoint`] the executor checks the
 //!    stage invariant (every `dims`-dimensional subgraph over the low
 //!    dimensions snake-sorted): in full via
-//!    [`crate::verify::subgraphs_snake_sorted`] when
+//!    [`full_subgraph_certificate`] when
 //!    [`RetryPolicy::recheck_depth`] is 0, or by `recheck_depth` sampled
 //!    adjacent-pair probes otherwise. The **final** certificate is
 //!    always checked in full, so an `Ok` return implies the output is
@@ -25,10 +25,22 @@
 //! 3. **Recovery** — the key vector is checkpointed at each segment
 //!    boundary (transit is provably empty there, so keys are the whole
 //!    state); a failed check restores the checkpoint and re-runs the
-//!    segment, up to [`RetryPolicy::max_retries`] times. Because faults
-//!    are transient and already-fired sites are tracked globally, a
+//!    segment, up to [`RetryPolicy::max_retries`] times. A retry
+//!    executes exactly the sites of its segment's first attempt, and
+//!    every one of them the plan fires already fired there, so a
 //!    retried segment executes clean — the analogue of repairing a
 //!    faulty link between synchronous phases of a periodic network.
+//!
+//! Both executors share `checkpoint_retry_loop` and differ only in how
+//! they run a segment. The interpreter ([`BspMachine::run_with_faults`],
+//! the reference) asks the plan about every op of every attempt and
+//! keeps a set of fired sites. The kernel
+//! ([`BspMachine::run_kernel_with_faults`]) asks once, on a segment's
+//! first attempt, and gets the segment's fault list. A list of
+//! comparator flips runs the segment's clean runs round by round and
+//! then swaps each round's flipped pairs; a list holding a
+//! [`FaultKind::DropRoute`] or [`FaultKind::StallResolve`] replays the
+//! segment's route rounds through transit slots; retries run clean.
 //!
 //! [`BspMachine::run_batch_with_faults`] adds graceful degradation: a
 //! lane that exhausts its retries is *quarantined* — its original input
@@ -36,15 +48,16 @@
 //! lanes commit their (cheaper) checkpointed runs. The batch never
 //! panics and returns one `Result` per lane.
 //!
-//! When the plan is disabled, execution takes a fast path identical to
-//! [`BspMachine::run_batch`]'s inner loop: no decision hashing, no
-//! checkpoints, no certificate checks (fault-free execution of a
-//! validated program is correct by construction), which keeps the
+//! When the plan is disabled, each executor takes its clean path (the
+//! interpreter's serial rounds, the kernel's run table): no decision
+//! hashing, no checkpoints, no certificate checks (fault-free execution
+//! of a validated program is correct by construction), which keeps the
 //! disabled-injection overhead within noise.
 
 use std::collections::HashSet;
+use std::ops::Range;
 
-use pns_fault::detect::sampled_subgraph_certificate;
+use pns_fault::detect::{full_subgraph_certificate, sampled_subgraph_certificate};
 use pns_fault::{FaultKind, FaultPlan, FaultSite, OpClass, RetryPolicy};
 use pns_obs::{Event, SpanClass, Stage, Tier};
 use pns_order::radix::Shape;
@@ -53,8 +66,9 @@ use crate::bsp::{
     exec_program, exec_round_serial_scratch, BspMachine, CertPoint, CompiledProgram, Op,
     ProgramError,
 };
-use crate::kernel::{exec_kernel, ExecScratch, KernelProgram, RoundClass};
-use crate::verify::subgraphs_snake_sorted;
+use crate::kernel::{
+    exec_kernel, exec_round, ExecScratch, KernelProgram, RoundClass, RoundDesc, TAG_CX, TAG_MOVE,
+};
 use pns_core::RetryCounters;
 
 /// Why a fault-tolerant run could not produce a sorted vector.
@@ -330,61 +344,151 @@ fn exec_round_faulty<K: Ord + Clone>(
     }
 }
 
-/// Execute one *lowered* round with fault injection. Micro-ops decode
-/// back to the exact source [`Op`]s in original order (lowering is
-/// order-preserving), so the op index — and with it every
-/// [`FaultSite`] decision — matches the interpreter path exactly.
-fn exec_kernel_round_faulty<K: Ord + Clone>(
-    keys: &mut [K],
-    transit: &mut [[Option<K>; 2]],
-    incoming: &mut Vec<(usize, usize, K)>,
+/// Ask `plan` about every site of the kernel rounds `rounds`, in op
+/// order, and append the faults that fire to `out`: the segment's
+/// fault list, in the order the interpreter records them. Compare
+/// rounds' sites are their per-op pairs, route rounds' their micro-ops.
+fn decide_segment(
     kernel: &KernelProgram,
-    ri: usize,
-    ctx: &mut FaultCtx<'_>,
+    plan: &FaultPlan,
+    rounds: Range<usize>,
+    out: &mut Vec<InjectedFault>,
 ) {
-    incoming.clear();
-    let desc = kernel.rounds[ri];
-    let round_idx = ri as u64;
-    match desc.class {
-        RoundClass::Empty => {}
-        RoundClass::Compare => {
-            for (oi, gi) in desc.cx().enumerate() {
-                let (a, b) = kernel.cx_pairs[gi];
-                let op = Op::CompareExchange {
-                    a: u64::from(a),
-                    b: u64::from(b),
-                    min_to_a: kernel.dir(gi),
-                };
-                let fault = ctx.decide(round_idx, oi, OpClass::Compare);
-                apply_op_faulty(&op, fault, keys, transit, incoming);
+    for ri in rounds {
+        let desc = kernel.rounds[ri];
+        let mut decide = |oi: usize, class: OpClass| {
+            let site = FaultSite {
+                round: ri as u64,
+                op: oi as u64,
+            };
+            if let Some(kind) = plan.decide(site, class) {
+                out.push(InjectedFault { site, kind });
+            }
+        };
+        match desc.class {
+            RoundClass::Empty => {}
+            RoundClass::Compare => (0..desc.cx().len()).for_each(|oi| decide(oi, OpClass::Compare)),
+            RoundClass::Route => {
+                for (oi, m) in kernel.micro[desc.micro()].iter().enumerate() {
+                    let class = match m.tag {
+                        TAG_CX => OpClass::Compare,
+                        TAG_MOVE => OpClass::Route,
+                        _ => OpClass::Resolve,
+                    };
+                    decide(oi, class);
+                }
             }
         }
-        RoundClass::Route => {
-            for (oi, m) in kernel.micro[desc.micro()].iter().enumerate() {
-                let op = m.to_op();
-                let class = match op {
-                    Op::CompareExchange { .. } => OpClass::Compare,
-                    Op::Move { .. } => OpClass::Route,
-                    Op::Resolve { .. } => OpClass::Resolve,
-                };
-                let fault = ctx.decide(round_idx, oi, class);
-                apply_op_faulty(&op, fault, keys, transit, incoming);
-            }
-        }
-    }
-    for (to, slot, payload) in incoming.drain(..) {
-        transit[to][slot] = Some(payload);
     }
 }
 
-/// Checkpoint/retry loop over an abstract faulty round executor, free
+/// The two keys of op `oi` of round `desc`, a compare-exchange: a
+/// compare round's per-op pair, or a route round's own micro-op.
+fn cx_keys(kernel: &KernelProgram, desc: RoundDesc, oi: usize) -> (usize, usize) {
+    if desc.class == RoundClass::Compare {
+        let (a, b) = kernel.cx_pairs[desc.cx().start + oi];
+        (a as usize, b as usize)
+    } else {
+        let m = kernel.micro[desc.micro().start + oi];
+        (m.a as usize, m.b as usize)
+    }
+}
+
+/// Transit slots and the deferred-move buffer of a kernel segment that
+/// replays its route rounds, allocated the first time one does.
+struct Replay<K> {
+    transit: Vec<[Option<K>; 2]>,
+    incoming: Vec<(usize, usize, K)>,
+}
+
+impl<K: Ord + Clone> Replay<K> {
+    /// Replay one route round's micro-ops in op order, through
+    /// [`apply_op_faulty`], with `faults` (the round's, in op order)
+    /// applied at their sites.
+    fn route_round(
+        &mut self,
+        keys: &mut [K],
+        kernel: &KernelProgram,
+        desc: RoundDesc,
+        faults: &[InjectedFault],
+    ) {
+        let mut faults = faults.iter().peekable();
+        for (oi, m) in kernel.micro[desc.micro()].iter().enumerate() {
+            let fault = faults.next_if(|f| f.site.op == oi as u64).map(|f| f.kind);
+            apply_op_faulty(
+                &m.to_op(),
+                fault,
+                keys,
+                &mut self.transit,
+                &mut self.incoming,
+            );
+        }
+        for (to, slot, payload) in self.incoming.drain(..) {
+            self.transit[to][slot] = Some(payload);
+        }
+    }
+}
+
+/// Run the kernel rounds `rounds` with `faults` (their fired sites, in
+/// op order) applied.
+///
+/// Without `replay`, every fault is a [`FaultKind::FlipCompare`], and
+/// each round runs its clean runs and then swaps the keys of its
+/// flipped pairs. A flipped compare-exchange swaps iff
+/// `(p <= q) == min_to_a`, the clean one iff `(p <= q) != min_to_a`, so
+/// one unconditional swap after the clean step gives the flipped
+/// result, ties included; the round's other runs touch neither key.
+/// Paired relays stay exact: pairing depends on which keys ops write,
+/// and a flipped compare-exchange writes the same two keys.
+///
+/// With `replay`, route rounds replay their micro-ops through transit
+/// slots, so dropped and stalled relays take effect; compare rounds
+/// still run clean and swap.
+fn exec_segment_faulty<K: Ord + Clone>(
+    keys: &mut [K],
+    kernel: &KernelProgram,
+    rounds: Range<usize>,
+    mut faults: &[InjectedFault],
+    mut replay: Option<&mut Replay<K>>,
+) {
+    for ri in rounds {
+        let desc = kernel.rounds[ri];
+        let here = faults
+            .iter()
+            .take_while(|f| f.site.round == ri as u64)
+            .count();
+        let (round_faults, rest) = faults.split_at(here);
+        faults = rest;
+        match replay.as_deref_mut() {
+            Some(replay) if desc.class == RoundClass::Route => {
+                replay.route_round(keys, kernel, desc, round_faults);
+            }
+            _ => {
+                exec_round(keys, &kernel.runs, desc);
+                for f in round_faults {
+                    let (a, b) = cx_keys(kernel, desc, f.site.op as usize);
+                    keys.swap(a, b);
+                }
+            }
+        }
+    }
+    debug_assert!(
+        replay.is_none_or(|r| r.transit.iter().all(|t| t[0].is_none() && t[1].is_none())),
+        "transit must drain at certificate boundaries"
+    );
+}
+
+/// Checkpoint/retry loop over an abstract faulty segment executor, free
 /// of `&BspMachine` so batch lanes can run it from worker threads
 /// without sharing the (single-threaded) event logger. The interpreter
 /// and kernel paths both drive this loop — segmentation, checkpoints,
-/// certificate checks, probe seeds, and accounting are shared code, so
-/// the two paths can only differ in per-round execution (and that is
-/// pinned by the differential suite). Returns the report plus
-/// `Some((boundary, attempts))` if a segment exhausted its retries.
+/// certificate checks, probe seeds, backoff, restores and accounting
+/// are shared code, so the two paths can only differ in how they run a
+/// segment (and that is pinned by the differential suite).
+/// `run_segment(keys, rounds, attempt, injected)` runs the rounds
+/// `rounds` at `attempt` (0 first) and appends the faults that fire to
+/// `injected`. Returns the report plus `Some((boundary, attempts))` if
+/// a segment exhausted its retries.
 fn checkpoint_retry_loop<K: Ord + Clone>(
     shape: Shape,
     keys: &mut [K],
@@ -392,11 +496,9 @@ fn checkpoint_retry_loop<K: Ord + Clone>(
     total_rounds: usize,
     plan: &FaultPlan,
     policy: &RetryPolicy,
-    mut run_round: impl FnMut(&mut [K], &mut [[Option<K>; 2]], usize, &mut FaultCtx<'_>),
+    mut run_segment: impl FnMut(&mut [K], Range<usize>, u32, &mut Vec<InjectedFault>),
 ) -> (FaultReport, Option<(u64, u32)>) {
     let mut report = FaultReport::default();
-    let mut fired: HashSet<FaultSite> = HashSet::new();
-    let mut transit: Vec<[Option<K>; 2]> = vec![[None, None]; keys.len()];
     for seg in segments(certs, total_rounds) {
         // Transit is empty at segment boundaries (relays complete within
         // a stage), so the key vector is the entire checkpoint.
@@ -405,18 +507,7 @@ fn checkpoint_retry_loop<K: Ord + Clone>(
         let seg_rounds = (seg.end - seg.start) as u64;
         let mut attempt: u32 = 0;
         loop {
-            for ri in seg.start..seg.end {
-                let mut ctx = FaultCtx {
-                    plan,
-                    fired: &mut fired,
-                    injected: &mut report.injected,
-                };
-                run_round(keys, &mut transit, ri, &mut ctx);
-            }
-            debug_assert!(
-                transit.iter().all(|t| t[0].is_none() && t[1].is_none()),
-                "transit must drain at certificate boundaries"
-            );
+            run_segment(keys, seg.start..seg.end, attempt, &mut report.injected);
             // Checks produce the failing certificate directly (rather
             // than a bool re-paired with `seg.check` afterwards), so the
             // failure path cannot be reached without one — no panic path.
@@ -434,7 +525,7 @@ fn checkpoint_retry_loop<K: Ord + Clone>(
                             plan.probe_seed(boundary, u64::from(attempt)),
                         )
                     } else {
-                        subgraphs_snake_sorted(shape, keys, dims as usize)
+                        full_subgraph_certificate(shape, keys, dims as usize)
                     };
                     (!ok).then_some((boundary, dims, is_final))
                 }
@@ -480,7 +571,9 @@ fn checkpoint_retry_loop<K: Ord + Clone>(
     (report, None)
 }
 
-/// Interpreter fault executor (see [`checkpoint_retry_loop`]).
+/// Interpreter fault executor (see [`checkpoint_retry_loop`]): every
+/// attempt asks the plan about every op, and the fired set keeps a
+/// site from firing twice.
 fn exec_with_faults<K: Ord + Clone>(
     shape: Shape,
     keys: &mut [K],
@@ -490,10 +583,10 @@ fn exec_with_faults<K: Ord + Clone>(
 ) -> (FaultReport, Option<(u64, u32)>) {
     let rounds = program.round_ops();
     let mut report = FaultReport::default();
+    let mut transit: Vec<[Option<K>; 2]> = vec![[None, None]; keys.len()];
+    let mut incoming: Vec<(usize, usize, K)> = Vec::new();
     if !plan.is_enabled() {
         // Fast path: plain serial execution, no hashing, no checks.
-        let mut transit: Vec<[Option<K>; 2]> = vec![[None, None]; keys.len()];
-        let mut incoming: Vec<(usize, usize, K)> = Vec::new();
         for round in rounds {
             exec_round_serial_scratch(keys, &mut transit, round, &mut incoming);
         }
@@ -501,7 +594,7 @@ fn exec_with_faults<K: Ord + Clone>(
         report.rounds = rounds.len() as u64;
         return (report, None);
     }
-    let mut incoming: Vec<(usize, usize, K)> = Vec::new();
+    let mut fired: HashSet<FaultSite> = HashSet::new();
     checkpoint_retry_loop(
         shape,
         keys,
@@ -509,18 +602,38 @@ fn exec_with_faults<K: Ord + Clone>(
         rounds.len(),
         plan,
         policy,
-        |keys, transit, ri, ctx| {
-            exec_round_faulty(keys, transit, &mut incoming, &rounds[ri], ri as u64, ctx);
+        |keys, seg, _attempt, injected| {
+            let mut ctx = FaultCtx {
+                plan,
+                fired: &mut fired,
+                injected,
+            };
+            for ri in seg {
+                exec_round_faulty(
+                    keys,
+                    &mut transit,
+                    &mut incoming,
+                    &rounds[ri],
+                    ri as u64,
+                    &mut ctx,
+                );
+            }
+            debug_assert!(
+                transit.iter().all(|t| t[0].is_none() && t[1].is_none()),
+                "transit must drain at certificate boundaries"
+            );
         },
     )
 }
 
 /// Kernel-path fault executor: the same [`checkpoint_retry_loop`] over
-/// [`exec_kernel_round_faulty`]. A disabled plan takes the clean fast
-/// path (the program's paired compare-exchanges, as
-/// [`BspMachine::run_kernel`] runs them, allocation-free); the enabled
-/// path replays every micro-op and allocates its own transit slots and
-/// checkpoints like the interpreter does.
+/// the kernel's run table. A disabled plan takes the clean fast path
+/// (the program's paired compare-exchanges, as [`BspMachine::run_kernel`]
+/// runs them, allocation-free). Otherwise a segment's first attempt
+/// decides its faults once ([`decide_segment`]) and runs
+/// [`exec_segment_faulty`]: clean runs plus swaps for a list of flips,
+/// a route-round replay through transit slots (allocated then) for a
+/// list holding a drop or a stall. Retries run the clean runs.
 fn exec_kernel_with_faults<K: Ord + Clone>(
     shape: Shape,
     keys: &mut [K],
@@ -536,7 +649,7 @@ fn exec_kernel_with_faults<K: Ord + Clone>(
         report.rounds = kernel.rounds() as u64;
         return (report, None);
     }
-    let mut incoming: Vec<(usize, usize, K)> = Vec::new();
+    let mut replay: Option<Replay<K>> = None;
     checkpoint_retry_loop(
         shape,
         keys,
@@ -544,8 +657,28 @@ fn exec_kernel_with_faults<K: Ord + Clone>(
         kernel.rounds(),
         plan,
         policy,
-        |keys, transit, ri, ctx| {
-            exec_kernel_round_faulty(keys, transit, &mut incoming, kernel, ri, ctx);
+        |keys, seg, attempt, injected| {
+            if attempt > 0 {
+                // A retry runs the sites of attempt 0, and each that
+                // fires fired there: nothing fires again.
+                for ri in seg {
+                    exec_round(keys, &kernel.runs, kernel.rounds[ri]);
+                }
+                return;
+            }
+            let first = injected.len();
+            decide_segment(kernel, plan, seg.clone(), injected);
+            let faults = &injected[first..];
+            let replay = if faults.iter().all(|f| f.kind == FaultKind::FlipCompare) {
+                None
+            } else {
+                let n = keys.len();
+                Some(replay.get_or_insert_with(|| Replay {
+                    transit: vec![[None, None]; n],
+                    incoming: Vec::new(),
+                }))
+            };
+            exec_segment_faulty(keys, kernel, seg, faults, replay);
         },
     )
 }
@@ -635,6 +768,15 @@ impl BspMachine {
     /// which lowering preserves, so the same `plan` makes the same
     /// decisions on either path — reports and outputs are bit-identical
     /// to [`BspMachine::run_with_faults`] on the source program.
+    ///
+    /// It runs the kernel's run table, not its relays. A segment's first
+    /// attempt asks the plan once about every site of the segment. When
+    /// only comparators flip, each round runs its clean runs and then
+    /// swaps its flipped pairs; a segment where a route drops or a
+    /// resolve stalls replays its route rounds' micro-ops through
+    /// transit slots instead, allocated the first time one does. Retries
+    /// run clean, since no site fires twice. So a faulted run costs
+    /// about a clean run plus its checkpoints and certificate checks.
     ///
     /// The kernel is already validated (lowering validates), so the only
     /// input check left is the key count. With a disabled plan this is

@@ -30,9 +30,13 @@
 //!   within a round equals the op index within the interpreted round —
 //!   this is what keeps `FaultSite { round, op }` keys *path-independent*
 //!   (a `FaultPlan` fires at the same sites on the kernel path as on the
-//!   interpreter path). Only the fault executors (and the chunked
-//!   parallel path's compare rounds) read it; relays, and the transit
-//!   slots they travel through, stay with them and with the oracle
+//!   interpreter path). Clean runs never read it. The kernel fault
+//!   executor walks it to decide a segment's faults and to find the
+//!   pairs a flip strikes, and replays its micro-ops only in a segment
+//!   where a route drops or a resolve stalls; the vertical fault
+//!   lockstep replays it op by op, and the chunked parallel path splits
+//!   compare rounds' pairs. Relays, and the transit slots they travel
+//!   through, stay with those replays and with the oracle
 //!   [`BspMachine::run`], which keeps the paper's step counts.
 //! * **Empty rounds** keep a descriptor so kernel round indices map 1:1
 //!   to `CompiledProgram` round indices; `CertPoint` boundaries and
@@ -91,9 +95,9 @@ pub enum RoundClass {
     Empty,
     /// Only compare-exchanges.
     Compare,
-    /// At least one `Move`/`Resolve`: the fault executors replay it as
-    /// packed micro-ops with a deferred incoming commit (transit reads
-    /// see previous-round state).
+    /// At least one `Move`/`Resolve`: a fault replay runs it as packed
+    /// micro-ops with a deferred incoming commit (transit reads see
+    /// previous-round state).
     Route,
 }
 
@@ -380,8 +384,9 @@ impl MicroOp {
 /// map 1:1 to the source program's rounds (certificates and step counts
 /// transfer unchanged). Clean runs execute the run table, each round's
 /// clean compare-exchanges grouped into maximal unit-stride runs; the
-/// fault executors index the per-op tables, whose order within a round
-/// equals interpreted op order (fault sites transfer unchanged).
+/// fault executors decide faults through the per-op tables, whose order
+/// within a round equals interpreted op order (fault sites transfer
+/// unchanged).
 ///
 /// Build one with [`BspMachine::lower`] (validates first) or
 /// [`KernelProgram::lower`] (assumes a valid program, e.g. straight out
@@ -903,9 +908,9 @@ fn exec_unit_runs<K: Ord + Clone>(keys: &mut [K], runs: &[Run]) {
 
 /// One kernel round, serial, unlogged: its longer runs, then its
 /// one-pair runs (a round's pairs touch disjoint keys, so their order
-/// is free).
+/// is free). The fault executor runs a segment's rounds through it.
 #[inline(always)]
-fn exec_round<K: Ord + Clone>(keys: &mut [K], runs: &[Run], desc: RoundDesc) {
+pub(crate) fn exec_round<K: Ord + Clone>(keys: &mut [K], runs: &[Run], desc: RoundDesc) {
     exec_runs(keys, &runs[desc.long_runs()], 1);
     exec_unit_runs(keys, &runs[desc.unit_runs()]);
 }

@@ -11,36 +11,22 @@
 use crate::engine::{Engine, Pg2Instance};
 use crate::enumerate::base_nodes;
 use crate::netsort::{network_merge, NetSortOutcome};
+use pns_fault::detect::full_subgraph_certificate;
 use pns_order::radix::Shape;
 use pns_order::snake::snake_pos_of_node;
 use pns_order::Direction;
 
 /// `true` iff every subgraph spanned by dimensions `0 … k-1` (for each
 /// assignment of the remaining digits) is sorted in its own forward snake
-/// order.
+/// order: [`full_subgraph_certificate`], which the fault executors check.
+///
+/// # Panics
+///
+/// Panics if `k` is 0 or exceeds `shape.r()`, or if `keys` is not one
+/// key per node.
 #[must_use]
 pub fn subgraphs_snake_sorted<K: Ord>(shape: Shape, keys: &[K], k: usize) -> bool {
-    let dims: Vec<usize> = (0..k).collect();
-    let sub_shape = Shape::new(shape.n(), k);
-    for base in base_nodes(shape, &dims) {
-        let mut prev: Option<&K> = None;
-        for pos in 0..sub_shape.len() {
-            // Map the sub-shape snake position onto the full network.
-            let local = pns_order::snake::node_at_snake_pos(sub_shape, pos);
-            let mut node = base;
-            for (i, &d) in dims.iter().enumerate() {
-                node = shape.with_digit(node, d, sub_shape.digit(local, i));
-            }
-            let key = &keys[node as usize];
-            if let Some(p) = prev {
-                if p > key {
-                    return false;
-                }
-            }
-            prev = Some(key);
-        }
-    }
-    true
+    full_subgraph_certificate(shape, keys, k)
 }
 
 /// [`crate::netsort::network_sort`] with the inter-stage invariant

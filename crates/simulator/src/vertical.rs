@@ -36,10 +36,9 @@
 //! from the identical per-lane forked plans and is bit-identical,
 //! reports included, to [`BspMachine::run_batch_with_faults`].
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
-use pns_fault::detect::sampled_subgraph_certificate;
+use pns_fault::detect::{full_subgraph_certificate, sampled_subgraph_certificate};
 use pns_fault::{FaultKind, FaultPlan, FaultSite, OpClass, RetryPolicy};
 use pns_obs::{Event, SpanClass, Stage, Tier, ROUND_OBS_MIN_OPS, SORT_OBS_MIN_OPS};
 use pns_order::radix::Shape;
@@ -50,7 +49,6 @@ use crate::kernel::{
     exec_kernel, exec_runs, for_each_run, KernelProgram, RoundClass, Run, FLAG_PRIMARY, FLAG_SLOT1,
     TAG_CX, TAG_MOVE,
 };
-use crate::verify::subgraphs_snake_sorted;
 
 /// Lanes per machine word: the widest block the vertical layout packs
 /// into one `u64` of decision (or data) bits.
@@ -523,42 +521,37 @@ impl Iterator for Lanes {
     }
 }
 
-/// Per-lane fault decision, honouring the transient model (a fired
-/// site never fires again for that lane) — the vertical copy of
-/// `FaultCtx::decide`, with the fired set and injection log owned per
-/// lane of the block.
-fn decide_lane(
-    plan: &FaultPlan,
-    site: FaultSite,
-    class: OpClass,
-    fired: &mut HashSet<FaultSite>,
-    injected: &mut Vec<InjectedFault>,
-) -> Option<FaultKind> {
-    let fault = if fired.contains(&site) {
-        None
-    } else {
-        plan.decide(site, class)
-    };
-    if let Some(kind) = fault {
-        fired.insert(site);
-        injected.push(InjectedFault { site, kind });
-    }
-    fault
-}
-
 /// Mutable per-lane fault state for one block, split out so the round
 /// executor can borrow it alongside the column buffers.
 struct BlockFaults<'a> {
     plans: &'a [FaultPlan],
-    fired: &'a mut [HashSet<FaultSite>],
     reports: &'a mut [FaultReport],
+    /// Whether the block runs its segment's first attempt. A retry
+    /// runs the sites of the first attempt, and each that fires fired
+    /// there, so retries ask the plans nothing (faults are transient).
+    first_attempt: bool,
+}
+
+impl BlockFaults<'_> {
+    /// Lane `l`'s fault at `site`, recorded in its report.
+    fn decide(&mut self, l: usize, site: FaultSite, class: OpClass) -> Option<FaultKind> {
+        if !self.first_attempt {
+            return None;
+        }
+        let fault = self.plans[l].decide(site, class);
+        if let Some(kind) = fault {
+            self.reports[l].injected.push(InjectedFault { site, kind });
+        }
+        fault
+    }
 }
 
 /// One faulty vertical round over the lanes in `active`. Op-major like
 /// every other executor — for each op, every active lane consults its
-/// own plan at the shared `FaultSite {round, op}` and applies the op
-/// (possibly perturbed per `apply_op_faulty`'s semantics) to its
-/// column slice. Inactive lanes' columns are untouched.
+/// own plan at the shared `FaultSite {round, op}` (on a segment's first
+/// attempt only) and applies the op (possibly perturbed per
+/// `apply_op_faulty`'s semantics) to its column slice. Inactive lanes'
+/// columns are untouched.
 #[allow(clippy::too_many_arguments)]
 fn exec_cols_round_faulty<K: Ord + Clone>(
     kernel: &KernelProgram,
@@ -584,13 +577,7 @@ fn exec_cols_round_faulty<K: Ord + Clone>(
             op: oi as u64,
         };
         for l in Lanes(active) {
-            let fault = decide_lane(
-                &faults.plans[l],
-                site,
-                OpClass::Compare,
-                &mut faults.fired[l],
-                &mut faults.reports[l].injected,
-            );
+            let fault = faults.decide(l, site, OpClass::Compare);
             let dir = min_to_a != fault.is_some();
             let (x, y) = (a as usize * w + l, b as usize * w + l);
             if (cols[x] <= cols[y]) != dir {
@@ -622,13 +609,7 @@ fn exec_cols_round_faulty<K: Ord + Clone>(
                         let fbase = (ai * 2 + si) * w;
                         let tbase = (m.b as usize * 2 + si) * w;
                         for l in Lanes(active) {
-                            let fault = decide_lane(
-                                &faults.plans[l],
-                                site,
-                                OpClass::Route,
-                                &mut faults.fired[l],
-                                &mut faults.reports[l].injected,
-                            );
+                            let fault = faults.decide(l, site, OpClass::Route);
                             // The source slot is consumed even when the
                             // payload is dropped (the wire fired).
                             let payload = if primary {
@@ -651,13 +632,7 @@ fn exec_cols_round_faulty<K: Ord + Clone>(
                     _ => {
                         let base = (ai * 2 + si) * w;
                         for l in Lanes(active) {
-                            let fault = decide_lane(
-                                &faults.plans[l],
-                                site,
-                                OpClass::Resolve,
-                                &mut faults.fired[l],
-                                &mut faults.reports[l].injected,
-                            );
+                            let fault = faults.decide(l, site, OpClass::Resolve);
                             let arrived =
                                 transit[base + l].take().expect("validated: slot occupied");
                             if fault.is_none() {
@@ -788,7 +763,6 @@ impl BspMachine {
             let plans: Vec<FaultPlan> = chunk.iter().map(|&bi| plan.fork(bi as u64)).collect();
             let originals: Vec<Vec<K>> = chunk.iter().map(|&bi| batch[bi].clone()).collect();
             let mut reports: Vec<FaultReport> = vec![FaultReport::default(); w];
-            let mut fired: Vec<HashSet<FaultSite>> = vec![HashSet::new(); w];
             let full: u64 = if w == WORD_LANES { !0 } else { (1 << w) - 1 };
             let mut live: u64 = full;
             let mut dead: u64 = 0;
@@ -815,8 +789,8 @@ impl BspMachine {
                             active,
                             &mut BlockFaults {
                                 plans: &plans,
-                                fired: &mut fired,
                                 reports: &mut reports,
+                                first_attempt: attempt == 0,
                             },
                             &mut scratch.cols,
                             &mut scratch.transit,
@@ -852,7 +826,7 @@ impl BspMachine {
                                         plans[l].probe_seed(boundary, u64::from(attempt)),
                                     )
                                 } else {
-                                    subgraphs_snake_sorted(shape, &lane_buf, dims as usize)
+                                    full_subgraph_certificate(shape, &lane_buf, dims as usize)
                                 };
                                 (!ok).then_some((boundary, dims, is_final))
                             }

@@ -29,9 +29,9 @@ use product_sort::order::radix::Shape;
 use product_sort::sim::bsp::{compile, BspMachine, Op};
 use product_sort::sim::netsort::{is_snake_sorted, network_sort, read_snake_order};
 use product_sort::sim::{
-    ChargedEngine, CostModel, ExecScratch, ExecutedEngine, FaultPlan, Hypercube2Sorter, Machine,
-    MultiwayNSorter, OetSnakeSorter, PeriodicMergeSorter, Pg2Sorter, RetryPolicy, ScratchPool,
-    ShearSorter, SorterChoice, VerticalPool,
+    ChargedEngine, CostModel, ExecScratch, ExecutedEngine, FaultKind, FaultPlan, Hypercube2Sorter,
+    Machine, MultiwayNSorter, OetSnakeSorter, PeriodicMergeSorter, Pg2Sorter, RetryPolicy,
+    RoundClass, ScratchPool, ShearSorter, SorterChoice, VerticalPool,
 };
 
 fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
@@ -264,14 +264,60 @@ fn differential_star_relays() {
     differential_case(&factories::star(5), 2, &OetSnakeSorter);
 }
 
+/// A key ordered by `key` alone, carrying a `payload` its order and its
+/// `==` ignore, so two runs can agree under `==` and still differ in
+/// which of two equal keys ended where.
+#[derive(Debug, Clone, Copy)]
+struct Tagged {
+    key: u64,
+    payload: u32,
+}
+
+impl PartialEq for Tagged {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Tagged {}
+
+impl PartialOrd for Tagged {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Tagged {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
+/// Each key's `(key, payload)`, which `==` on [`Tagged`] would hide.
+fn tagged_fields(keys: &[Tagged]) -> Vec<(u64, u32)> {
+    keys.iter().map(|k| (k.key, k.payload)).collect()
+}
+
 /// The fault layer's two executors must agree: the same `FaultPlan`
 /// against the interpreter (`run_with_faults`) and the lowered kernel
 /// (`run_kernel_with_faults`) fires the same fault sites, detects at
 /// the same certificates, and leaves bit-identical keys — faults are
 /// keyed by `(round, op)`, which lowering preserves 1:1.
+///
+/// The kernel runs a segment whose faults are all comparator flips from
+/// its run table and swaps the flipped pairs after each round's runs,
+/// and replays a segment holding a drop or a stall through transit
+/// slots; so the plans are compare-only (every segment from the run
+/// table) and all-kinds (both). Optimized programs matter: fusion moves
+/// every compare-exchange of the relabeled `star(4)^3` into route
+/// rounds, which raw programs keep none of. Keys mod 4 make ties, where
+/// a flip and its swap must still leave every payload where the
+/// interpreter does.
 #[test]
 fn differential_fault_paths() {
-    let cases: [(&Graph, usize, &dyn Pg2Sorter); 5] = [
+    let star = Machine::prepare_factor(&factories::star(4));
+    let tree = Machine::prepare_factor(&factories::complete_binary_tree(3));
+    let cases: [(&Graph, usize, &dyn Pg2Sorter); 7] = [
         (&factories::path(3), 3, &ShearSorter),
         (&factories::k2(), 4, &Hypercube2Sorter),
         (&factories::star(4), 2, &OetSnakeSorter),
@@ -281,27 +327,73 @@ fn differential_fault_paths() {
             2,
             &PeriodicMergeSorter { extra_blocks: 0 },
         ),
+        (&star, 3, SorterChoice::Auto.resolve(&star)),
+        (&tree, 2, SorterChoice::Auto.resolve(&tree)),
     ];
+    let policies = [
+        RetryPolicy::default(),
+        RetryPolicy::detect_only(),
+        RetryPolicy {
+            max_retries: 2,
+            recheck_depth: 3,
+            ..RetryPolicy::default()
+        },
+    ];
+    let (mut route_flips, mut replays) = (0usize, 0usize);
     for (factor, r, sorter) in cases {
         let shape = Shape::new(factor.n(), r);
-        let ctx = format!("factor={} r={r}", factor.name());
-        let program = compile(factor, r, sorter);
+        let raw = compile(factor, r, sorter);
+        let optimized = raw.optimized();
         let bsp = BspMachine::new(factor, r);
-        let kernel = bsp.lower(&program).expect("compiled programs validate");
         let mut scratch = ExecScratch::new();
-        let input = lcg_keys(shape.len(), 0xFA17);
-        for policy in [RetryPolicy::default(), RetryPolicy::detect_only()] {
-            for seed in 0..12u64 {
-                let plan = FaultPlan::random(seed, 5_000);
-                let mut a = input.clone();
-                let ra = bsp.run_with_faults(&mut a, &program, &plan, &policy);
-                let mut b = input.clone();
-                let rb = bsp.run_kernel_with_faults(&mut b, &kernel, &plan, &policy, &mut scratch);
-                assert_eq!(ra, rb, "{ctx} seed={seed}: fault reports diverge");
-                assert_eq!(a, b, "{ctx} seed={seed}: faulty keys diverge");
+        let tag = |keys: Vec<u64>| -> Vec<Tagged> {
+            let payloads = 0..keys.len() as u32;
+            keys.into_iter()
+                .zip(payloads)
+                .map(|(key, payload)| Tagged { key, payload })
+                .collect()
+        };
+        let keys = lcg_keys(shape.len(), 0xFA17);
+        let ties = tag(keys.iter().map(|k| k % 4).collect());
+        let random = tag(keys);
+        for (name, program) in [("raw", &raw), ("optimized", &optimized)] {
+            let ctx = format!("factor={} r={r} {name}", factor.name());
+            let kernel = bsp.lower(program).expect("compiled programs validate");
+            for (policy, seed) in policies.iter().flat_map(|p| (0..3u64).map(move |s| (p, s))) {
+                let plans = [
+                    FaultPlan::random(seed, 5_000),
+                    FaultPlan::random_with_kinds(seed, 20_000, &[FaultKind::FlipCompare]),
+                ];
+                for (plan, input) in plans.iter().flat_map(|p| [(p, &random), (p, &ties)]) {
+                    let mut a = input.clone();
+                    let ra = bsp.run_with_faults(&mut a, program, plan, policy);
+                    let mut b = input.clone();
+                    let rb =
+                        bsp.run_kernel_with_faults(&mut b, &kernel, plan, policy, &mut scratch);
+                    assert_eq!(ra, rb, "{ctx} seed={seed} {plan:?}: fault reports diverge");
+                    assert_eq!(
+                        tagged_fields(&a),
+                        tagged_fields(&b),
+                        "{ctx} seed={seed} {plan:?}: faulty keys diverge"
+                    );
+                    let injected = ra.as_ref().map_or(&[][..], |report| &report.injected);
+                    route_flips += injected
+                        .iter()
+                        .filter(|f| {
+                            f.kind == FaultKind::FlipCompare
+                                && kernel.class(f.site.round as usize) == RoundClass::Route
+                        })
+                        .count();
+                    replays +=
+                        usize::from(injected.iter().any(|f| f.kind != FaultKind::FlipCompare));
+                }
             }
         }
     }
+    // Not vacuous: flips struck route rounds' own compare-exchanges, and
+    // some runs replayed dropped or stalled relays.
+    assert!(route_flips > 0, "no route-round compare-exchange flipped");
+    assert!(replays > 0, "no run replayed a drop or a stall");
 }
 
 /// A freshly traced machine plus the reader for its event ring and a
