@@ -5,9 +5,9 @@
 //!    into a `u64` word per node land, lane for lane, exactly where
 //!    `run_kernel_batch` puts the scalar 0/1 vectors — raw and
 //!    optimized lowerings.
-//! 2. The column path is exact: a full-key batch of one word block
-//!    plus a partial tail is bit-identical to `run_kernel_batch` on
-//!    both lowerings.
+//! 2. The column path is exact: a full-key batch of more than one word
+//!    of lanes (two even blocks) is bit-identical to `run_kernel_batch`
+//!    on both lowerings.
 //! 3. Fault parity: `run_vertical_batch_with_faults` produces the same
 //!    reports and the same final keys as `run_batch_with_faults` under
 //!    the same plan and policy.
@@ -32,8 +32,8 @@ use pns_simulator::{
 use serde::Serialize;
 use std::time::Instant;
 
-/// Full-key lanes per column-path timing pass: one word block plus a
-/// 6-lane tail, so the timed path includes the partial final word.
+/// Full-key lanes per column-path timing pass: more than one word, so
+/// the timed path splits into blocks (35 + 35 lanes on these shapes).
 const COL_BATCH: usize = 70;
 /// Timed repetitions per executor.
 const REPS: usize = 64;
@@ -295,8 +295,8 @@ pub fn report_from_rows(rows: &[E20Row]) -> Report {
          lane (compare-exchange on 0/1 keys is AND/OR, so one word op \
          replaces {WORD_LANES} comparator visits); the ISSUE-6 bar is \
          ≥ 4x, enforced by the release binary. `col speedup` is the \
-         full-key column path on {COL_BATCH} lanes (one word block plus \
-         a partial tail) against the same kernel batch — informational. \
+         full-key column path on {COL_BATCH} lanes (two even blocks, one \
+         per thread) against the same kernel batch — informational. \
          Everything in `match` is deterministic: lane-exact bit path, \
          bit-identical column path, fault-executor parity, and (binary \
          runs) zero allocations across all {REPS} warm bit calls."

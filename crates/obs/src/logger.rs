@@ -326,17 +326,25 @@ mod tests {
         let (sink, reader) = MemorySink::with_capacity(1024);
         let logger = EventLogger::new(Box::new(sink));
         std::thread::scope(|scope| {
-            for lane in 0..4u64 {
-                let logger = logger.clone();
-                scope.spawn(move || {
-                    for _ in 0..5 {
-                        logger.log(|| Event::S2Unit {
-                            units: 1,
-                            width: lane,
-                        });
-                    }
-                    // No explicit flush: the thread-local Drop must do it.
-                });
+            let workers: Vec<_> = (0..4u64)
+                .map(|lane| {
+                    let logger = logger.clone();
+                    scope.spawn(move || {
+                        for _ in 0..5 {
+                            logger.log(|| Event::S2Unit {
+                                units: 1,
+                                width: lane,
+                            });
+                        }
+                        // No explicit flush: the thread-local Drop must do it.
+                    })
+                })
+                .collect();
+            // Joining a handle waits for its thread to exit, thread-local
+            // destructors included; the scope's own wait only waits for
+            // the closures to return, so a buffer could still be unflushed.
+            for worker in workers {
+                worker.join().expect("worker finishes");
             }
         });
         assert_eq!(reader.len(), 20, "all worker events survive thread death");

@@ -33,29 +33,33 @@ impl MetricId {
         }
     }
 
-    /// `{k="v",...}` suffix for Prometheus lines; empty when unlabeled.
+    /// Append the metric's name and its `{k="v",...}` label set (nothing
+    /// when unlabeled) to a Prometheus line, without allocating.
     /// `extra` appends one more pair (used for histogram `le`).
-    fn label_suffix(&self, extra: Option<(&str, &str)>) -> String {
-        let mut pairs: Vec<String> = self
-            .labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-            .collect();
-        if let Some((k, v)) = extra {
-            pairs.push(format!("{k}=\"{}\"", escape_label(v)));
+    fn write_series(&self, out: &mut String, suffix: &str, extra: Option<(&str, &str)>) {
+        out.push_str(&self.name);
+        out.push_str(suffix);
+        let pairs = self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        let mut open = false;
+        for (k, v) in pairs.chain(extra) {
+            out.push(if open { ',' } else { '{' });
+            open = true;
+            out.push_str(k);
+            out.push_str("=\"");
+            for c in v.chars() {
+                match c {
+                    '\\' => out.push_str("\\\\"),
+                    '"' => out.push_str("\\\""),
+                    '\n' => out.push_str("\\n"),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
         }
-        if pairs.is_empty() {
-            String::new()
-        } else {
-            format!("{{{}}}", pairs.join(","))
+        if open {
+            out.push('}');
         }
     }
-}
-
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -322,10 +326,12 @@ impl Registry {
             }
             match metric {
                 Metric::Counter(v) => {
-                    let _ = writeln!(out, "{}{} {v}", id.name, id.label_suffix(None));
+                    id.write_series(&mut out, "", None);
+                    let _ = writeln!(out, " {v}");
                 }
                 Metric::Gauge(v) => {
-                    let _ = writeln!(out, "{}{} {v}", id.name, id.label_suffix(None));
+                    id.write_series(&mut out, "", None);
+                    let _ = writeln!(out, " {v}");
                 }
                 Metric::Hist(h) => {
                     let mut cumulative = 0u64;
@@ -335,34 +341,15 @@ impl Registry {
                         }
                         cumulative += count;
                         let le = Histogram::bucket_upper_bound(i).to_string();
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {cumulative}",
-                            id.name,
-                            id.label_suffix(Some(("le", &le)))
-                        );
+                        id.write_series(&mut out, "_bucket", Some(("le", &le)));
+                        let _ = writeln!(out, " {cumulative}");
                     }
-                    let _ = writeln!(
-                        out,
-                        "{}_bucket{} {}",
-                        id.name,
-                        id.label_suffix(Some(("le", "+Inf"))),
-                        h.count()
-                    );
-                    let _ = writeln!(
-                        out,
-                        "{}_sum{} {}",
-                        id.name,
-                        id.label_suffix(None),
-                        h.sum_ns()
-                    );
-                    let _ = writeln!(
-                        out,
-                        "{}_count{} {}",
-                        id.name,
-                        id.label_suffix(None),
-                        h.count()
-                    );
+                    id.write_series(&mut out, "_bucket", Some(("le", "+Inf")));
+                    let _ = writeln!(out, " {}", h.count());
+                    id.write_series(&mut out, "_sum", None);
+                    let _ = writeln!(out, " {}", h.sum_ns());
+                    id.write_series(&mut out, "_count", None);
+                    let _ = writeln!(out, " {}", h.count());
                 }
             }
         }
@@ -455,8 +442,10 @@ mod tests {
     fn labels_sort_and_escape() {
         let mut reg = Registry::new();
         reg.set_counter_with("m", &[("z", "1"), ("a", "quo\"te")], 3);
+        reg.set_counter_with("n", &[("path", "a\\b\nc")], 4);
         let text = reg.prometheus_text();
         assert!(text.contains(r#"m{a="quo\"te",z="1"} 3"#), "{text}");
+        assert!(text.contains(r#"n{path="a\\b\nc"} 4"#), "{text}");
     }
 
     #[test]

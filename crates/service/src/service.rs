@@ -15,8 +15,10 @@
 //!
 //! A batch walks down, never up:
 //!
-//! 1. **Vertical tier** — ≥ [`VERTICAL_MIN_LANES`] clean lanes run
-//!    bit-sliced lockstep ([`BspMachine::run_vertical_batch`]).
+//! 1. **Vertical tier** — batches of ≥ [`VERTICAL_MIN_LANES`] (4)
+//!    clean lanes run the column tier
+//!    ([`BspMachine::run_vertical_batch`]) in even blocks sized to
+//!    stay in L2, on the worker's own thread.
 //! 2. **Kernel tier** — smaller clean batches run the flat kernel
 //!    ([`BspMachine::run_kernel_batch`]); fault-plan-enabled lanes run
 //!    [`BspMachine::run_kernel_with_faults`], whose in-run
@@ -483,8 +485,9 @@ fn execute_batch(
     };
 
     if !shared.plan.is_enabled() {
-        // Clean fast path: rungs 1–2 (vertical for wide batches, kernel
-        // otherwise). Keys move into the closure; identities stay out.
+        // Clean fast path: rungs 1–2 (the column tier from
+        // VERTICAL_MIN_LANES lanes, the kernel below). Keys move into
+        // the closure; identities stay out.
         let mut batch: Vec<Vec<u64>> = entries
             .iter_mut()
             .map(|p| std::mem::take(&mut p.keys))

@@ -528,6 +528,21 @@ pub enum ProgramError {
     },
     /// The program ended with values still in transit.
     TransitLeftover,
+    /// A certificate point the fault executors cannot check: its round
+    /// lies before the previous point's or past the program's end, its
+    /// `dims` lies outside `1..=r`, or values are still in transit at
+    /// its boundary (so the resident keys are not the whole state to
+    /// checkpoint). Names the first point, in list order, that breaks
+    /// the order, range or `dims` rule; failing those, the first whose
+    /// boundary has values in flight.
+    BadCertPoint {
+        /// Position of the point in the program's certificate list.
+        index: usize,
+        /// Its boundary round.
+        round: u64,
+        /// Its subgraph dimensionality.
+        dims: u32,
+    },
     /// A relay whose resolves do not compute one compare-exchange: the
     /// resolve at `node` has no partner resolve in its round that holds
     /// a current copy of `node`'s key while `node` holds one of the
@@ -588,6 +603,11 @@ impl std::fmt::Display for ProgramError {
             ProgramError::TransitLeftover => {
                 write!(f, "transit values left in flight after the program ended")
             }
+            ProgramError::BadCertPoint { index, round, dims } => write!(
+                f,
+                "certificate point {index} (round {round}, dims {dims}) is out of order, \
+                 out of range, or at a boundary with values in transit"
+            ),
             ProgramError::UnpairedRelay { round, node } => write!(
                 f,
                 "round {round}: resolve at node {node} pairs with no partner resolve \
@@ -951,6 +971,10 @@ impl BspMachine {
     /// [`ProgramError::SlotOccupied`] the first write, in op order, into
     /// a slot still full from an earlier round. A rank outside the
     /// network is never an edge endpoint and holds no transit value.
+    /// Certificate points are checked before the rounds for order,
+    /// range and `dims`, and for empty transit as the rounds reach each
+    /// boundary ([`ProgramError::BadCertPoint`]), so the fault
+    /// executors can segment and checkpoint any program that passes.
     pub fn try_validate(
         &self,
         program: &CompiledProgram,
@@ -958,6 +982,26 @@ impl BspMachine {
         if program.shape != self.shape {
             return Err(ProgramError::ShapeMismatch);
         }
+        // Certificate points: nondecreasing boundaries within the
+        // program, `dims` within `1..=r`; their transit is checked as
+        // the rounds pass them.
+        let certs = &program.cert_points;
+        let mut prev = 0;
+        for (index, c) in certs.iter().enumerate() {
+            if c.round < prev
+                || c.round > program.rounds.len() as u64
+                || !(1..=self.shape.r() as u64).contains(&u64::from(c.dims))
+            {
+                return Err(ProgramError::BadCertPoint {
+                    index,
+                    round: c.round,
+                    dims: c.dims,
+                });
+            }
+            prev = c.round;
+        }
+        let mut next_cert = certs.iter().take_while(|c| c.round == 0).count();
+        let mut in_flight = 0usize;
         let n_nodes = self.shape.len() as usize;
         let mut occupied = vec![[false; 2]; n_nodes];
         // The round's sets, flat and allocated once: an entry is in the
@@ -1106,8 +1150,21 @@ impl BspMachine {
                 }
                 *dst = true;
             }
+            // Every taken slot was occupied, every written one is now:
+            // `in_flight` counts the occupied slots.
+            in_flight = in_flight - taken.len() + written.len();
+            while let Some(c) = certs.get(next_cert).filter(|c| c.round == ri as u64 + 1) {
+                if in_flight > 0 {
+                    return Err(ProgramError::BadCertPoint {
+                        index: next_cert,
+                        round: c.round,
+                        dims: c.dims,
+                    });
+                }
+                next_cert += 1;
+            }
         }
-        if !occupied.iter().all(|t| !t[0] && !t[1]) {
+        if in_flight > 0 {
             return Err(ProgramError::TransitLeftover);
         }
         self.logger.log(|| {

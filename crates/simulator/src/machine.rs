@@ -173,10 +173,10 @@ impl Machine {
     /// cache's hit counters.
     ///
     /// Sorts run through the serial kernel ([`BspMachine::run_kernel`])
-    /// on the calling thread; batches ([`Machine::sort_batch`]) run
-    /// through [`BspMachine::run_kernel_batch`], or through the
-    /// bit-sliced vertical tier ([`BspMachine::run_vertical_batch`])
-    /// once the batch reaches [`VERTICAL_MIN_LANES`] lanes. All are
+    /// on the calling thread; batches ([`Machine::sort_batch`]) of
+    /// fewer than [`VERTICAL_MIN_LANES`] (4) lanes run through
+    /// [`BspMachine::run_kernel_batch`], and wider ones through the
+    /// column tier ([`BspMachine::run_vertical_batch`]). All are
     /// bit-identical to serial BSP execution.
     #[must_use]
     pub fn compiled(
@@ -428,15 +428,17 @@ impl Machine {
     /// Sort many independent key vectors through this machine, returning
     /// one `Result` per lane in input order.
     ///
-    /// On a compiled machine ([`Machine::compiled`]) the valid lanes run
-    /// through one lowered kernel ([`BspMachine::run_kernel_batch`]),
-    /// split into one contiguous chunk of lanes per core; the calling
-    /// thread runs one chunk and a scoped thread each other. Batches of
-    /// at least [`VERTICAL_MIN_LANES`] valid lanes switch to the
-    /// bit-sliced vertical tier ([`BspMachine::run_vertical_batch`]),
-    /// which blocks 64 lanes to a word and fans the blocks out the same
-    /// way. Other engine kinds sort the vectors one after another;
-    /// results are identical on every path.
+    /// On a compiled machine ([`Machine::compiled`]) batches of at
+    /// least [`VERTICAL_MIN_LANES`] (4) valid lanes run the column tier
+    /// ([`BspMachine::run_vertical_batch`]): lanes are cut into even
+    /// blocks of at most 64, narrow enough for a block's keys to stay
+    /// in L2, and the blocks fan out one per core (a batch of one block
+    /// runs on the calling thread). Narrower batches run one lowered
+    /// kernel per lane ([`BspMachine::run_kernel_batch`]), split into
+    /// one contiguous chunk of lanes per core; the calling thread runs
+    /// one chunk and a scoped thread each other. Other engine kinds
+    /// sort the vectors one after another; results are identical on
+    /// every path.
     ///
     /// A lane whose vector is not one key per node reports
     /// [`SortError::WrongKeyCount`] without affecting the other lanes —

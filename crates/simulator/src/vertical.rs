@@ -16,7 +16,8 @@
 //!   masks costs `2^n / 64` executions (`tests/vertical.rs` does
 //!   exactly that for every small fixture).
 //! * **Full keys** ([`BspMachine::run_vertical_batch`]): lanes are
-//!   blocked into groups of ≤ [`WORD_LANES`] and each node becomes a
+//!   blocked into even groups of ≤ [`WORD_LANES`], narrow enough that a
+//!   block's keys fit in L2, and each node becomes a
 //!   contiguous *column* of `w` keys. A run of the kernel's run table
 //!   then covers two contiguous column slices, and the kernel's
 //!   branch-free min/max step runs over them as one flat loop, compiled
@@ -51,14 +52,56 @@ use crate::kernel::{
 };
 
 /// Lanes per machine word: the widest block the vertical layout packs
-/// into one `u64` of decision (or data) bits.
+/// into one `u64` of decision (or data) bits. The fault lockstep always
+/// blocks this many lanes (its active sets are `u64` masks); for the
+/// clean column tier it is an upper bound, and
+/// [`BspMachine::run_vertical_batch`] narrows blocks whose key columns
+/// would not fit its cache budget.
 pub const WORD_LANES: usize = 64;
 
-/// Batch size at which [`crate::machine::Machine::sort_batch`] switches
-/// from the per-lane kernel tier to the vertical tier: one full word of
-/// lanes. Below this the transpose overhead has no word-parallelism to
-/// amortize against.
-pub const VERTICAL_MIN_LANES: usize = WORD_LANES;
+/// Batch size at which [`crate::machine::Machine::sort_batch`] and the
+/// service's clean rung switch from the per-lane kernel tier to the
+/// column tier: the measured crossover. Per lane on one thread, the
+/// column loop costs 91–93 µs at 1 lane and 65–68 µs at 2 on
+/// `complete_binary_tree(3)^3`, against 54–60 µs for the kernel; it
+/// ties or wins at 3 lanes, and from 4 lanes on the column tier is
+/// cheaper on every benchmark shape (DESIGN.md §12 has the table).
+pub const VERTICAL_MIN_LANES: usize = 4;
+
+/// Cache budget for one clean column block's keys: 1 MiB, about half
+/// the 2 MiB per-core L2 of the benchmark host, so a block's columns
+/// stay in L2 while the whole run table streams over them. A width
+/// sweep on `K2^14` (16 384 `u64` keys, 128 KiB a lane; thread CPU per
+/// lane on one thread, 2-vCPU AVX2 host, seven runs) read 3.0–4.6 ms
+/// (median ~3.5) at 8 lanes, 1 MiB of columns, against 4.1–4.8 ms at
+/// 16 and 4.2–4.9 ms at 64, where a block is 8 MiB; the kernel reads
+/// 7.2–12.4 ms.
+const BLOCK_BYTES: usize = 1 << 20;
+
+/// The widest clean column block for lanes of `n` keys of `key_bytes`
+/// each: the most lanes whose columns fit [`BLOCK_BYTES`], clamped to
+/// `1..=WORD_LANES`.
+fn block_cap(n: usize, key_bytes: usize) -> usize {
+    (BLOCK_BYTES / (n * key_bytes).max(1)).clamp(1, WORD_LANES)
+}
+
+/// `batch` cut into the fewest contiguous blocks no wider than `cap`,
+/// split evenly: widths differ by at most one lane, wider blocks first
+/// (130 lanes under a cap of 64 run as 44 + 43 + 43, not 64 + 64 + 2).
+/// Allocates nothing.
+fn even_blocks<T>(batch: &mut [T], cap: usize) -> impl Iterator<Item = &mut [T]> {
+    let blocks = batch.len().div_ceil(cap);
+    let (base, extra) = (
+        batch.len().checked_div(blocks).unwrap_or(0),
+        batch.len().checked_rem(blocks).unwrap_or(0),
+    );
+    let mut rest = batch;
+    (0..blocks).map(move |i| {
+        let (block, tail) = std::mem::take(&mut rest).split_at_mut(base + usize::from(i < extra));
+        rest = tail;
+        block
+    })
+}
 
 /// A kernel program committed to the vertical (lane-major) layout.
 ///
@@ -188,12 +231,13 @@ fn exec_bit_runs(words: &mut [u64], runs: &[Run]) {
 // Full-key path: node-major columns of w ≤ 64 lanes; a run is two column slices.
 // ---------------------------------------------------------------------------
 
-/// Reusable state for one vertical block of up to [`WORD_LANES`] lanes:
-/// the transposed key columns and, for the fault lockstep only,
-/// column-wide transit slots and the round-local staging buffer for
-/// deferred moves. Clean blocks run paired compare-exchanges and never
-/// size the transit columns: on `K2^14` a 64-lane block would otherwise
-/// hold 2 × 32 MiB of them.
+/// Reusable state for one vertical block of up to [`WORD_LANES`] lanes
+/// (clean blocks are as wide as [`BspMachine::run_vertical_batch`]'s
+/// block plan makes them; fault blocks are full words): the transposed
+/// key columns and, for the fault lockstep only, column-wide transit
+/// slots and the round-local staging buffer for deferred moves. Clean
+/// blocks run paired compare-exchanges and never size the transit
+/// columns: on `K2^14` a 64-lane fault block holds 2 × 32 MiB of them.
 ///
 /// Transit and staging are indexed `(node * 2 + slot) * w + lane`, so
 /// the fault lockstep empties every slot before each block: a scratch
@@ -432,15 +476,19 @@ impl BspMachine {
     }
 
     /// Drive a batch of full-key vectors through the vertical tier:
-    /// lanes are blocked 64 to a word, each block transposed into
+    /// lanes are cut into the fewest blocks whose key columns fit a
+    /// 1 MiB cache budget (at most [`WORD_LANES`] lanes each), split
+    /// evenly so no block is more than one lane narrower than another.
+    /// For `u64` keys that is 8 lanes a block on `K2^14` and 64 on
+    /// shapes of up to 2 048 nodes. Each block is transposed into
     /// node-major columns, run through the kernel's run table (each run
     /// one branch-free min/max loop over two column slices, AVX2 when
     /// the CPU has it), then transposed back. Bit-identical to
     /// [`BspMachine::run_kernel_batch`]
     /// (and therefore to per-lane [`BspMachine::run`]) on every input;
     /// blocks run in parallel (on the calling thread on a
-    /// [`BspMachine::serial`] machine), and warm pools make reruns
-    /// allocation-free.
+    /// [`BspMachine::serial`] machine, or when the batch is one block),
+    /// and warm pools make reruns allocation-free.
     ///
     /// Returns the number of rounds executed (same for every lane).
     ///
@@ -469,7 +517,8 @@ impl BspMachine {
         let _batch_span = self
             .logger
             .span(Tier::Vertical, Stage::Batch, SpanClass::None);
-        let blocks = batch.len().div_ceil(WORD_LANES);
+        let cap = block_cap(self.shape().len() as usize, std::mem::size_of::<K>());
+        let blocks = batch.len().div_ceil(cap);
         let workers = self.batch_workers(blocks);
         self.logger.log(|| Event::BatchScheduled {
             batch: batch.len() as u64,
@@ -477,7 +526,7 @@ impl BspMachine {
         });
         let scratches = pool.ensure(blocks);
         if workers <= 1 {
-            for (lanes, scratch) in batch.chunks_mut(WORD_LANES).zip(scratches.iter_mut()) {
+            for (lanes, scratch) in even_blocks(batch, cap).zip(scratches.iter_mut()) {
                 exec_cols_block(lanes, kernel, scratch);
             }
         } else {
@@ -488,8 +537,7 @@ impl BspMachine {
                 scratch: &'a mut VerticalScratch<K>,
             }
             use rayon::prelude::*;
-            let mut work: Vec<Block<'_, K>> = batch
-                .chunks_mut(WORD_LANES)
+            let mut work: Vec<Block<'_, K>> = even_blocks(batch, cap)
                 .zip(scratches.iter_mut())
                 .map(|(lanes, scratch)| Block { lanes, scratch })
                 .collect();
@@ -967,8 +1015,46 @@ mod tests {
     }
 
     #[test]
+    fn block_plan_caps_widths_by_the_cache_budget_and_splits_evenly() {
+        // u64 keys: K2^14 (128 KiB a lane) caps at 8 lanes, K2^12 at
+        // 32, and the benchmark's small shapes fit a full word.
+        assert_eq!(block_cap(1 << 14, 8), 8);
+        assert_eq!(block_cap(1 << 12, 8), 32);
+        assert_eq!(block_cap(343, 8), WORD_LANES);
+        assert_eq!(block_cap(64, 8), WORD_LANES);
+        // A lane past the budget still runs, one to a block; keys of
+        // no size fill a word.
+        assert_eq!(block_cap(1 << 20, 8), 1);
+        assert_eq!(block_cap(100, 0), WORD_LANES);
+
+        for cap in [1, 3, 8, 32, WORD_LANES] {
+            for lanes in 0..=200usize {
+                let mut batch: Vec<usize> = (0..lanes).collect();
+                let blocks: Vec<Vec<usize>> =
+                    even_blocks(&mut batch, cap).map(|b| b.to_vec()).collect();
+                let widths: Vec<usize> = blocks.iter().map(Vec::len).collect();
+                let ctx = format!("cap={cap} lanes={lanes}: {widths:?}");
+                assert_eq!(widths.len(), lanes.div_ceil(cap), "fewest blocks: {ctx}");
+                assert!(widths.iter().all(|&w| (1..=cap).contains(&w)), "{ctx}");
+                assert!(widths.windows(2).all(|p| p[0] >= p[1]), "{ctx}");
+                if let (Some(wide), Some(narrow)) = (widths.first(), widths.last()) {
+                    assert!(wide - narrow <= 1, "even split: {ctx}");
+                }
+                // Contiguous, in order, every lane once.
+                assert_eq!(blocks.concat(), batch, "{ctx}");
+            }
+        }
+        let mut batch = [0u8; 130];
+        let widths =
+            |b: &mut [u8]| -> Vec<usize> { even_blocks(b, WORD_LANES).map(|b| b.len()).collect() };
+        assert_eq!(widths(&mut batch), vec![44, 43, 43]);
+        assert_eq!(widths(&mut batch[..128]), vec![64, 64]);
+        assert_eq!(widths(&mut batch[..16]), vec![16]);
+    }
+
+    #[test]
     fn column_batch_matches_kernel_batch_across_block_widths() {
-        // 130 lanes = two full words plus a 2-lane tail: the blocked
+        // 130 lanes = three even blocks of 44 + 43 + 43: the blocked
         // path must agree with the per-lane kernel on every lane,
         // including relay-heavy routing (star factor).
         let cases = [

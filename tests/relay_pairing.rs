@@ -293,7 +293,7 @@ fn assert_ties_keep_their_payloads<K: TieKey>() {
         let program = compile(&factor, 2, sorter);
         let optimized = program.optimized();
         let len = machine.shape().len() as usize;
-        let lanes: Vec<Vec<K>> = tagged_lanes(len, 70);
+        let lanes: Vec<Vec<K>> = tagged_lanes(len, 130);
         let cache = ProgramCache::new();
         for (name, prog) in [("program", &program), ("optimized", &optimized)] {
             let ctx = format!("factor={} {name}", factor.name());
@@ -339,8 +339,9 @@ fn assert_ties_keep_their_payloads<K: TieKey>() {
                 let report = compiled.sort(lane.clone()).expect("one key per node");
                 assert_eq!(&fields(&report.keys), want, "{ctx}: Machine::sort");
             }
-            // 70 lanes: the vertical tier; 8: the kernel batch.
-            for width in [70, 8] {
+            // 1 and 3 lanes: the kernel batch; from 4 lanes on, the
+            // column tier (70 = 35 + 35 and 130 = 44 + 43 + 43 lanes).
+            for width in [1, 3, 4, 5, 8, 70, 130] {
                 let reports = compiled.sort_batch(lanes[..width].to_vec());
                 for (report, want) in reports.into_iter().zip(&want) {
                     let keys = report.expect("one key per node").keys;

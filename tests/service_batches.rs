@@ -64,11 +64,18 @@ fn one_coalesced_batch(requests: usize, seed: u64) -> (u64, u64) {
 
 #[test]
 fn a_ragged_wide_batch_runs_as_one_vertical_batch() {
-    // 64 + 64 + 2 lanes: two full blocks and a ragged tail.
+    // Three even column blocks of 44 + 43 + 43 lanes.
     assert_eq!(one_coalesced_batch(130, 0x5e41), (1, 0));
 }
 
 #[test]
 fn a_narrow_batch_runs_as_one_kernel_batch() {
-    assert_eq!(one_coalesced_batch(5, 0x5e42), (0, 1));
+    // Below VERTICAL_MIN_LANES (4): one kernel run per lane.
+    assert_eq!(one_coalesced_batch(3, 0x5e42), (0, 1));
+}
+
+#[test]
+fn a_five_lane_batch_runs_as_one_vertical_batch() {
+    // From VERTICAL_MIN_LANES on, one column block of 5 lanes.
+    assert_eq!(one_coalesced_batch(5, 0x5e43), (1, 0));
 }

@@ -1,15 +1,16 @@
 //! Property-based tests for the simulator: machines on random factors
-//! and random inputs always sort, and the accounting never drifts.
+//! and random inputs always sort, every batch width agrees with the
+//! interpreter, and the accounting never drifts.
 
-use pns_graph::factories;
-use pns_order::radix::Shape;
-use pns_order::Direction;
-use pns_simulator::netsort::{is_snake_sorted, network_sort, read_snake_order};
-use pns_simulator::sorters::{run_program, validate_program};
-use pns_simulator::{
+use product_sort::graph::factories;
+use product_sort::order::radix::Shape;
+use product_sort::order::Direction;
+use product_sort::sim::netsort::{is_snake_sorted, network_sort, read_snake_order};
+use product_sort::sim::sorters::{run_program, validate_program};
+use product_sort::sim::{
     block_sort, compile, sample_sort, BspMachine, ChargedEngine, CostModel, ExecScratch,
     ExecutedEngine, Machine, MultiwayNSorter, OetSnakeSorter, PeriodicMergeSorter, Pg2Sorter,
-    ScratchPool, ShearSorter, SorterChoice,
+    ProgramCache, ScratchPool, ShearSorter, SortError, SorterChoice,
 };
 use proptest::prelude::*;
 
@@ -172,6 +173,57 @@ proptest! {
         bsp.run_kernel_batch(&mut batch, &kernel, &mut pool);
         for lane in &batch {
             prop_assert_eq!(lane, &reference);
+        }
+    }
+
+    #[test]
+    fn machine_sort_batch_matches_the_interpreter_at_every_width(
+        n in 3usize..7, seed in any::<u64>(), modulus in 1u64..50,
+        width in 1usize..81, malformed in any::<u64>(), optimized in any::<bool>(),
+    ) {
+        // Widths 1..=80 cross both tiers (the kernel batch below 4 valid
+        // lanes, the column tier from 4) and the 64-lane block cap; one
+        // lane with the wrong key count must fail alone, in place.
+        let factor = Machine::prepare_factor(&factories::random_connected(n, 2, seed));
+        let r = 2;
+        let shape = Shape::new(n, r);
+        let program = compile(&factor, r, &OetSnakeSorter);
+        let program = if optimized { program.optimized() } else { program };
+        let cache = ProgramCache::new();
+        let mut machine = if optimized {
+            Machine::compiled_optimized(&factor, r, &OetSnakeSorter, &cache)
+        } else {
+            Machine::compiled(&factor, r, &OetSnakeSorter, &cache)
+        };
+        let bsp = BspMachine::new(&factor, r);
+
+        let mut batch: Vec<Vec<u64>> = (0..width as u64)
+            .map(|lane| keys_for(shape.len(), seed ^ lane.wrapping_mul(0x9E37), modulus))
+            .collect();
+        let bad = (malformed % width as u64) as usize;
+        if malformed >> 32 & 1 == 0 {
+            batch[bad].pop();
+        } else {
+            batch[bad].push(0);
+        }
+        let results = machine.sort_batch(batch.clone());
+        prop_assert_eq!(results.len(), width);
+        for (lane, (res, input)) in results.into_iter().zip(batch).enumerate() {
+            if lane == bad {
+                let got = input.len();
+                prop_assert!(
+                    matches!(res, Err(SortError::WrongKeyCount { expected, got: g })
+                        if expected == shape.len() && g == got),
+                    "lane {}: want WrongKeyCount", lane
+                );
+                continue;
+            }
+            let mut reference = input;
+            bsp.run(&mut reference, &program);
+            match res {
+                Ok(report) => prop_assert_eq!(report.keys, reference),
+                Err(e) => prop_assert!(false, "lane {}: {}", lane, e),
+            }
         }
     }
 

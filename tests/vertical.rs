@@ -199,9 +199,10 @@ fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
 
 #[test]
 fn machine_sort_batch_auto_selects_the_vertical_tier() {
-    // A compiled Machine must produce identical per-lane results above
-    // and below the 64-lane vertical threshold, malformed lanes
-    // degrading in place either way.
+    // A compiled Machine must produce identical per-lane results below
+    // and above the 4-lane vertical threshold (2 valid lanes of 3 run
+    // the kernel batch, 4 of 5 and 69 of 70 the column tier),
+    // malformed lanes degrading in place either way.
     let factor = factories::path(3);
     let cache = ProgramCache::new();
     let mut machine = Machine::compiled(&factor, 3, &ShearSorter, &cache);
@@ -214,11 +215,11 @@ fn machine_sort_batch_auto_selects_the_vertical_tier() {
     let bsp = BspMachine::new(&factor, 3);
     let program = compile(&factor, 3, &ShearSorter);
 
-    for batch_size in [5usize, 70] {
+    for batch_size in [3usize, 5, 70] {
         let mut batch: Vec<Vec<u64>> = (0..batch_size as u64)
             .map(|s| lcg_keys(len, 31 + s))
             .collect();
-        batch[2] = vec![9; 3]; // malformed lane, both sizes
+        batch[2] = vec![9; 3]; // malformed lane, every size
         let results = machine.sort_batch(batch.clone());
         assert_eq!(results.len(), batch_size);
         for (lane, res) in results.into_iter().enumerate() {

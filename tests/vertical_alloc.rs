@@ -1,9 +1,9 @@
 //! Allocation accounting for the vertical tier: after one warm-up run,
 //! both vertical executors — the bit-sliced 0/1 path
 //! (`run_vertical_bits`, which keeps no state) and the full-key column
-//! path (`run_vertical_batch` with a warm `VerticalPool`) — must
-//! perform **zero** heap allocations per call, the same contract
-//! `kernel_alloc.rs` pins for the kernel tier.
+//! path (`run_vertical_batch` with a warm `VerticalPool`, in one block
+//! or several) — must perform **zero** heap allocations per call, the
+//! same contract `kernel_alloc.rs` pins for the kernel tier.
 //!
 //! The proof is a counting `#[global_allocator]` wrapping the system
 //! allocator. This must be the only test in the binary: the counter is
@@ -11,8 +11,8 @@
 
 use product_sort::graph::factories;
 use product_sort::sim::{
-    compile, pack_zero_one_masks, unpack_zero_one_lane, BspMachine, ShearSorter, VerticalPool,
-    WORD_LANES,
+    compile, pack_zero_one_masks, unpack_zero_one_lane, BspMachine, Hypercube2Sorter, ShearSorter,
+    VerticalPool, WORD_LANES,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,5 +142,43 @@ fn warm_vertical_runs_do_not_allocate() {
                 factor.name()
             );
         }
+    }
+
+    // --- Full-key column path in several blocks: a K2^12 lane is
+    // 32 KiB of keys, so the 1 MiB block budget caps blocks at 32 lanes
+    // and 64 lanes run as 32 + 32, one after the other on a serial
+    // machine, each from its own pooled scratch. ---
+    let factor = factories::k2();
+    let program = compile(&factor, 12, &Hypercube2Sorter);
+    let bsp = BspMachine::new(&factor, 12).serial();
+    let vertical = bsp
+        .lower_vertical(&program)
+        .expect("compiled programs validate");
+    let len = vertical.shape().len();
+    let inputs: Vec<Vec<u64>> = (0..WORD_LANES as u64).map(|s| lcg_keys(len, s)).collect();
+    let mut batch = inputs.clone();
+    let mut pool = VerticalPool::new();
+
+    bsp.run_vertical_batch(&mut batch, &vertical, &mut pool);
+    assert_eq!(pool.len(), 2, "64 lanes of K2^12 run as two blocks");
+    let reference = batch.clone();
+
+    // One measured call: a debug build takes ~1.5 s over this program.
+    for (lane, src) in batch.iter_mut().zip(&inputs) {
+        lane.clone_from_slice(src);
+    }
+    let before = allocations();
+    bsp.run_vertical_batch(&mut batch, &vertical, &mut pool);
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "K2^12: {delta} allocations in a warm two-block run_vertical_batch call"
+    );
+    assert_eq!(batch, reference, "warm two-block runs stay correct");
+    for keys in &batch {
+        assert!(
+            product_sort::sim::netsort::is_snake_sorted(vertical.shape(), keys),
+            "K2^12: two-block output must be sorted"
+        );
     }
 }
