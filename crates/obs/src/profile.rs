@@ -206,7 +206,7 @@ impl Profile {
             let stage = Stage::from_code(key.stage).map_or("unknown", Stage::name);
             let class = SpanClass::from_code(key.class).map_or("unknown", SpanClass::name);
             let labels: &[(&str, &str)] = &[("tier", tier), ("stage", stage), ("class", class)];
-            registry.merge_histogram_with("pns_span_ns", labels, &stat.hist);
+            registry.set_histogram_with("pns_span_ns", labels, &stat.hist);
             registry.set_counter_with("pns_span_self_ns_total", labels, stat.self_ns());
             registry.set_counter_with("pns_span_total_ns_total", labels, stat.total_ns);
         }

@@ -217,6 +217,17 @@ impl Registry {
         }
     }
 
+    /// Set (overwrite) a labeled histogram metric to a copy of `h`: what
+    /// an export of a lifetime histogram uses, so that exporting into one
+    /// registry again replaces the series instead of adding the history
+    /// to it a second time.
+    pub fn set_histogram_with(&mut self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
+        self.metrics.insert(
+            MetricId::new(name, labels),
+            Metric::Hist(Box::new(h.clone())),
+        );
+    }
+
     /// Merge a whole histogram into a labeled histogram metric.
     pub fn merge_histogram_with(&mut self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
         let entry = self

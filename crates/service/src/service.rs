@@ -212,6 +212,8 @@ impl ServiceBuilder {
             .collect();
         let workers = self.config.workers.max(1);
         let shared = Arc::new(Shared {
+            retry_policy: self.config.retry_policy,
+            service_retries: self.config.service_retries,
             state: Mutex::new(State {
                 core: ServiceCore::new(self.config, specs),
                 responders: HashMap::new(),
@@ -243,6 +245,11 @@ struct State {
 }
 
 struct Shared {
+    /// [`ServiceConfig::retry_policy`] and
+    /// [`ServiceConfig::service_retries`], copied at start (they never
+    /// change after it), so a batch reads them without the state lock.
+    retry_policy: pns_fault::RetryPolicy,
+    service_retries: u32,
     state: Mutex<State>,
     cv: Condvar,
     clock: Arc<dyn Clock>,
@@ -415,9 +422,12 @@ fn worker_loop(shared: &Shared) {
             CorePoll::Ready(batch) => {
                 let shape = batch.shape;
                 drop(state);
-                let outcomes = execute_batch(shared, &mut ctx, shape, batch.entries);
+                let (outcomes, vertical) = execute_batch(shared, &mut ctx, shape, batch.entries);
                 let done = shared.clock.now_ns();
                 let mut state = shared.lock();
+                if let Some(vertical) = vertical {
+                    state.core.note_batch(vertical);
+                }
                 let mut replies = Vec::with_capacity(outcomes.len());
                 for (lane, verdict, reply) in outcomes {
                     state.core.complete(&lane, verdict, done);
@@ -454,20 +464,24 @@ fn worker_loop(shared: &Shared) {
 
 type LaneOutcome = (Pending, LaneVerdict, Result<SortResponse, ServiceError>);
 
-/// Run one coalesced batch down the degradation ladder. Never panics a
-/// caller: compute runs behind `catch_unwind` with the request
-/// identities held *outside* the closure, so a contained panic still
-/// answers every lane with a typed internal error (counted as a
-/// failure by the breaker) instead of stranding its ticket.
+/// Run one coalesced batch down the degradation ladder, without the
+/// state lock. Returns the lanes' outcomes and the tier the batch ran
+/// on (`Some(true)` for the column tier, `Some(false)` for the kernel,
+/// `None` when it ran on none), which the worker records under its
+/// completion lock. Never panics a caller: compute runs behind
+/// `catch_unwind` with the request identities held *outside* the
+/// closure, so a contained panic still answers every lane with a typed
+/// internal error (counted as a failure by the breaker) instead of
+/// stranding its ticket.
 fn execute_batch(
     shared: &Shared,
     ctx: &mut WorkerCtx,
     shape: usize,
     mut entries: Vec<Pending>,
-) -> Vec<LaneOutcome> {
+) -> (Vec<LaneOutcome>, Option<bool>) {
     let Some((registered, machine)) = shared.shapes.get(shape).zip(ctx.machines.get(shape)) else {
         // Unknown shape past admission: answer every lane, typed.
-        return entries
+        let outcomes = entries
             .into_iter()
             .map(|p| {
                 (
@@ -477,11 +491,7 @@ fn execute_batch(
                 )
             })
             .collect();
-    };
-    let (policy, service_retries) = {
-        let state = shared.lock();
-        let config = state.core.config();
-        (config.retry_policy, config.service_retries)
+        return (outcomes, None);
     };
 
     if !shared.plan.is_enabled() {
@@ -506,11 +516,7 @@ fn execute_batch(
             batch
         }))
         .ok();
-        {
-            let mut state = shared.lock();
-            state.core.note_batch(vertical);
-        }
-        return match sorted {
+        let outcomes = match sorted {
             Some(batch) => entries
                 .into_iter()
                 .zip(batch)
@@ -540,28 +546,17 @@ fn execute_batch(
                 })
                 .collect(),
         };
+        return (outcomes, Some(vertical));
     }
 
     // Fault-enabled path: rung 2 per lane with in-run retries, then the
     // service-level rungs 3–4. Contained per lane, so one panicking
     // lane cannot take its batch-mates down with it.
-    {
-        let mut state = shared.lock();
-        state.core.note_batch(false);
-    }
-    entries
+    let outcomes = entries
         .into_iter()
         .map(|p| {
             let (verdict, reply) = catch_unwind(AssertUnwindSafe(|| {
-                execute_fault_lane(
-                    shared,
-                    registered,
-                    machine,
-                    &mut ctx.exec_scratch,
-                    &p,
-                    policy,
-                    service_retries,
-                )
+                execute_fault_lane(shared, registered, machine, &mut ctx.exec_scratch, &p)
             }))
             .unwrap_or((
                 LaneVerdict::Failed,
@@ -569,7 +564,8 @@ fn execute_batch(
             ));
             (p, verdict, reply)
         })
-        .collect()
+        .collect();
+    (outcomes, Some(false))
 }
 
 /// One lane down rungs 2–4 of the ladder.
@@ -579,9 +575,8 @@ fn execute_fault_lane(
     machine: &BspMachine,
     scratch: &mut ExecScratch<u64>,
     lane: &Pending,
-    policy: pns_fault::RetryPolicy,
-    service_retries: u32,
 ) -> (LaneVerdict, Result<SortResponse, ServiceError>) {
+    let (policy, service_retries) = (shared.retry_policy, shared.service_retries);
     let base = shared.plan.fork(lane.id);
     let mut attempts: u32 = 0;
     for attempt in 0..=service_retries {

@@ -97,7 +97,7 @@ impl ServiceStats {
                     count,
                 );
             }
-            registry.merge_histogram_with(
+            registry.set_histogram_with(
                 "pns_service_latency_ns",
                 &[("tenant", &tenant)],
                 &t.latency,

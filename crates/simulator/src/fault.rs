@@ -37,10 +37,11 @@
 //! keeps a set of fired sites. The kernel
 //! ([`BspMachine::run_kernel_with_faults`]) asks once, on a segment's
 //! first attempt, and gets the segment's fault list. A list of
-//! comparator flips runs the segment's clean runs round by round and
-//! then swaps each round's flipped pairs; a list holding a
-//! [`FaultKind::DropRoute`] or [`FaultKind::StallResolve`] replays the
-//! segment's route rounds through transit slots; retries run clean.
+//! comparator flips runs the segment's clean runs, one pass up to and
+//! including each flipped round, and then swaps that round's flipped
+//! pairs; a list holding a [`FaultKind::DropRoute`] or
+//! [`FaultKind::StallResolve`] replays the segment's route rounds
+//! through transit slots; retries run clean, one pass per segment.
 //!
 //! [`BspMachine::run_batch_with_faults`] adds graceful degradation: a
 //! lane that exhausts its retries is *quarantined* — its original input
@@ -67,7 +68,8 @@ use crate::bsp::{
     ProgramError,
 };
 use crate::kernel::{
-    exec_kernel, exec_round, ExecScratch, KernelProgram, RoundClass, RoundDesc, TAG_CX, TAG_MOVE,
+    exec_kernel, exec_table, ExecScratch, KernelProgram, Keys, RoundClass, RoundDesc, TAG_CX,
+    TAG_MOVE,
 };
 use pns_core::RetryCounters;
 
@@ -444,6 +446,10 @@ impl<K: Ord + Clone> Replay<K> {
 /// With `replay`, route rounds replay their micro-ops through transit
 /// slots, so dropped and stalled relays take effect; compare rounds
 /// still run clean and swap.
+///
+/// Rounds that neither replay nor swap run in stretches, each one clean
+/// pass: a stretch ends before a replayed round, or with a flipped
+/// round, whose swaps follow the pass.
 fn exec_segment_faulty<K: Ord + Clone>(
     keys: &mut [K],
     kernel: &KernelProgram,
@@ -451,7 +457,8 @@ fn exec_segment_faulty<K: Ord + Clone>(
     mut faults: &[InjectedFault],
     mut replay: Option<&mut Replay<K>>,
 ) {
-    for ri in rounds {
+    let mut clean_from = rounds.start;
+    for ri in rounds.clone() {
         let desc = kernel.rounds[ri];
         let here = faults
             .iter()
@@ -461,17 +468,21 @@ fn exec_segment_faulty<K: Ord + Clone>(
         faults = rest;
         match replay.as_deref_mut() {
             Some(replay) if desc.class == RoundClass::Route => {
+                exec_table::<K, Keys>(keys, kernel, clean_from..ri, 1);
                 replay.route_round(keys, kernel, desc, round_faults);
             }
-            _ => {
-                exec_round(keys, &kernel.runs, desc);
+            _ if !round_faults.is_empty() => {
+                exec_table::<K, Keys>(keys, kernel, clean_from..ri + 1, 1);
                 for f in round_faults {
                     let (a, b) = cx_keys(kernel, desc, f.site.op as usize);
                     keys.swap(a, b);
                 }
             }
+            _ => continue,
         }
+        clean_from = ri + 1;
     }
+    exec_table::<K, Keys>(keys, kernel, clean_from..rounds.end, 1);
     debug_assert!(
         replay.is_none_or(|r| r.transit.iter().all(|t| t[0].is_none() && t[1].is_none())),
         "transit must drain at certificate boundaries"
@@ -661,9 +672,7 @@ fn exec_kernel_with_faults<K: Ord + Clone>(
             if attempt > 0 {
                 // A retry runs the sites of attempt 0, and each that
                 // fires fired there: nothing fires again.
-                for ri in seg {
-                    exec_round(keys, &kernel.runs, kernel.rounds[ri]);
-                }
+                exec_table::<K, Keys>(keys, kernel, seg, 1);
                 return;
             }
             let first = injected.len();

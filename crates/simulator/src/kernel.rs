@@ -18,11 +18,14 @@
 //!   free, and lowering groups it into maximal unit-stride runs
 //!   `(a, b, len, min_to_a)`: the pairs `(a + i, b + i)` for `i < len`,
 //!   one direction, two index ranges that never overlap. The serial,
-//!   batch, column and bit-sliced executors all run the runs, with no
-//!   transit slots, no deferred moves and no per-round dispatch. Each
-//!   compare-exchange is branch-free for keys without drop glue: the
-//!   `a` side gets `min_by`, the `b` side `max_by` (or the reverse),
-//!   which on a tie reproduces the oracle's swap exactly.
+//!   batch, column and bit-sliced executors, and the fault executors'
+//!   clean rounds, all run the runs through one dispatched pass
+//!   (`exec_table`), with no transit slots, no deferred moves and no
+//!   per-round dispatch: the generic pass compiled for AVX2 when the CPU
+//!   has it, and plain otherwise. Each compare-exchange is branch-free
+//!   for keys without drop glue: the `a` side gets `min_by`, the `b`
+//!   side `max_by` (or the reverse), which on a tie reproduces the
+//!   oracle's swap exactly.
 //! * **The round-faithful view: per-op tables.** Compare rounds keep
 //!   their ops as `(u32, u32)` rank pairs plus a direction bitmask, and
 //!   route rounds (any round containing a `Move` or `Resolve`) a packed
@@ -46,7 +49,10 @@
 //! dispatch on and round spans report. A clean run keeps no state of
 //! its own, so `run_kernel` performs **zero heap allocations**, even on
 //! a fresh [`ExecScratch`] — proven by a counting-allocator test
-//! (`tests/kernel_alloc.rs`).
+//! (`tests/kernel_alloc.rs`). With no logger attached it is one pass
+//! over the whole program; with one, only rounds of at least
+//! [`ROUND_OBS_MIN_OPS`] ops log events and spans, and the stretches
+//! between them run as one pass each.
 //!
 //! Lowering happens after static validation ([`BspMachine::lower`]), so
 //! the kernels run unchecked, like `run_parallel` after `validate` —
@@ -136,7 +142,8 @@ pub(crate) struct RoundDesc {
 
 impl RoundDesc {
     /// Indices of the round's clean runs.
-    pub(crate) fn runs(self) -> Range<usize> {
+    #[cfg(test)]
+    fn runs(self) -> Range<usize> {
         self.run_start as usize..self.run_end as usize
     }
 
@@ -817,18 +824,62 @@ impl<K> ScratchPool<K> {
     }
 }
 
+/// What a clean pass does to one pair of a run: full keys
+/// compare-exchange ([`Keys`]), the 0/1 word layout takes `AND` and `OR`
+/// ([`Bits`]). Always inlined into the pass, so each element type
+/// compiles its own flat loops, once plain and once for AVX2.
+pub(crate) trait Exchange<T> {
+    /// Exchange `x` (the `a` side) with `y`: the minimum to `x` when
+    /// `min_to_a`, to `y` otherwise.
+    fn pair(x: &mut T, y: &mut T, min_to_a: bool);
+}
+
+/// Full keys, compared as the oracle compares them.
+pub(crate) enum Keys {}
+
+impl<K: Ord + Clone> Exchange<K> for Keys {
+    /// Keys without drop glue (`u64`, say) take the branch-free
+    /// `(min_by(x, y), max_by(x, y))` of clones: `min_by` returns its
+    /// first argument on `Equal` and `max_by` its second, so on a tie
+    /// the sides keep their keys when the minimum goes to `a`, and trade
+    /// them otherwise — exactly the oracle's swap when
+    /// `(x <= y) != min_to_a`. Keys with drop glue (`String` payloads,
+    /// say) keep compare-and-swap, since cloning them for every compare
+    /// would cost more than the branch. `needs_drop` is a compile-time
+    /// constant, so each key type compiles one arm.
+    #[inline(always)]
+    fn pair(x: &mut K, y: &mut K, min_to_a: bool) {
+        if std::mem::needs_drop::<K>() {
+            if (*x <= *y) != min_to_a {
+                std::mem::swap(x, y);
+            }
+        } else {
+            let lo = min_by(x.clone(), y.clone(), K::cmp);
+            let hi = max_by(x.clone(), y.clone(), K::cmp);
+            (*x, *y) = if min_to_a { (lo, hi) } else { (hi, lo) };
+        }
+    }
+}
+
+/// 0/1 words, one lane per bit: `AND` is the minimum of every lane's
+/// 0/1 key and `OR` the maximum.
+pub(crate) enum Bits {}
+
+impl Exchange<u64> for Bits {
+    #[inline(always)]
+    fn pair(x: &mut u64, y: &mut u64, min_to_a: bool) {
+        let (mn, mx) = (*x & *y, *x | *y);
+        (*x, *y) = if min_to_a { (mn, mx) } else { (mx, mn) };
+    }
+}
+
 /// Walk `runs` over `data`, in which every node owns `w` consecutive
 /// elements (`w = 1` for a key vector, the block width for node-major
-/// columns): `step` gets each run's two disjoint slices of `len * w`
-/// elements, the `a` side first, and its `min_to_a`. Always inlined, so
-/// each tier's step compiles into one flat loop per run.
+/// columns): each run's two disjoint slices of `len * w` elements, the
+/// `a` side first, exchange pair by pair, in one flat loop whose
+/// direction is fixed.
 #[inline(always)]
-pub(crate) fn for_each_run<T>(
-    data: &mut [T],
-    runs: &[Run],
-    w: usize,
-    mut step: impl FnMut(&mut [T], &mut [T], bool),
-) {
+fn exchange_runs<T, E: Exchange<T>>(data: &mut [T], runs: &[Run], w: usize) {
     for run in runs {
         let (a, b, m) = (run.a as usize * w, run.b as usize * w, run.len() * w);
         let (xs, ys) = if a < b {
@@ -838,90 +889,94 @@ pub(crate) fn for_each_run<T>(
             let (lo, hi) = data.split_at_mut(a);
             (&mut hi[..m], &mut lo[b..b + m])
         };
-        step(xs, ys, run.min_to_a());
-    }
-}
-
-/// The branch-free compare-exchange of `p` (the `a` side) and `q`:
-/// `(min_by(p, q), max_by(p, q))` of clones. `min_by` returns its first
-/// argument on `Equal` and `max_by` its second, so on a tie the sides
-/// keep their keys when the minimum goes to `a`, and trade them
-/// otherwise — exactly the oracle's swap when `(p <= q) != min_to_a`.
-#[inline(always)]
-fn min_max<K: Ord + Clone>(p: &K, q: &K) -> (K, K) {
-    (
-        min_by(p.clone(), q.clone(), K::cmp),
-        max_by(p.clone(), q.clone(), K::cmp),
-    )
-}
-
-/// Compare-exchange `xs[i]` with `ys[i]` for every `i`, as the oracle
-/// does. Keys without drop glue (`u64`, say) take [`min_max`]; keys with
-/// drop glue (`String` payloads, say) keep compare-and-swap, since
-/// cloning them for every compare would cost more than the branch.
-/// `needs_drop` is a compile-time constant, so each key type compiles
-/// one arm.
-#[inline(always)]
-fn cx_slices<K: Ord + Clone>(xs: &mut [K], ys: &mut [K], min_to_a: bool) {
-    if std::mem::needs_drop::<K>() {
-        for (x, y) in xs.iter_mut().zip(ys) {
-            if (*x <= *y) != min_to_a {
-                std::mem::swap(x, y);
-            }
-        }
-    } else if min_to_a {
-        for (x, y) in xs.iter_mut().zip(ys) {
-            (*x, *y) = min_max(x, y);
-        }
-    } else {
-        for (x, y) in xs.iter_mut().zip(ys) {
-            (*y, *x) = min_max(x, y);
-        }
-    }
-}
-
-/// Clean runs over `data` with stride `w` (see [`for_each_run`]): the
-/// kernel's runs of two or more pairs with `w = 1`, the column tier's
-/// whole table with the block width.
-#[inline(always)]
-pub(crate) fn exec_runs<K: Ord + Clone>(data: &mut [K], runs: &[Run], w: usize) {
-    for_each_run(data, runs, w, cx_slices);
-}
-
-/// One-pair runs on a key vector: a flat loop of single
-/// compare-exchanges, each as [`cx_slices`] does it, with no inner loop
-/// whose varying trip count the branch predictor would miss.
-#[inline(always)]
-fn exec_unit_runs<K: Ord + Clone>(keys: &mut [K], runs: &[Run]) {
-    for run in runs {
-        let (a, b, min_to_a) = (run.a as usize, run.b as usize, run.min_to_a());
-        if std::mem::needs_drop::<K>() {
-            if (keys[a] <= keys[b]) != min_to_a {
-                keys.swap(a, b);
+        if run.min_to_a() {
+            for (x, y) in xs.iter_mut().zip(ys) {
+                E::pair(x, y, true);
             }
         } else {
-            let (lo, hi) = min_max(&keys[a], &keys[b]);
-            (keys[a], keys[b]) = if min_to_a { (lo, hi) } else { (hi, lo) };
+            for (x, y) in xs.iter_mut().zip(ys) {
+                E::pair(x, y, false);
+            }
         }
     }
 }
 
-/// One kernel round, serial, unlogged: its longer runs, then its
-/// one-pair runs (a round's pairs touch disjoint keys, so their order
-/// is free). The fault executor runs a segment's rounds through it.
+/// The clean pass, plain: `rounds` of the run table over `data` at
+/// stride `w` (see [`exchange_runs`]). Each round runs its runs of two
+/// or more pairs, then its one-pair runs (a round's pairs touch
+/// disjoint nodes, so their order is free). At stride 1 the one-pair
+/// runs are a flat loop of single exchanges, with no inner loop whose
+/// varying trip count the branch predictor would miss. Every clean
+/// tier reaches it through [`exec_table`].
 #[inline(always)]
-pub(crate) fn exec_round<K: Ord + Clone>(keys: &mut [K], runs: &[Run], desc: RoundDesc) {
-    exec_runs(keys, &runs[desc.long_runs()], 1);
-    exec_unit_runs(keys, &runs[desc.unit_runs()]);
+pub(crate) fn exec_pass<T, E: Exchange<T>>(
+    data: &mut [T],
+    runs: &[Run],
+    rounds: &[RoundDesc],
+    w: usize,
+) {
+    for desc in rounds {
+        exchange_runs::<T, E>(data, &runs[desc.long_runs()], w);
+        let units = &runs[desc.unit_runs()];
+        if w == 1 {
+            for run in units {
+                let [x, y] = data
+                    .get_disjoint_mut([run.a as usize, run.b as usize])
+                    .expect("validated: a pair's nodes are distinct and in range");
+                E::pair(x, y, run.min_to_a());
+            }
+        } else {
+            exchange_runs::<T, E>(data, units, w);
+        }
+    }
 }
 
-/// A whole kernel program on one key vector, serial, unlogged — shared
-/// by batch lanes, the fault executors' disabled-plan paths and their
-/// quarantine re-runs.
-pub(crate) fn exec_kernel<K: Ord + Clone>(keys: &mut [K], kernel: &KernelProgram) {
-    for &desc in &kernel.rounds {
-        exec_round(keys, &kernel.runs, desc);
+/// [`exec_pass`] compiled with AVX2 enabled: the inlined exchange loops
+/// vectorize four `u64` lanes to a register.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn exec_pass_avx2<T, E: Exchange<T>>(
+    data: &mut [T],
+    runs: &[Run],
+    rounds: &[RoundDesc],
+    w: usize,
+) {
+    exec_pass::<T, E>(data, runs, rounds, w);
+}
+
+/// Every clean execution of the run table: the kernel's rounds `rounds`
+/// over `data` at stride `w`, as one pass. The AVX2 build of
+/// [`exec_pass`] runs when the CPU has AVX2 (detected at run time,
+/// cached by `std`), the plain build otherwise; both give identical
+/// outputs. Serves `run_kernel`, batch lanes, the fault executors'
+/// clean rounds, retries and quarantine re-runs, the column tier
+/// (`w` = block width) and the 0/1 word layout.
+pub(crate) fn exec_table<T, E: Exchange<T>>(
+    data: &mut [T],
+    kernel: &KernelProgram,
+    rounds: Range<usize>,
+    w: usize,
+) {
+    let (runs, rounds) = (&kernel.runs[..], &kernel.rounds[rounds]);
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `exec_pass_avx2` only requires AVX2, and the CPU was
+        // just detected to support it.
+        unsafe { exec_pass_avx2::<T, E>(data, runs, rounds, w) };
+        return;
     }
+    exec_pass::<T, E>(data, runs, rounds, w);
+}
+
+/// A whole kernel program on one key vector, unlogged — shared by batch
+/// lanes, the fault executors' disabled-plan paths and their quarantine
+/// re-runs.
+pub(crate) fn exec_kernel<K: Ord + Clone>(keys: &mut [K], kernel: &KernelProgram) {
+    exec_table::<K, Keys>(keys, kernel, 0..kernel.rounds(), 1);
 }
 
 /// One round's compare-exchanges with the decision phase split across
@@ -1005,8 +1060,10 @@ impl BspMachine {
         KernelProgram::try_lower(program)
     }
 
-    /// Execute a lowered program on `keys`, serially: every round is one
-    /// branch-free loop over its clean runs. Bit-identical to
+    /// Execute a lowered program on `keys`, serially: the clean runs of
+    /// every round in one dispatched pass, or, with a logger attached, one
+    /// pass per observed round and per stretch between them (see
+    /// `observed_passes`). Bit-identical to
     /// [`BspMachine::run`] on every input; performs **zero heap
     /// allocations**. `_scratch` is not touched (a clean run keeps no
     /// state); it keeps the call shape of
@@ -1038,30 +1095,52 @@ impl BspMachine {
             Stage::Sort,
             SpanClass::None,
         );
-        for (ri, desc) in kernel.rounds.iter().enumerate() {
-            // Round-grain observability only above the op threshold:
-            // sub-µs kernel rounds would otherwise pay more for the
-            // clock reads than for the round itself (DESIGN.md §13).
-            let observed = kernel.round_len(ri) >= ROUND_OBS_MIN_OPS;
-            if observed {
-                self.logger.log(|| Event::RoundStart {
-                    round: ri as u64,
-                    ops: kernel.round_len(ri) as u64,
-                    parallel: false,
-                });
-            }
-            let _round_span = self.logger.span_if(
-                observed,
-                Tier::Kernel,
-                Stage::Round,
-                desc.class.span_class(),
-            );
-            exec_round(keys, &kernel.runs, *desc);
-            if observed {
-                self.logger.log(|| Event::RoundEnd { round: ri as u64 });
-            }
-        }
+        self.observed_passes(kernel, Tier::Kernel, |rounds| {
+            exec_table::<K, Keys>(keys, kernel, rounds, 1);
+        });
         kernel.rounds.len() as u64
+    }
+
+    /// Run `kernel`'s rounds through `pass`, a clean pass over a range
+    /// of rounds, with round-grain observability only above
+    /// [`ROUND_OBS_MIN_OPS`] ops: sub-µs rounds would otherwise pay more
+    /// for the clock reads than for the round itself (DESIGN.md §13).
+    /// Such a round is its own pass between `RoundStart` and `RoundEnd`,
+    /// inside a round span of `tier`. Smaller rounds make no call into
+    /// `pns-obs`, and each stretch of them runs as one pass; with a
+    /// disabled logger the whole program is one pass.
+    pub(crate) fn observed_passes(
+        &self,
+        kernel: &KernelProgram,
+        tier: Tier,
+        mut pass: impl FnMut(Range<usize>),
+    ) {
+        let rounds = kernel.rounds();
+        if !self.logger.is_enabled() {
+            pass(0..rounds);
+            return;
+        }
+        let mut quiet_from = 0;
+        for ri in 0..rounds {
+            let ops = kernel.round_len(ri);
+            if ops < ROUND_OBS_MIN_OPS {
+                continue;
+            }
+            pass(quiet_from..ri);
+            self.logger.log(|| Event::RoundStart {
+                round: ri as u64,
+                ops: ops as u64,
+                parallel: false,
+            });
+            let round_span =
+                self.logger
+                    .span(tier, Stage::Round, kernel.rounds[ri].class.span_class());
+            pass(ri..ri + 1);
+            self.logger.log(|| Event::RoundEnd { round: ri as u64 });
+            drop(round_span);
+            quiet_from = ri + 1;
+        }
+        pass(quiet_from..rounds);
     }
 
     /// As [`BspMachine::run_kernel`], with compare rounds of at least
@@ -1143,7 +1222,7 @@ impl BspMachine {
             if par {
                 exec_round_chunked(keys, kernel, desc.cx(), &mut scratch.swap_words, threads);
             } else {
-                exec_round(keys, &kernel.runs, *desc);
+                exec_table::<K, Keys>(keys, kernel, ri..ri + 1, 1);
             }
             if observed {
                 self.logger.log(|| Event::RoundEnd { round: ri as u64 });
@@ -1205,7 +1284,7 @@ impl BspMachine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::bsp::compile;
     use crate::netsort::is_snake_sorted;
@@ -1220,6 +1299,149 @@ mod tests {
                 state >> 33
             })
             .collect()
+    }
+
+    /// A key ordered by `key` alone, so equal keys can differ in which
+    /// payload ended where; no drop glue, so it takes the min/max step.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct Tagged {
+        pub(crate) key: u8,
+        pub(crate) payload: u32,
+    }
+
+    impl PartialEq for Tagged {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+
+    impl Eq for Tagged {}
+
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    /// Run `input` through the plain pass, the dispatched pass, and
+    /// `run_kernel` with and without a recording logger, and require
+    /// each to equal `BspMachine::run` through `view`. The logged run
+    /// must emit one `RoundStart`/`RoundEnd` pair per round of at least
+    /// `ROUND_OBS_MIN_OPS` ops, in order; the detached run nothing.
+    fn check_clean_paths<K, V>(
+        ctx: &str,
+        bsp: &mut BspMachine,
+        program: &CompiledProgram,
+        kernel: &KernelProgram,
+        input: &[K],
+        view: impl Fn(&K) -> V,
+    ) where
+        K: Ord + Clone,
+        V: PartialEq + std::fmt::Debug,
+    {
+        let mut want = input.to_vec();
+        bsp.run(&mut want, program);
+        let want: Vec<V> = want.iter().map(&view).collect();
+        let check = |name: &str, got: &[K]| {
+            let got: Vec<V> = got.iter().map(&view).collect();
+            assert_eq!(got, want, "{ctx}: {name}");
+        };
+
+        let mut got = input.to_vec();
+        exec_pass::<K, Keys>(&mut got, &kernel.runs, &kernel.rounds, 1);
+        check("plain pass", &got);
+        let mut got = input.to_vec();
+        exec_table::<K, Keys>(&mut got, kernel, 0..kernel.rounds(), 1);
+        check("dispatched pass", &got);
+
+        let (sink, reader) = pns_obs::MemorySink::with_capacity(1 << 16);
+        bsp.attach_logger(pns_obs::EventLogger::new(Box::new(sink)));
+        let mut got = input.to_vec();
+        bsp.run_kernel(&mut got, kernel, &mut ExecScratch::new());
+        bsp.logger.flush();
+        check("run_kernel, logger attached", &got);
+        let observed: Vec<u64> = (0..kernel.rounds())
+            .filter(|&ri| kernel.round_len(ri) >= ROUND_OBS_MIN_OPS)
+            .map(|ri| ri as u64)
+            .collect();
+        let events: Vec<Event> = reader.events().into_iter().map(|t| t.event).collect();
+        let paired: Vec<(bool, u64)> = events
+            .iter()
+            .filter_map(|e| match *e {
+                Event::RoundStart { round, .. } => Some((true, round)),
+                Event::RoundEnd { round } => Some((false, round)),
+                _ => None,
+            })
+            .collect();
+        let want_paired: Vec<(bool, u64)> = observed
+            .iter()
+            .flat_map(|&ri| [(true, ri), (false, ri)])
+            .collect();
+        assert_eq!(paired, want_paired, "{ctx}: round events");
+
+        bsp.attach_logger(pns_obs::EventLogger::disabled());
+        let mut got = input.to_vec();
+        bsp.run_kernel(&mut got, kernel, &mut ExecScratch::new());
+        check("run_kernel, logger detached", &got);
+        assert_eq!(
+            reader.events().len(),
+            events.len(),
+            "{ctx}: detached run logged"
+        );
+    }
+
+    #[test]
+    fn every_clean_path_of_the_kernel_matches_the_interpreter() {
+        use crate::machine::Machine;
+        use crate::select::SorterChoice;
+        // `K2^8` has long runs; the relabeled routed shapes are mostly
+        // one-pair runs (relays paired into compare-exchanges).
+        let cases = [
+            (factories::k2(), 8),
+            (factories::complete_binary_tree(3), 2),
+            (factories::star(4), 3),
+        ];
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state
+        };
+        // Few distinct keys, so ties meet at every compare-exchange; the
+        // `u64` keys straddle 2^63, where a signed compare would misorder.
+        let big = [0, 1, 2, 1 << 63, (1 << 63) + 1, u64::MAX - 1, u64::MAX];
+        let (mut long_runs, mut unit_runs) = (0, 0);
+        for (factor, r) in cases {
+            let factor = Machine::prepare_factor(&factor);
+            let program = compile(&factor, r, SorterChoice::Auto.resolve(&factor));
+            let mut bsp = BspMachine::new(&factor, r);
+            let n = bsp.shape().len() as usize;
+            for (name, prog) in [("raw", program.clone()), ("optimized", program.optimized())] {
+                let kernel = bsp.lower(&prog).expect("compiled programs validate");
+                let units: usize = kernel.rounds.iter().map(|d| d.unit_runs().len()).sum();
+                unit_runs += units;
+                long_runs += kernel.runs.len() - units;
+                let ctx = format!("{}^{r} {name}", factor.name());
+                let ties: Vec<u64> = (0..n).map(|_| big[(next() >> 33) as usize % 7]).collect();
+                let wide: Vec<u64> = (0..n).map(|_| next()).collect();
+                let tagged: Vec<Tagged> = (0..n as u32)
+                    .map(|payload| Tagged {
+                        key: (next() >> 61) as u8 % 3,
+                        payload,
+                    })
+                    .collect();
+                check_clean_paths(&ctx, &mut bsp, &prog, &kernel, &ties, |&k| k);
+                check_clean_paths(&ctx, &mut bsp, &prog, &kernel, &wide, |&k| k);
+                let fields = |t: &Tagged| (t.key, t.payload);
+                check_clean_paths(&ctx, &mut bsp, &prog, &kernel, &tagged, fields);
+            }
+        }
+        assert!(long_runs > 0 && unit_runs > 0, "both kinds of run must run");
     }
 
     #[test]

@@ -41,13 +41,13 @@ use std::sync::Arc;
 
 use pns_fault::detect::{full_subgraph_certificate, sampled_subgraph_certificate};
 use pns_fault::{FaultKind, FaultPlan, FaultSite, OpClass, RetryPolicy};
-use pns_obs::{Event, SpanClass, Stage, Tier, ROUND_OBS_MIN_OPS, SORT_OBS_MIN_OPS};
+use pns_obs::{Event, SpanClass, Stage, Tier, SORT_OBS_MIN_OPS};
 use pns_order::radix::Shape;
 
 use crate::bsp::BspMachine;
 use crate::fault::{segments, Detection, FaultError, FaultReport, InjectedFault, Retry};
 use crate::kernel::{
-    exec_kernel, exec_runs, for_each_run, KernelProgram, RoundClass, Run, FLAG_PRIMARY, FLAG_SLOT1,
+    exec_kernel, exec_table, Bits, KernelProgram, Keys, RoundClass, FLAG_PRIMARY, FLAG_SLOT1,
     TAG_CX, TAG_MOVE,
 };
 
@@ -215,18 +215,6 @@ pub fn unpack_zero_one_lane_into(words: &[u64], lane: usize, keys: &mut Vec<u8>)
     keys.extend(words.iter().map(|&w| ((w >> lane) & 1) as u8));
 }
 
-/// Clean runs on the 0/1 word layout: for a word pair, `AND` is the
-/// 64-lane minimum of 0/1 keys and `OR` the maximum — one edge, two ops,
-/// 64 lanes.
-fn exec_bit_runs(words: &mut [u64], runs: &[Run]) {
-    for_each_run(words, runs, 1, |xs, ys, min_to_a| {
-        for (x, y) in xs.iter_mut().zip(ys) {
-            let (mn, mx) = (*x & *y, *x | *y);
-            (*x, *y) = if min_to_a { (mn, mx) } else { (mx, mn) };
-        }
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Full-key path: node-major columns of w ≤ 64 lanes; a run is two column slices.
 // ---------------------------------------------------------------------------
@@ -345,36 +333,9 @@ impl<K> VerticalPool<K> {
     }
 }
 
-/// The column tier's clean loop: the kernel's runs over node-major
-/// columns of a `w`-lane block, so a run covers the two flat slices
-/// `cols[a·w .. (a + len)·w]` and `cols[b·w .. (b + len)·w]`. The same
-/// generic body runs compiled for AVX2 when the CPU has it (detected at
-/// run time, cached by `std`), and plain otherwise; both give identical
-/// outputs.
-fn exec_col_runs<K: Ord + Clone>(cols: &mut [K], runs: &[Run], w: usize) {
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `exec_runs_avx2` only requires AVX2, and the CPU was
-        // just detected to support it.
-        unsafe { exec_runs_avx2(cols, runs, w) };
-        return;
-    }
-    exec_runs(cols, runs, w);
-}
-
-/// [`exec_runs`] compiled with AVX2 enabled: the inlined min/max loop
-/// over column slices vectorizes four `u64` lanes to a register.
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn exec_runs_avx2<K: Ord + Clone>(cols: &mut [K], runs: &[Run], w: usize) {
-    exec_runs(cols, runs, w);
-}
-
-/// Transpose a block of lanes in, run the clean program, transpose back.
+/// Transpose a block of lanes in, run the clean program over node-major
+/// columns (a run covers the two flat slices `cols[a·w .. (a + len)·w]`
+/// and `cols[b·w .. (b + len)·w]`), transpose back.
 fn exec_cols_block<K: Ord + Clone>(
     lanes: &mut [Vec<K>],
     kernel: &KernelProgram,
@@ -388,7 +349,7 @@ fn exec_cols_block<K: Ord + Clone>(
             scratch.cols.push(lane[node].clone());
         }
     }
-    exec_col_runs(&mut scratch.cols, &kernel.runs, w);
+    exec_table::<K, Keys>(&mut scratch.cols, kernel, 0..kernel.rounds(), w);
     for node in 0..n {
         for (l, lane) in lanes.iter_mut().enumerate() {
             std::mem::swap(&mut lane[node], &mut scratch.cols[node * w + l]);
@@ -449,29 +410,12 @@ impl BspMachine {
             Stage::Sort,
             SpanClass::None,
         );
-        for (ri, desc) in kernel.rounds.iter().enumerate() {
-            // Same round-grain gating as the kernel tier (DESIGN.md §13):
-            // word-wide rounds run in nanoseconds, so only rounds with
-            // enough ops get their own events and span.
-            let observed = kernel.round_len(ri) >= ROUND_OBS_MIN_OPS;
-            if observed {
-                self.logger.log(|| Event::RoundStart {
-                    round: ri as u64,
-                    ops: kernel.round_len(ri) as u64,
-                    parallel: false,
-                });
-            }
-            let _round_span = self.logger.span_if(
-                observed,
-                Tier::Vertical,
-                Stage::Round,
-                desc.class.span_class(),
-            );
-            exec_bit_runs(words, &kernel.runs[desc.runs()]);
-            if observed {
-                self.logger.log(|| Event::RoundEnd { round: ri as u64 });
-            }
-        }
+        // Same round-grain gating as the kernel tier (DESIGN.md §13):
+        // word-wide rounds run in nanoseconds, so only rounds with
+        // enough ops get their own events and span.
+        self.observed_passes(kernel, Tier::Vertical, |rounds| {
+            exec_table::<u64, Bits>(words, kernel, rounds, 1);
+        });
         kernel.rounds() as u64
     }
 
@@ -792,7 +736,7 @@ impl BspMachine {
                 // Fast path: plain clean vertical execution, no hashing,
                 // no checks, no transit — fault-free execution of a
                 // validated program is correct by construction.
-                exec_col_runs(&mut scratch.cols, &kernel.runs, w);
+                exec_table::<K, Keys>(&mut scratch.cols, kernel, 0..kernel.rounds(), w);
                 for (l, &bi) in chunk.iter().enumerate() {
                     for (node, key) in batch[bi].iter_mut().enumerate() {
                         *key = scratch.cols[node * w + l].clone();
@@ -964,6 +908,7 @@ impl BspMachine {
 mod tests {
     use super::*;
     use crate::bsp::compile;
+    use crate::kernel::tests::Tagged;
     use crate::netsort::is_snake_sorted;
     use crate::sorters::{OetSnakeSorter, ShearSorter};
     use pns_graph::factories;
@@ -1084,32 +1029,14 @@ mod tests {
         }
     }
 
-    /// A key ordered by `key` alone, so equal keys can differ in which
-    /// payload ended where; no drop glue, so it takes the min/max step.
-    #[derive(Debug, Clone, Copy)]
-    struct Tagged {
-        key: u8,
-        payload: u32,
+    /// The clean pass over a whole column block, plain.
+    fn plain<K: Ord + Clone>(cols: &mut [K], kernel: &KernelProgram, w: usize) {
+        crate::kernel::exec_pass::<K, Keys>(cols, &kernel.runs, &kernel.rounds, w);
     }
 
-    impl PartialEq for Tagged {
-        fn eq(&self, other: &Self) -> bool {
-            self.key == other.key
-        }
-    }
-
-    impl Eq for Tagged {}
-
-    impl PartialOrd for Tagged {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    impl Ord for Tagged {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.key.cmp(&other.key)
-        }
+    /// The clean pass over a whole column block, through the dispatch.
+    fn dispatched<K: Ord + Clone>(cols: &mut [K], kernel: &KernelProgram, w: usize) {
+        exec_table::<K, Keys>(cols, kernel, 0..kernel.rounds(), w);
     }
 
     /// Run `body` over each block of `lanes` (64 lanes, then the tail)
@@ -1117,7 +1044,7 @@ mod tests {
     /// `run_kernel_batch`'s output, compared through `view`.
     fn check_column_body<K, V>(
         name: &str,
-        body: fn(&mut [K], &[Run], usize),
+        body: fn(&mut [K], &KernelProgram, usize),
         lanes: &[Vec<K>],
         view: impl Fn(&K) -> V,
     ) where
@@ -1142,7 +1069,7 @@ mod tests {
             let mut cols: Vec<K> = (0..n)
                 .flat_map(|node| block.iter().map(move |lane| lane[node].clone()))
                 .collect();
-            body(&mut cols, &kernel.runs, w);
+            body(&mut cols, &kernel, w);
             for (l, want) in want.iter().enumerate() {
                 let got: Vec<V> = (0..n).map(|node| view(&cols[node * w + l])).collect();
                 let want: Vec<V> = want.iter().map(&view).collect();
@@ -1176,16 +1103,11 @@ mod tests {
                     .collect()
             })
             .collect();
-        check_column_body("plain u64", exec_runs::<u64>, &words, |&k| k);
-        check_column_body("dispatched u64", exec_col_runs::<u64>, &words, |&k| k);
+        check_column_body("plain u64", plain::<u64>, &words, |&k| k);
+        check_column_body("dispatched u64", dispatched::<u64>, &words, |&k| k);
         let fields = |t: &Tagged| (t.key, t.payload);
-        check_column_body("plain tagged", exec_runs::<Tagged>, &tagged, fields);
-        check_column_body(
-            "dispatched tagged",
-            exec_col_runs::<Tagged>,
-            &tagged,
-            fields,
-        );
+        check_column_body("plain tagged", plain::<Tagged>, &tagged, fields);
+        check_column_body("dispatched tagged", dispatched::<Tagged>, &tagged, fields);
     }
 
     #[test]
