@@ -1,8 +1,8 @@
-//! Wall-clock benches for the batched BSP executor (E16) and the flat
-//! kernel tier (E19): serial vs parallel single-vector execution,
-//! batched throughput as the batch grows, interpreter vs lowered
-//! kernel, compile-from-scratch vs program-cache hit, and the
-//! optimized program against the raw compile.
+//! Wall-clock benches for the BSP executors (E16) and the flat kernel
+//! tier (E19): the serial interpreter on a single vector, kernel-batch
+//! throughput as the batch grows, interpreter vs lowered kernel, the
+//! observability and fault-layer taxes on the paths the service runs,
+//! and compile-from-scratch vs program-cache hit.
 //!
 //! Groups share one set of compiled + lowered fixtures (built once in a
 //! `OnceLock`) so criterion timing never includes compilation and every
@@ -31,17 +31,15 @@ fn random_keys(len: u64, seed: u64) -> Vec<u64> {
 struct Fixtures {
     /// Relabeled Petersen graph, squared: the batched-throughput shape.
     petersen: Graph,
-    petersen_program: CompiledProgram,
     petersen_kernel: KernelProgram,
     petersen_vertical: VerticalProgram,
     /// 3-ary 3-cube (`path(3)`, r = 3): the E19 kernel-speedup shape.
     cube3: Graph,
     cube3_program: CompiledProgram,
     cube3_kernel: KernelProgram,
-    /// 10-cube: the single-vector parallel-threshold shape.
+    /// 10-cube: the large single-vector shape.
     k2: Graph,
     k2_program: CompiledProgram,
-    k2_optimized: CompiledProgram,
 }
 
 fn fixtures() -> &'static Fixtures {
@@ -62,10 +60,8 @@ fn fixtures() -> &'static Fixtures {
             .expect("cube program validates");
         let k2 = factories::k2();
         let k2_program = compile(&k2, 10, &Hypercube2Sorter);
-        let k2_optimized = k2_program.optimized();
         Fixtures {
             petersen,
-            petersen_program,
             petersen_kernel,
             petersen_vertical,
             cube3,
@@ -73,7 +69,6 @@ fn fixtures() -> &'static Fixtures {
             cube3_kernel,
             k2,
             k2_program,
-            k2_optimized,
         }
     })
 }
@@ -81,27 +76,13 @@ fn fixtures() -> &'static Fixtures {
 fn bench_single_vector(c: &mut Criterion) {
     let mut group = c.benchmark_group("bsp_single");
     let fx = fixtures();
-    let r = 10; // 1024 nodes: past PAR_THRESHOLD, rounds go parallel.
+    let r = 10; // 1024 nodes.
     let bsp = BspMachine::new(&fx.k2, r);
     let keys = random_keys(1 << r, 7);
     group.bench_function("serial_run", |b| {
         b.iter(|| {
             let mut k = keys.clone();
             bsp.run(&mut k, black_box(&fx.k2_program));
-            black_box(k)
-        });
-    });
-    group.bench_function("parallel_run", |b| {
-        b.iter(|| {
-            let mut k = keys.clone();
-            bsp.run_parallel(&mut k, black_box(&fx.k2_program));
-            black_box(k)
-        });
-    });
-    group.bench_function("parallel_run_optimized", |b| {
-        b.iter(|| {
-            let mut k = keys.clone();
-            bsp.run_parallel(&mut k, black_box(&fx.k2_optimized));
             black_box(k)
         });
     });
@@ -117,17 +98,6 @@ fn bench_batched(c: &mut Criterion) {
         let batch: Vec<Vec<u64>> = (0..batch_size as u64)
             .map(|s| random_keys(len, 11 + s))
             .collect();
-        group.bench_with_input(
-            BenchmarkId::new("run_batch", batch_size),
-            &batch,
-            |b, batch| {
-                b.iter(|| {
-                    let mut batch = batch.clone();
-                    black_box(bsp.run_batch(&mut batch, &fx.petersen_program));
-                    black_box(batch)
-                });
-            },
-        );
         let mut pool = ScratchPool::new();
         group.bench_with_input(
             BenchmarkId::new("run_kernel_batch", batch_size),
@@ -145,10 +115,10 @@ fn bench_batched(c: &mut Criterion) {
 }
 
 /// Interpreter vs lowered kernel on the E19 reference workload: the
-/// 3-ary 3-cube, single vectors and a 16-vector batch. The acceptance
-/// bar (ISSUE 5) is kernel ≥ 1.5× over `run_parallel` here — the
-/// kernel skips per-run validation, allocates nothing after warm-up,
-/// and dispatches each round on a one-byte class tag.
+/// 3-ary 3-cube, single vectors and a 16-vector batch. The serial
+/// interpreter (`run`, one call per vector) checks every op and
+/// allocates its transit slots on each call; the kernel skips per-run
+/// validation, allocates nothing after warm-up, and runs the run table.
 fn bench_kernel_speedup(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_speedup");
     let fx = fixtures();
@@ -156,10 +126,10 @@ fn bench_kernel_speedup(c: &mut Criterion) {
     let len = fx.cube3_kernel.shape().len();
     let keys = random_keys(len, 41);
 
-    group.bench_function("interpreter_run_parallel", |b| {
+    group.bench_function("interpreter_run", |b| {
         b.iter(|| {
             let mut k = keys.clone();
-            bsp.run_parallel(&mut k, black_box(&fx.cube3_program));
+            bsp.run(&mut k, black_box(&fx.cube3_program));
             black_box(k)
         });
     });
@@ -173,10 +143,12 @@ fn bench_kernel_speedup(c: &mut Criterion) {
     });
 
     let batch: Vec<Vec<u64>> = (0..16u64).map(|s| random_keys(len, 43 + s)).collect();
-    group.bench_function("interpreter_run_batch_16", |b| {
+    group.bench_function("interpreter_run_16", |b| {
         b.iter(|| {
             let mut batch = batch.clone();
-            black_box(bsp.run_batch(&mut batch, &fx.cube3_program));
+            for keys in &mut batch {
+                black_box(bsp.run(keys, &fx.cube3_program));
+            }
             black_box(batch)
         });
     });
@@ -191,22 +163,23 @@ fn bench_kernel_speedup(c: &mut Criterion) {
     group.finish();
 }
 
-/// Observability tax on the batched hot path. `run_batch` with the
-/// default (disabled) logger must stay within noise of the seed's
+/// Observability tax on the batched hot path. `run_kernel_batch` with
+/// the default (disabled) logger must stay within noise of the
 /// uninstrumented numbers — the disabled `EventLogger` is one branch,
-/// and the per-vector inner loops are not instrumented at all. The
+/// and the per-lane inner loops are not instrumented at all. The
 /// `memory_sink` variant shows the cost of actually enabling tracing
-/// (one `Validate` + one `BatchScheduled` event per batch).
+/// (one batch span and one `BatchScheduled` event per batch).
 fn bench_obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead");
     let fx = fixtures();
     let batch: Vec<Vec<u64>> = (0..16).map(|s| random_keys(100, 23 + s)).collect();
+    let mut pool = ScratchPool::new();
 
     let bsp = BspMachine::new(&fx.petersen, 2);
-    group.bench_function("run_batch_disabled_logger", |b| {
+    group.bench_function("run_kernel_batch_disabled_logger", |b| {
         b.iter(|| {
             let mut batch = batch.clone();
-            black_box(bsp.run_batch(&mut batch, &fx.petersen_program));
+            black_box(bsp.run_kernel_batch(&mut batch, &fx.petersen_kernel, &mut pool));
             black_box(batch)
         });
     });
@@ -214,10 +187,10 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let mut traced = BspMachine::new(&fx.petersen, 2);
     let (sink, _reader) = pns_obs::MemorySink::with_capacity(1 << 20);
     traced.attach_logger(pns_obs::EventLogger::new(Box::new(sink)));
-    group.bench_function("run_batch_memory_sink", |b| {
+    group.bench_function("run_kernel_batch_memory_sink", |b| {
         b.iter(|| {
             let mut batch = batch.clone();
-            black_box(traced.run_batch(&mut batch, &fx.petersen_program));
+            black_box(traced.run_kernel_batch(&mut batch, &fx.petersen_kernel, &mut pool));
             black_box(batch)
         });
     });
@@ -291,12 +264,13 @@ fn bench_obs_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fault-layer tax on the batched hot path. With a disabled
-/// `FaultPlan`, `run_batch_with_faults` takes a fast path with no
-/// decision hashing, no checkpoints, and no certificate checks, so it
-/// must stay within noise (the acceptance bar is < 2%) of plain
-/// `run_batch`. The enabled variants price the actual defenses at a
-/// realistic rate (1 fault per 1000 sites).
+/// Fault-layer tax on the path the service runs a fault-enabled lane
+/// through: `run_kernel_with_faults`, 16 lanes one after another, each
+/// with its own forked plan. With a disabled `FaultPlan` it takes a
+/// fast path with no decision hashing, no checkpoints, and no
+/// certificate checks, so it must stay within noise (the acceptance bar
+/// is < 2%) of plain `run_kernel`. The enabled variant prices the
+/// actual defenses at a realistic rate (1 fault per 1000 sites).
 fn bench_fault_overhead(c: &mut Criterion) {
     use pns_simulator::{FaultPlan, RetryPolicy};
     let mut group = c.benchmark_group("fault_overhead");
@@ -304,42 +278,38 @@ fn bench_fault_overhead(c: &mut Criterion) {
     let batch: Vec<Vec<u64>> = (0..16).map(|s| random_keys(100, 31 + s)).collect();
     let bsp = BspMachine::new(&fx.petersen, 2);
     let policy = RetryPolicy::default();
+    let mut scratch = ExecScratch::new();
 
-    group.bench_function("run_batch_plain", |b| {
+    group.bench_function("run_kernel_plain", |b| {
         b.iter(|| {
             let mut batch = batch.clone();
-            black_box(bsp.run_batch(&mut batch, &fx.petersen_program));
+            for keys in &mut batch {
+                black_box(bsp.run_kernel(keys, &fx.petersen_kernel, &mut scratch));
+            }
             black_box(batch)
         });
     });
 
-    let disabled = FaultPlan::disabled();
-    group.bench_function("run_batch_faults_disabled", |b| {
-        b.iter(|| {
-            let mut batch = batch.clone();
-            black_box(bsp.run_batch_with_faults(
-                &mut batch,
-                &fx.petersen_program,
-                &disabled,
-                &policy,
-            ));
-            black_box(batch)
+    for (name, plan) in [
+        ("run_kernel_faults_disabled", FaultPlan::disabled()),
+        ("run_kernel_faults_rate_1000", FaultPlan::random(5, 1_000)),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut batch = batch.clone();
+                for (lane, keys) in batch.iter_mut().enumerate() {
+                    let _ = black_box(bsp.run_kernel_with_faults(
+                        keys,
+                        &fx.petersen_kernel,
+                        &plan.fork(lane as u64),
+                        &policy,
+                        &mut scratch,
+                    ));
+                }
+                black_box(batch)
+            });
         });
-    });
-
-    let enabled = FaultPlan::random(5, 1_000);
-    group.bench_function("run_batch_faults_rate_1000", |b| {
-        b.iter(|| {
-            let mut batch = batch.clone();
-            black_box(bsp.run_batch_with_faults(
-                &mut batch,
-                &fx.petersen_program,
-                &enabled,
-                &policy,
-            ));
-            black_box(batch)
-        });
-    });
+    }
     group.finish();
 }
 

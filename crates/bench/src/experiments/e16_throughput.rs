@@ -1,19 +1,19 @@
-//! E16 (extension) — parallel batched BSP execution with a compiled-
-//! program cache. Three claims, all checked deterministically:
+//! E16 (extension) — batched BSP execution with a compiled-program
+//! cache. Three claims, all checked deterministically:
 //!
-//! 1. `run_parallel` and `run_batch` produce configurations
-//!    bit-identical to serial [`BspMachine::run`] (and to `std` sort via
-//!    snake order) on every tested topology.
+//! 1. [`Machine::sort_batch`] produces configurations bit-identical to
+//!    serial [`BspMachine::run`] (and to `std` sort via snake order) on
+//!    every tested topology.
 //! 2. A second machine on the same `(factor, r, sorter)` is served from
 //!    the [`ProgramCache`] without recompiling (hit counter goes up,
 //!    miss counter does not).
 //! 3. The op-stream optimizer only shrinks programs (rounds and ops),
 //!    with its pass accounting consistent, and optimized programs sort
-//!    identically.
+//!    identically under [`BspMachine::run`].
 //!
-//! Wall-clock throughput columns (keys/ms, serial vs batched) are
-//! informational — they depend on the host — and are recorded in
-//! EXPERIMENTS.md for one reference machine.
+//! Wall-clock throughput columns (keys/ms, the serial interpreter vs
+//! `Machine::sort_batch`) are informational — they depend on the host —
+//! and are recorded in EXPERIMENTS.md for one reference machine.
 
 use crate::report::obs_logger;
 use crate::Report;
@@ -24,8 +24,8 @@ use pns_simulator::{fingerprint, Hypercube2Sorter};
 use pns_simulator::{Machine, OetSnakeSorter, Pg2Sorter, ProgramCache, ShearSorter};
 use std::time::Instant;
 
-/// Vectors per batch. Large enough that batching can spread across
-/// cores, small enough that the experiment stays fast in debug builds.
+/// Vectors per batch. Wide enough for the column tier, small enough
+/// that the experiment stays fast in debug builds.
 const BATCH: usize = 16;
 
 fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
@@ -127,7 +127,7 @@ pub fn run() -> Report {
                 == stats.rounds_before - stats.empty_rounds_elided - stats.rounds_fused
             && {
                 let mut k = batch[0].clone();
-                bsp.run_parallel(&mut k, &optimized);
+                bsp.run(&mut k, &optimized);
                 k == serial[0]
             };
 
@@ -141,9 +141,9 @@ pub fn run() -> Report {
             start.elapsed().as_secs_f64() * 1e3
         };
         let batch_ms = {
-            let mut b = batch.clone();
+            let b = batch.clone();
             let start = Instant::now();
-            bsp.run_batch(&mut b, &program);
+            let _sorted = machine.sort_batch(b);
             start.elapsed().as_secs_f64() * 1e3
         };
         let total_keys = (len * BATCH as u64) as f64;
@@ -172,7 +172,10 @@ pub fn run() -> Report {
     report.note(&format!("Final cache state — {}.", cache_lines.join("; ")));
     report.note(&format!(
         "Batch size {BATCH}; throughput columns are wall-clock and \
-         host-dependent (everything else is deterministic). The cache \
+         host-dependent (everything else is deterministic): `serial` \
+         runs each vector through the validating interpreter \
+         (BspMachine::run), `batch` is one Machine::sort_batch call \
+         (the column tier at this width). The cache \
          column counts hits/misses after constructing the same machine \
          twice: one miss (the first compile), one hit, zero \
          recompilations. Fingerprints are the FNV digest of \

@@ -1,9 +1,9 @@
 //! E19 (extension) — the flat structure-of-arrays kernel tier vs the
-//! interpreting executor. Deterministic claims:
+//! serial interpreter, the oracle. Deterministic claims:
 //!
 //! 1. The lowered kernel produces configurations bit-identical to
-//!    `run_parallel` (single vectors) and `run_batch` (batches) on every
-//!    tested topology, raw and optimized.
+//!    [`BspMachine::run`] on every tested topology, raw and optimized,
+//!    single vectors (`run_kernel`) and batches (`run_kernel_batch`).
 //! 2. Lowering is shape-preserving: round count matches the source
 //!    program, and every round classifies as compare or route (plus
 //!    empties), with the class totals adding up.
@@ -57,20 +57,21 @@ pub struct E19Row {
     pub compare_rounds: usize,
     /// Rounds lowered to packed route micro-ops.
     pub route_rounds: usize,
-    /// Wall-time for `REPS` single-vector `run_parallel` calls, ms.
+    /// Wall-time for `REPS` single-vector `run` calls, ms.
     pub interp_ms: f64,
     /// Wall-time for `REPS` warm single-vector `run_kernel` calls, ms.
     pub kernel_ms: f64,
     /// `interp_ms / kernel_ms`.
     pub speedup: f64,
-    /// Wall-time for `REPS` 16-vector `run_batch` calls, ms.
+    /// Wall-time for `REPS` passes of 16 `run` calls, one per vector,
+    /// ms.
     pub batch_interp_ms: f64,
     /// Wall-time for `REPS` 16-vector `run_kernel_batch` calls, ms.
     pub batch_kernel_ms: f64,
     /// `batch_interp_ms / batch_kernel_ms`.
     pub batch_speedup: f64,
-    /// Heap allocations across the `REPS` timed `run_parallel` calls
-    /// (probe builds only).
+    /// Heap allocations across the `REPS` timed single-vector `run`
+    /// calls (probe builds only).
     pub interp_allocs: Option<u64>,
     /// Heap allocations across the `REPS` timed warm `run_kernel`
     /// calls (probe builds only) — claim 3 requires exactly zero.
@@ -114,7 +115,7 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E19Row> {
         let mut identical = true;
         for (prog, kern) in [(&program, &kernel), (&optimized, &kernel_opt)] {
             let mut a = input.clone();
-            bsp.run_parallel(&mut a, prog);
+            bsp.run(&mut a, prog);
             let mut b = input.clone();
             bsp.run_kernel(&mut b, kern, &mut scratch);
             identical &= a == reference && b == reference;
@@ -124,7 +125,9 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E19Row> {
             .collect();
         {
             let mut bi = batch.clone();
-            bsp.run_batch(&mut bi, &program);
+            for keys in &mut bi {
+                bsp.run(keys, &program);
+            }
             let mut bk = batch.clone();
             let mut pool = ScratchPool::new();
             bsp.run_kernel_batch(&mut bk, &kernel, &mut pool);
@@ -143,7 +146,7 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E19Row> {
         let t0 = Instant::now();
         for _ in 0..REPS {
             keys.clone_from_slice(&input);
-            bsp.run_parallel(&mut keys, &program);
+            bsp.run(&mut keys, &program);
         }
         let interp_ms = t0.elapsed().as_secs_f64() * 1e3;
         let interp_allocs = probe.map(|p| p() - a0);
@@ -167,8 +170,8 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E19Row> {
         for _ in 0..REPS {
             for (w, b) in work.iter_mut().zip(&batch) {
                 w.clone_from_slice(b);
+                bsp.run(w, &program);
             }
-            bsp.run_batch(&mut work, &program);
         }
         let batch_interp_ms = t2.elapsed().as_secs_f64() * 1e3;
 
@@ -250,9 +253,10 @@ pub fn report_from_rows(rows: &[E19Row]) -> Report {
     report.note(&format!(
         "{REPS} reps per timed pass, batches of {BATCH}. Wall-clock \
          columns are host-dependent (everything in `match` is \
-         deterministic): `speedup` is single-vector run_parallel vs warm \
-         run_kernel, `batch speedup` is run_batch vs run_kernel_batch. \
-         The allocation column (binary runs only) counts heap \
+         deterministic): `speedup` is single-vector run (the serial \
+         interpreter, which checks every op) vs warm run_kernel, `batch \
+         speedup` is one run per vector vs run_kernel_batch. The \
+         allocation column (binary runs only) counts heap \
          allocations across all {REPS} timed calls; the kernel side \
          must be exactly 0 after its one warm-up run."
     ));

@@ -67,7 +67,7 @@ fn random_words(len: u64, seed: u64) -> Vec<u64> {
 /// One profiled tier, as serialized into `BENCH_e21_profile.json`.
 #[derive(Debug, Clone, Serialize)]
 pub struct E21Row {
-    /// Execution tier (`serial`, `parallel`, `kernel`, `vertical_bits`,
+    /// Execution tier (`serial`, `kernel`, `vertical_bits`,
     /// `machine_sort`, `machine_batch`) — the row identity.
     pub tier: String,
     /// Timed executor calls.
@@ -173,42 +173,6 @@ pub fn collect() -> Vec<E21Row> {
             && span_count(&profile, Tier::Serial, Stage::Round) == program_observed * runs;
         rows.push(E21Row {
             tier: "serial".into(),
-            runs,
-            nodes: len,
-            rounds: program.rounds() as u64,
-            observed_rounds: program_observed,
-            events: profile.summary().events,
-            spans: profile.summary().spans_closed,
-            wall_ms: wall_ns as f64 / 1e6,
-            span_ms: profile.root_ns() as f64 / 1e6,
-            coverage_ratio: coverage,
-            ok: structural && reconciled,
-        });
-    }
-
-    // -- validated parallel interpreter ------------------------------
-    {
-        let runs = 4u64;
-        let (logger, reader) = recorder();
-        let mut bsp = BspMachine::new(&factor, R);
-        bsp.attach_logger(logger.clone());
-        let mut keys = base_keys.clone();
-        let mut wall_ns = 0u64;
-        for _ in 0..runs {
-            keys.copy_from_slice(&base_keys);
-            let t = Instant::now();
-            bsp.run_parallel(&mut keys, &program);
-            wall_ns += t.elapsed().as_nanos() as u64;
-        }
-        logger.flush();
-        let profile = Profile::from_events(&reader.events());
-        let (coverage, structural) = structural_ok(&profile, wall_ns);
-        let reconciled = profile.summary().rounds == program.rounds() as u64 * runs
-            && span_count(&profile, Tier::Parallel, Stage::Sort) == runs
-            && span_count(&profile, Tier::Parallel, Stage::Validate) == runs
-            && span_count(&profile, Tier::Parallel, Stage::Round) == program_observed * runs;
-        rows.push(E21Row {
-            tier: "parallel".into(),
             runs,
             nodes: len,
             rounds: program.rounds() as u64,
@@ -452,11 +416,11 @@ pub fn report_from_rows(rows: &[E21Row]) -> Report {
         ]);
     }
     report.note(&format!(
-        "One K2^{R} workload (512 nodes) through all six entry points, \
+        "One K2^{R} workload (512 nodes) through all five entry points, \
          each with a recording logger. `observed` counts the rounds per \
          call at or above the {ROUND_OBS_MIN_OPS}-op span gate \
-         (ROUND_OBS_MIN_OPS); serial/parallel emit round *events* \
-         unconditionally but gate round *spans*, while kernel/vertical \
+         (ROUND_OBS_MIN_OPS); the serial interpreter emits round *events* \
+         unconditionally but gates round *spans*, while kernel/vertical \
          gate both, and their sort-grain spans additionally require \
          {SORT_OBS_MIN_OPS} total program ops (SORT_OBS_MIN_OPS) — the \
          K2^{R} program clears every gate. `coverage` is root span \

@@ -3,10 +3,10 @@
 //!
 //! A span is a timed interval attributed to a `(tier, stage, class)`
 //! coordinate: which execution tier was running (serial interpreter,
-//! parallel interpreter, flat kernel, bit-sliced vertical, fault
-//! executor, program cache), what it was doing (a whole sort, a batch,
-//! one round, validation, lowering), and — for round spans — the
-//! lowered round class. [`EventLogger::span`] stamps a `SpanEnter`,
+//! flat kernel, bit-sliced vertical, fault executor, program cache),
+//! what it was doing (a whole sort, a batch, one round, validation,
+//! lowering), and — for round spans — the lowered round class.
+//! [`EventLogger::span`] stamps a `SpanEnter`,
 //! pushes the span onto a thread-local parent stack, and returns a
 //! [`SpanGuard`]; dropping the guard pops the stack and stamps a
 //! `SpanExit` carrying the duration measured *by the guard itself*
@@ -44,11 +44,11 @@ pub const ROUND_OBS_MIN_OPS: usize = 64;
 /// 558 ops, ~1.6µs; Petersen²: 4050 ops). Above the gate the span is
 /// noise: K2⁹ (60k ops) runs for hundreds of microseconds. Batch entry
 /// points keep their spans unconditionally — one span amortized over
-/// ≥16 lanes is always under budget. The serial and parallel
-/// interpreters also keep unconditional sort spans: those are the
-/// debuggable tiers, and interpretation dwarfs the span cost. Like
-/// [`ROUND_OBS_MIN_OPS`], the gate depends only on the program, so a
-/// given program's event stream shape is execution-independent.
+/// ≥16 lanes is always under budget. The serial interpreter also
+/// keeps unconditional sort spans: it is the debuggable tier, and
+/// interpretation dwarfs the span cost. Like [`ROUND_OBS_MIN_OPS`], the
+/// gate depends only on the program, so a given program's event stream
+/// shape is execution-independent.
 pub const SORT_OBS_MIN_OPS: usize = 8192;
 
 /// Distinguishes span identities process-wide (0 is "no span").
@@ -65,9 +65,6 @@ thread_local! {
 pub enum Tier {
     /// Serial validated interpreter (`BspMachine::run`).
     Serial,
-    /// Intra-round / inter-vector parallel interpreter
-    /// (`run_parallel`, `run_batch`).
-    Parallel,
     /// Flat structure-of-arrays kernel (`run_kernel*`).
     Kernel,
     /// Bit-sliced vertical tier (`run_vertical_*`).
@@ -79,12 +76,12 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// Wire code for the flat event field.
+    /// Wire code for the flat event field. Codes never change, so old
+    /// streams still decode; code 2 is retired and decodes to no tier.
     #[must_use]
     pub fn code(self) -> u64 {
         match self {
             Tier::Serial => 1,
-            Tier::Parallel => 2,
             Tier::Kernel => 3,
             Tier::Vertical => 4,
             Tier::Fault => 5,
@@ -97,7 +94,6 @@ impl Tier {
     pub fn from_code(code: u64) -> Option<Tier> {
         Some(match code {
             1 => Tier::Serial,
-            2 => Tier::Parallel,
             3 => Tier::Kernel,
             4 => Tier::Vertical,
             5 => Tier::Fault,
@@ -111,7 +107,6 @@ impl Tier {
     pub fn name(self) -> &'static str {
         match self {
             Tier::Serial => "serial",
-            Tier::Parallel => "parallel",
             Tier::Kernel => "kernel",
             Tier::Vertical => "vertical",
             Tier::Fault => "fault",
@@ -186,7 +181,7 @@ impl Stage {
 }
 
 /// Round class of a round span; `None` for non-round spans and for
-/// tiers that do not classify rounds (the interpreters).
+/// tiers that do not classify rounds (the interpreter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanClass {
     /// Not a classified round.
@@ -452,7 +447,6 @@ mod tests {
     fn codes_round_trip() {
         for tier in [
             Tier::Serial,
-            Tier::Parallel,
             Tier::Kernel,
             Tier::Vertical,
             Tier::Fault,
@@ -461,6 +455,8 @@ mod tests {
             assert_eq!(Tier::from_code(tier.code()), Some(tier));
             assert!(!tier.name().is_empty());
         }
+        // The retired code decodes to no tier.
+        assert_eq!(Tier::from_code(2), None);
         for stage in [
             Stage::Sort,
             Stage::Batch,

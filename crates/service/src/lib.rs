@@ -41,5 +41,5 @@ pub use breaker::{Breaker, BreakerConfig, BreakerState};
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use core::{Batch, LaneVerdict, Pending, Poll, ServiceConfig, ServiceCore, ShapeSpec};
 pub use error::{RejectReason, ServiceError};
-pub use service::{ServiceBuilder, SortResponse, SortService, Ticket, Transport};
+pub use service::{ServiceBuilder, SortResponse, SortService, Ticket};
 pub use stats::{ServiceStats, TenantStats};

@@ -1,5 +1,5 @@
 //! The threaded sorting service: workers, tickets, the degradation
-//! ladder, and the in-process transport.
+//! ladder, and in-process submission.
 //!
 //! [`SortService`] wraps the deterministic [`ServiceCore`] in a
 //! `Mutex` + `Condvar`, spawns [`ServiceConfig::workers`] executor
@@ -7,9 +7,8 @@
 //! [`Ticket`]. `workers` is the service's parallelism: each worker runs
 //! its batch on its own thread through [`BspMachine::serial`] machines,
 //! so a batch never spawns threads of its own. Submission is the
-//! [`Transport`] trait — in-process here; a network RPC front-end bolts
-//! on by implementing the same trait over a wire format (the container
-//! this grows in has no sockets, so the trait is the seam).
+//! in-process [`SortService::submit`]; a network front-end would wrap
+//! it in its own wire format.
 //!
 //! # Degradation ladder
 //!
@@ -88,19 +87,6 @@ impl Ticket {
     pub fn wait_for(&self, timeout: Duration) -> Option<Result<SortResponse, ServiceError>> {
         self.rx.recv_timeout(timeout).ok()
     }
-}
-
-/// How requests reach the service. The in-process implementation is
-/// [`SortService`]; a network RPC front-end implements the same trait
-/// over its wire format.
-pub trait Transport: Send + Sync {
-    /// Submit `keys` for sorting on registered shape `shape` on behalf
-    /// of `tenant`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Rejected`] when admission turns the request away.
-    fn submit(&self, tenant: u32, shape: usize, keys: Vec<u64>) -> Result<Ticket, ServiceError>;
 }
 
 /// Compiled artifacts for one registered shape, shared by all workers.
@@ -267,8 +253,8 @@ impl Shared {
     }
 }
 
-/// The in-process sorting service. Submit through [`Transport::submit`]
-/// (or the inherent method), read metrics through
+/// The in-process sorting service. Submit through
+/// [`SortService::submit`], read metrics through
 /// [`SortService::export_metrics`], and drop (or
 /// [`SortService::shutdown`]) to stop: queued requests are answered
 /// with [`RejectReason::Shutdown`], workers join, nothing leaks.
@@ -292,7 +278,8 @@ impl SortService {
         self.shared.shapes.get(shape).map(|s| s.sorter)
     }
 
-    /// Submit a request (see [`Transport::submit`]).
+    /// Submit `keys` for sorting on registered shape `shape` on behalf
+    /// of `tenant`.
     ///
     /// # Errors
     ///
@@ -341,12 +328,6 @@ impl SortService {
                 let _ = h.join();
             }
         }
-    }
-}
-
-impl Transport for SortService {
-    fn submit(&self, tenant: u32, shape: usize, keys: Vec<u64>) -> Result<Ticket, ServiceError> {
-        SortService::submit(self, tenant, shape, keys)
     }
 }
 

@@ -94,7 +94,7 @@ impl BlockEngine {
     }
 }
 
-impl<K: Ord + Clone + Send + Sync> Engine<SortedBlock<K>> for BlockEngine {
+impl<K: Ord + Clone> Engine<SortedBlock<K>> for BlockEngine {
     fn sort_round(&mut self, keys: &mut [SortedBlock<K>], subgraphs: &[Pg2Instance]) -> u64 {
         for sg in subgraphs {
             // Flatten, sort, redistribute block-wise along snake order.
@@ -183,7 +183,7 @@ fn merge_split<K: Ord + Clone>(keys: &mut [SortedBlock<K>], lo: usize, hi: usize
 /// # Panics
 ///
 /// Panics if `keys.len()` is not `block · N^r` or `r < 2`.
-pub fn block_sort<K: Ord + Clone + Send + Sync>(
+pub fn block_sort<K: Ord + Clone>(
     shape: Shape,
     block: usize,
     keys: Vec<K>,

@@ -690,12 +690,6 @@ impl NetworkView {
         Some((dim, da as usize, db as usize))
     }
 
-    /// `true` iff `(a, b)` is an edge of the product network.
-    fn has_edge(&self, a: u64, b: u64) -> bool {
-        self.split(a, b)
-            .is_some_and(|(_, da, db)| self.factor.has_edge(da as u32, db as u32))
-    }
-
     /// If `(a, b)` is an edge of the product network: the ids of its two
     /// directions, `a → b` then `b → a`, each below
     /// [`NetworkView::edge_id_count`]. A direction's id is made of its
@@ -737,8 +731,7 @@ impl BspMachine {
     }
 
     /// This machine with batch fan-out turned off: the batch executors
-    /// ([`BspMachine::run_kernel_batch`], [`BspMachine::run_vertical_batch`],
-    /// [`BspMachine::run_batch`], [`BspMachine::run_batch_with_faults`])
+    /// ([`BspMachine::run_kernel_batch`], [`BspMachine::run_vertical_batch`])
     /// run every lane or block on the calling thread and spawn nothing.
     /// For callers that bring their own parallelism, such as the
     /// service's workers. Results are identical either way.
@@ -770,7 +763,7 @@ impl BspMachine {
 
     /// Emit `RoundStart`/`RoundEnd` per executed round, `Validate` per
     /// static validation, and `BatchScheduled` per batch dispatch into
-    /// `logger`. [`BspMachine::run_batch`]'s per-vector inner loops stay
+    /// `logger`. The batch executors' per-lane inner loops stay
     /// uninstrumented (they are the throughput hot path; the batch-level
     /// events carry their aggregate shape).
     pub fn attach_logger(&mut self, logger: EventLogger) {
@@ -795,15 +788,17 @@ impl BspMachine {
         let _sort_span = self.logger.span(Tier::Serial, Stage::Sort, SpanClass::None);
         let n_nodes = keys.len();
         let mut transit: Vec<[Option<K>; 2]> = vec![[None, None]; n_nodes];
-        // Per-round discipline tracking, hoisted out of the loop and
-        // cleared per round so validation scratch is allocated once.
-        let mut key_touched = vec![false; n_nodes];
-        let mut slot_written: HashMap<(u64, u8), ()> = HashMap::new();
-        let mut edge_used: HashMap<(u64, u64), ()> = HashMap::new();
+        // Per-round discipline tracking, allocated once: as in
+        // `try_validate`, an entry is in the round's set iff it holds the
+        // round's epoch. Slots are indexed `2·node + slot`, edges by
+        // their directed-edge ids.
+        let mut key_touched = vec![0u32; n_nodes];
+        let mut slot_written = vec![0u32; 2 * n_nodes];
+        let mut edge_used = vec![0u32; self.network.edge_id_count()];
+        let mut epoch = 0u32;
         // Reads of transit slots happen against the *previous* round's
         // state: buffer incoming values and commit after the round.
         let mut incoming: Vec<(u64, u8, K)> = Vec::new();
-        let mut cleared: Vec<(u64, u8)> = Vec::new();
 
         for (ri, round) in program.rounds.iter().enumerate() {
             self.logger.log(|| Event::RoundStart {
@@ -817,29 +812,29 @@ impl BspMachine {
                 Stage::Round,
                 SpanClass::None,
             );
-            key_touched.fill(false);
-            slot_written.clear();
-            edge_used.clear();
-            cleared.clear();
+            epoch = epoch.checked_add(1).unwrap_or_else(|| {
+                for set in [&mut key_touched, &mut slot_written, &mut edge_used] {
+                    set.fill(0);
+                }
+                1
+            });
 
-            let touch_key = |v: u64, key_touched: &mut [bool]| {
+            let touch_key = |v: u64, key_touched: &mut [u32]| {
                 assert!(
-                    !key_touched[v as usize],
+                    stamp(key_touched, v as usize, epoch),
                     "round {ri}: node {v} key accessed twice"
                 );
-                key_touched[v as usize] = true;
             };
 
             for op in round {
                 match *op {
                     Op::CompareExchange { a, b, min_to_a } => {
-                        assert!(
-                            self.network.has_edge(a, b),
-                            "round {ri}: compare-exchange ({a},{b}) is not an edge"
-                        );
-                        for (x, y) in [(a, b), (b, a)] {
+                        let Some((ab, ba)) = self.network.edge_ids(a, b) else {
+                            panic!("round {ri}: compare-exchange ({a},{b}) is not an edge");
+                        };
+                        for (x, y, edge) in [(a, b, ab), (b, a, ba)] {
                             assert!(
-                                edge_used.insert((x, y), ()).is_none(),
+                                stamp(&mut edge_used, edge, epoch),
                                 "round {ri}: edge ({x}->{y}) used twice"
                             );
                         }
@@ -858,27 +853,24 @@ impl BspMachine {
                         from_key,
                     } => {
                         assert!(slot < 2, "round {ri}: bad slot {slot}");
+                        let Some((edge, _)) = self.network.edge_ids(from, to) else {
+                            panic!("round {ri}: move ({from}->{to}) is not an edge");
+                        };
                         assert!(
-                            self.network.has_edge(from, to),
-                            "round {ri}: move ({from}->{to}) is not an edge"
-                        );
-                        assert!(
-                            edge_used.insert((from, to), ()).is_none(),
+                            stamp(&mut edge_used, edge, epoch),
                             "round {ri}: edge ({from}->{to}) used twice"
                         );
-                        let payload =
-                            if from_key {
-                                keys[from as usize].clone()
-                            } else {
-                                let v =
-                                    transit[from as usize][slot as usize].take().unwrap_or_else(
-                                        || panic!("round {ri}: node {from} slot {slot} empty"),
-                                    );
-                                cleared.push((from, slot));
-                                v
-                            };
+                        let payload = if from_key {
+                            keys[from as usize].clone()
+                        } else {
+                            transit[from as usize][slot as usize]
+                                .take()
+                                .unwrap_or_else(|| {
+                                    panic!("round {ri}: node {from} slot {slot} empty")
+                                })
+                        };
                         assert!(
-                            slot_written.insert((to, slot), ()).is_none(),
+                            stamp(&mut slot_written, 2 * to as usize + slot as usize, epoch),
                             "round {ri}: node {to} slot {slot} written twice"
                         );
                         incoming.push((to, slot, payload));
@@ -917,7 +909,6 @@ impl BspMachine {
                 );
                 *dst = Some(payload);
             }
-            let _ = &cleared;
             self.logger.log(|| Event::RoundEnd { round: ri as u64 });
         }
         assert!(
@@ -932,30 +923,19 @@ impl BspMachine {
     /// [`BspMachine::run`] checks during execution can be checked here
     /// once: adjacency, per-round edge/key/slot discipline, and transit
     /// occupancy across rounds (every take finds a value, every write
-    /// finds a free slot, nothing is left in flight at the end).
+    /// finds a free slot, nothing is left in flight at the end). `Ok`
+    /// carries a [`ValidationReport`], `Err` the first violation found
+    /// as a [`ProgramError`] naming the round and the resource. Emits
+    /// the `Validate` event on success only.
     ///
     /// This also enforces one condition `run` does not need: within a
     /// round, no resident key may be both read (by a [`Op::Move`] first
     /// hop) and written (by a compare-exchange or resolve). Rounds with
     /// that property execute identically whether ops run in order or
-    /// all read the start-of-round state — the guarantee that makes
-    /// [`BspMachine::run_parallel`] bit-identical to serial execution.
-    /// [`compile`] and [`CompiledProgram::optimized`] never produce
-    /// such rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any violation, naming the round and the resource.
-    pub fn validate(&self, program: &CompiledProgram) {
-        if let Err(e) = self.try_validate(program) {
-            panic!("{e}");
-        }
-    }
-
-    /// [`BspMachine::validate`] with a typed result instead of a panic:
-    /// `Ok` carries a [`ValidationReport`], `Err` the first violation
-    /// found as a [`ProgramError`] naming the round and the resource.
-    /// Emits the `Validate` event on success only.
+    /// all read the start-of-round state: the relay pairing of
+    /// [`BspMachine::lower`] and the staged moves of the column tier's
+    /// fault lockstep rely on it. [`compile`] and
+    /// [`CompiledProgram::optimized`] never produce such rounds.
     ///
     /// Linear in the program's op count: each op's edge test costs a few
     /// divisions whatever `r` is, and the per-round sets are flat arrays
@@ -1181,246 +1161,13 @@ impl BspMachine {
             cert_points: program.cert_points.len(),
         })
     }
-
-    /// Execute a compiled program with intra-round parallelism. The
-    /// program is validated statically up front ([`BspMachine::validate`]);
-    /// execution itself then runs without per-op checks. Rounds with at
-    /// least [`PAR_THRESHOLD`](crate::engine::PAR_THRESHOLD) operations
-    /// are split across threads: every op reads the immutable
-    /// start-of-round state and produces a deferred effect, and the
-    /// effects (disjoint, by validation) are committed afterwards —
-    /// bit-identical to [`BspMachine::run`] on every input. Smaller
-    /// rounds run serially; chunking overhead would dominate.
-    ///
-    /// Returns the number of rounds executed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if validation fails or `keys.len()` is not one per node.
-    pub fn run_parallel<K>(&self, keys: &mut [K], program: &CompiledProgram) -> u64
-    where
-        K: Ord + Clone + Send + Sync,
-    {
-        let _sort_span = self
-            .logger
-            .span(Tier::Parallel, Stage::Sort, SpanClass::None);
-        {
-            let _validate_span = self
-                .logger
-                .span(Tier::Parallel, Stage::Validate, SpanClass::None);
-            self.validate(program);
-        }
-        assert_eq!(keys.len() as u64, self.shape.len(), "one key per node");
-        let mut transit: Vec<[Option<K>; 2]> = vec![[None, None]; keys.len()];
-        for (ri, round) in program.rounds.iter().enumerate() {
-            let par = round.len() >= crate::engine::PAR_THRESHOLD;
-            self.logger.log(|| Event::RoundStart {
-                round: ri as u64,
-                ops: round.len() as u64,
-                parallel: par,
-            });
-            let _round_span = self.logger.span_if(
-                round.len() >= ROUND_OBS_MIN_OPS,
-                Tier::Parallel,
-                Stage::Round,
-                SpanClass::None,
-            );
-            if !par {
-                exec_round_serial(keys, &mut transit, round);
-            } else {
-                use rayon::prelude::*;
-                let actions: Vec<Action<K>> = {
-                    let keys_ref: &[K] = keys;
-                    let transit_ref: &[[Option<K>; 2]] = &transit;
-                    round
-                        .par_iter()
-                        .map(|op| plan_op(op, keys_ref, transit_ref))
-                        .collect()
-                };
-                commit_actions(actions, keys, &mut transit);
-            }
-            self.logger.log(|| Event::RoundEnd { round: ri as u64 });
-        }
-        program.rounds.len() as u64
-    }
-
-    /// Drive `batch.len()` independent key vectors through one compiled
-    /// program, one contiguous chunk of vectors per core (inter-input
-    /// parallelism — the natural grain for throughput, since the vectors
-    /// share nothing; none on a [`BspMachine::serial`] machine).
-    /// The program is validated once for the whole batch; each vector
-    /// then executes serially and unchecked, producing exactly the
-    /// configuration [`BspMachine::run`] would.
-    ///
-    /// Returns the number of rounds executed (the same for every
-    /// vector — the schedule is oblivious).
-    ///
-    /// # Panics
-    ///
-    /// Panics if validation fails or any vector is not one key per node.
-    pub fn run_batch<K>(&self, batch: &mut [Vec<K>], program: &CompiledProgram) -> u64
-    where
-        K: Ord + Clone + Send + Sync,
-    {
-        let _batch_span = self
-            .logger
-            .span(Tier::Parallel, Stage::Batch, SpanClass::None);
-        {
-            let _validate_span = self
-                .logger
-                .span(Tier::Parallel, Stage::Validate, SpanClass::None);
-            self.validate(program);
-        }
-        for keys in batch.iter() {
-            assert_eq!(keys.len() as u64, self.shape.len(), "one key per node");
-        }
-        let workers = self.batch_workers(batch.len());
-        self.logger.log(|| Event::BatchScheduled {
-            batch: batch.len() as u64,
-            lanes: workers as u64,
-        });
-        if workers <= 1 {
-            for keys in batch.iter_mut() {
-                exec_program(keys, program);
-            }
-        } else {
-            use rayon::prelude::*;
-            batch
-                .par_iter_mut()
-                .for_each(|keys| exec_program(keys, program));
-        }
-        program.rounds.len() as u64
-    }
-}
-
-/// Deferred effect of one op, computed against immutable start-of-round
-/// state during parallel round execution.
-enum Action<K> {
-    /// Compare-exchange that needs no swap.
-    Keep,
-    /// Compare-exchange swapping the resident keys at two ranks.
-    Swap(usize, usize),
-    /// Move: write `value` into `(node, slot)`; `clear` is the source
-    /// slot to empty when the payload came from transit.
-    Write {
-        node: usize,
-        slot: usize,
-        value: K,
-        clear: Option<(usize, usize)>,
-    },
-    /// Resolve: clear `(node, slot)` and, if `value` is set, replace
-    /// the resident key with the arrived one.
-    Resolved {
-        node: usize,
-        slot: usize,
-        value: Option<K>,
-    },
-}
-
-/// Compute one op's deferred effect. Only reads; infallible on
-/// validated programs.
-fn plan_op<K: Ord + Clone>(op: &Op, keys: &[K], transit: &[[Option<K>; 2]]) -> Action<K> {
-    match *op {
-        Op::CompareExchange { a, b, min_to_a } => {
-            let (ai, bi) = (a as usize, b as usize);
-            let a_has_min = keys[ai] <= keys[bi];
-            if a_has_min == min_to_a {
-                Action::Keep
-            } else {
-                Action::Swap(ai, bi)
-            }
-        }
-        Op::Move {
-            from,
-            to,
-            slot,
-            from_key,
-        } => {
-            let (fi, si) = (from as usize, slot as usize);
-            let value = if from_key {
-                keys[fi].clone()
-            } else {
-                transit[fi][si].clone().expect("validated: slot occupied")
-            };
-            Action::Write {
-                node: to as usize,
-                slot: si,
-                value,
-                clear: (!from_key).then_some((fi, si)),
-            }
-        }
-        Op::Resolve {
-            node,
-            slot,
-            keep_min,
-        } => {
-            let (ni, si) = (node as usize, slot as usize);
-            let arrived = transit[ni][si].as_ref().expect("validated: slot occupied");
-            let keep_arrived = if keep_min {
-                arrived < &keys[ni]
-            } else {
-                arrived > &keys[ni]
-            };
-            Action::Resolved {
-                node: ni,
-                slot: si,
-                value: keep_arrived.then(|| arrived.clone()),
-            }
-        }
-    }
-}
-
-/// Apply a round's deferred effects: takes clear first (so a slot can
-/// be forwarded and refilled within one round), then keys and slot
-/// writes land. All effects are disjoint by validation, so order within
-/// each phase is irrelevant.
-fn commit_actions<K>(actions: Vec<Action<K>>, keys: &mut [K], transit: &mut [[Option<K>; 2]]) {
-    for action in &actions {
-        match *action {
-            Action::Write {
-                clear: Some((n, s)),
-                ..
-            }
-            | Action::Resolved {
-                node: n, slot: s, ..
-            } => transit[n][s] = None,
-            _ => {}
-        }
-    }
-    for action in actions {
-        match action {
-            Action::Keep => {}
-            Action::Swap(i, j) => keys.swap(i, j),
-            Action::Write {
-                node, slot, value, ..
-            } => {
-                debug_assert!(transit[node][slot].is_none(), "validated: slot free");
-                transit[node][slot] = Some(value);
-            }
-            Action::Resolved { node, value, .. } => {
-                if let Some(v) = value {
-                    keys[node] = v;
-                }
-            }
-        }
-    }
 }
 
 /// One round, serial, unchecked — the data semantics of
 /// [`BspMachine::run`]'s inner loop (takes read start-of-round transit
-/// state; incoming values commit at the end of the round).
-pub(crate) fn exec_round_serial<K: Ord + Clone>(
-    keys: &mut [K],
-    transit: &mut [[Option<K>; 2]],
-    round: &[Op],
-) {
-    let mut incoming: Vec<(usize, usize, K)> = Vec::new();
-    exec_round_serial_scratch(keys, transit, round, &mut incoming);
-}
-
-/// [`exec_round_serial`] with a caller-owned incoming buffer, so hot
-/// loops (whole-program execution, fault segments) allocate the buffer
-/// once instead of once per round.
+/// state; incoming values commit at the end of the round). The caller
+/// owns the incoming buffer, so hot loops (whole-program execution,
+/// fault segments) allocate it once instead of once per round.
 pub(crate) fn exec_round_serial_scratch<K: Ord + Clone>(
     keys: &mut [K],
     transit: &mut [[Option<K>; 2]],
@@ -1512,7 +1259,7 @@ impl RecordingEngine {
     }
 }
 
-impl<K: Ord + Clone + Send + Sync> Engine<K> for RecordingEngine {
+impl<K: Ord + Clone> Engine<K> for RecordingEngine {
     fn sort_round(&mut self, keys: &mut [K], subgraphs: &[Pg2Instance]) -> u64 {
         for round in &self.program {
             let mut pairs = Vec::with_capacity(round.len() * subgraphs.len());
@@ -1986,50 +1733,6 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_is_bit_identical_to_run() {
-        // k2 r=8 has 64-op compare rounds (hits the parallel path);
-        // star relays exercise Move/Resolve on the serial-fallback path.
-        for (factor, r, sorter) in [
-            (factories::k2(), 8usize, &Hypercube2Sorter as &dyn Pg2Sorter),
-            (factories::star(4), 2, &OetSnakeSorter),
-            (factories::path(4), 3, &ShearSorter),
-        ] {
-            let program = compile(&factor, r, sorter);
-            let machine = BspMachine::new(&factor, r);
-            for seed in [1u64, 99, 4242] {
-                let keys = lcg_keys(machine.shape().len(), seed);
-                let mut serial = keys.clone();
-                let mut parallel = keys;
-                machine.run(&mut serial, &program);
-                machine.run_parallel(&mut parallel, &program);
-                assert_eq!(serial, parallel, "{factor:?} r={r} seed={seed}");
-                assert!(snake_sorted(machine.shape(), &parallel));
-            }
-        }
-    }
-
-    #[test]
-    fn run_batch_matches_individual_runs() {
-        let factor = factories::star(4);
-        let program = compile(&factor, 2, &OetSnakeSorter);
-        let machine = BspMachine::new(&factor, 2);
-        let mut batch: Vec<Vec<u64>> = (0..8)
-            .map(|seed| lcg_keys(machine.shape().len(), seed * 7 + 1))
-            .collect();
-        let expected: Vec<Vec<u64>> = batch
-            .iter()
-            .map(|keys| {
-                let mut k = keys.clone();
-                machine.run(&mut k, &program);
-                k
-            })
-            .collect();
-        let rounds = machine.run_batch(&mut batch, &program);
-        assert_eq!(rounds as usize, program.rounds());
-        assert_eq!(batch, expected);
-    }
-
-    #[test]
     fn optimized_program_sorts_identically_with_fewer_rounds() {
         for (factor, r, sorter) in [
             (factories::k2(), 4usize, &Hypercube2Sorter as &dyn Pg2Sorter),
@@ -2053,17 +1756,14 @@ mod tests {
             );
             assert!(stats.rounds_after <= stats.rounds_before);
             // The optimized program still produces the exact serial
-            // configuration, in both executors.
+            // configuration.
             let machine = BspMachine::new(&factor, r);
             let keys = lcg_keys(machine.shape().len(), 5);
             let mut baseline = keys.clone();
             machine.run(&mut baseline, &program);
-            let mut via_opt = keys.clone();
+            let mut via_opt = keys;
             machine.run(&mut via_opt, &opt);
             assert_eq!(baseline, via_opt, "{factor:?} optimized serial");
-            let mut via_opt_par = keys;
-            machine.run_parallel(&mut via_opt_par, &opt);
-            assert_eq!(baseline, via_opt_par, "{factor:?} optimized parallel");
         }
     }
 
@@ -2161,13 +1861,15 @@ mod tests {
         ] {
             let machine = BspMachine::new(&factor, r);
             let program = compile(&factor, r, sorter);
-            machine.validate(&program);
-            machine.validate(&program.optimized());
+            for program in [&program, &program.optimized()] {
+                if let Err(e) = machine.try_validate(program) {
+                    panic!("{factor:?} r={r}: {e}");
+                }
+            }
         }
     }
 
     #[test]
-    #[should_panic(expected = "read and written in one round")]
     fn validate_rejects_order_dependent_rounds() {
         // Node 1's key is read by a relay first hop and written by a
         // compare-exchange in the same round: serial execution order
@@ -2197,7 +1899,9 @@ mod tests {
                 }],
             ],
         );
-        machine.validate(&program);
+        let err = machine.try_validate(&program).expect_err("order-dependent");
+        assert_eq!(err, ProgramError::KeyReadAndWritten { round: 0, node: 1 });
+        assert!(err.to_string().contains("read and written in one round"));
     }
 
     /// Build a machine wired to an in-memory event ring.
@@ -2276,69 +1980,26 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_runs_emit_identical_logical_round_events() {
-        // k2 r=8 has rounds above PAR_THRESHOLD, so the parallel path
-        // really engages and sets the `parallel` flag.
-        let factor = factories::k2();
-        let program = compile(&factor, 8, &Hypercube2Sorter);
-        let keys = lcg_keys(1 << 8, 7);
-
-        let (serial_machine, serial_reader) = traced_machine(&factor, 8);
-        let mut serial_keys = keys.clone();
-        serial_machine.run(&mut serial_keys, &program);
-        let serial = drain(&serial_machine, &serial_reader);
-
-        let (par_machine, par_reader) = traced_machine(&factor, 8);
-        let mut par_keys = keys;
-        par_machine.run_parallel(&mut par_keys, &program);
-        let parallel = drain(&par_machine, &par_reader);
-
-        // run_parallel validates first (one extra Validate event) and
-        // raises the `parallel` flag on big rounds; the *logical* round
-        // sequence must match the serial run's exactly.
-        let rounds_of = |events: &[pns_obs::TimedEvent]| -> Vec<Event> {
-            events
-                .iter()
-                .map(|e| e.event)
-                .filter(|e| matches!(e, Event::RoundStart { .. } | Event::RoundEnd { .. }))
-                .map(Event::logical)
-                .collect()
-        };
-        assert_eq!(rounds_of(&serial), rounds_of(&parallel));
-        assert!(
-            serial.iter().all(|e| e.event.logical() == e.event),
-            "serial round events must already be in logical form"
-        );
-        assert!(
-            parallel
-                .iter()
-                .any(|e| matches!(e.event, Event::RoundStart { parallel: true, .. })),
-            "expected at least one parallel round on the 8-cube"
-        );
-        assert_eq!(
-            parallel
-                .iter()
-                .filter(|e| matches!(e.event, Event::Validate { .. }))
-                .count(),
-            1
-        );
-    }
-
-    #[test]
     fn batches_emit_schedule_and_validate_events() {
         let factor = factories::path(3);
         let program = compile(&factor, 2, &OetSnakeSorter).optimized();
         let (machine, reader) = traced_machine(&factor, 2);
+        let kernel = machine.lower(&program).expect("valid program");
         let mut batch: Vec<Vec<u64>> = (0..5).map(|s| lcg_keys(9, s + 1)).collect();
-        machine.run_batch(&mut batch, &program);
+        let mut pool = crate::kernel::ScratchPool::new();
+        machine.run_kernel_batch(&mut batch, &kernel, &mut pool);
+        let plan = pns_fault::FaultPlan::disabled();
+        let policy = pns_fault::RetryPolicy::default();
+        let _ = machine.run_batch_with_faults(&mut batch, &program, &plan, &policy);
         let events = drain(&machine, &reader);
         let stats = program.stats();
-        assert!(events.iter().any(|e| e.event
-            == Event::Validate {
-                rounds: program.rounds() as u64,
-                elided_cx: stats.compare_exchanges_elided,
-                fused: stats.rounds_fused,
-            }));
+        // Lowering validates once, and the fault batch once more.
+        let validate = Event::Validate {
+            rounds: program.rounds() as u64,
+            elided_cx: stats.compare_exchanges_elided,
+            fused: stats.rounds_fused,
+        };
+        assert_eq!(events.iter().filter(|e| e.event == validate).count(), 2);
         let scheduled = |events: &[pns_obs::TimedEvent]| -> Vec<Event> {
             events
                 .iter()
@@ -2346,28 +2007,28 @@ mod tests {
                 .filter(|e| matches!(e, Event::BatchScheduled { .. }))
                 .collect()
         };
+        // The kernel batch fans out; the fault batch runs its lanes on
+        // the calling thread.
         let threads = rayon::current_num_threads() as u64;
         assert_eq!(
             scheduled(&events),
-            vec![Event::BatchScheduled {
-                batch: 5,
-                lanes: 5.min(threads),
-            }]
+            vec![
+                Event::BatchScheduled {
+                    batch: 5,
+                    lanes: 5.min(threads),
+                },
+                Event::BatchScheduled { batch: 5, lanes: 1 },
+            ]
         );
 
         // A serial machine reports one worker on every batch executor.
         let (machine, reader) = traced_machine(&factor, 2);
         let machine = machine.serial();
-        let kernel = machine.lower(&program).expect("valid program");
-        let mut batch: Vec<Vec<u64>> = (0..5).map(|s| lcg_keys(9, s + 1)).collect();
-        machine.run_batch(&mut batch, &program);
-        machine.run_kernel_batch(&mut batch, &kernel, &mut crate::kernel::ScratchPool::new());
-        let plan = pns_fault::FaultPlan::disabled();
-        let policy = pns_fault::RetryPolicy::default();
+        machine.run_kernel_batch(&mut batch, &kernel, &mut pool);
         let _ = machine.run_batch_with_faults(&mut batch, &program, &plan, &policy);
         assert_eq!(
             scheduled(&drain(&machine, &reader)),
-            vec![Event::BatchScheduled { batch: 5, lanes: 1 }; 3]
+            vec![Event::BatchScheduled { batch: 5, lanes: 1 }; 2]
         );
 
         // The vertical tier's unit of work is a 64-lane block: a 64-lane
@@ -2428,6 +2089,7 @@ mod tests {
             let machine = BspMachine::new(&factor, r);
             let mut keys = lcg_keys(machine.shape().len(), 23);
             let mut transit: Vec<[Option<u64>; 2]> = vec![[None, None]; keys.len()];
+            let mut incoming = Vec::new();
             let mut next_cert = 0;
             for (ri, round) in program.round_ops().iter().enumerate() {
                 while next_cert < certs.len() && certs[next_cert].round as usize == ri {
@@ -2441,7 +2103,7 @@ mod tests {
                     );
                     next_cert += 1;
                 }
-                exec_round_serial(&mut keys, &mut transit, round);
+                exec_round_serial_scratch(&mut keys, &mut transit, round, &mut incoming);
             }
             for c in &certs[next_cert..] {
                 assert_eq!(c.round as usize, program.rounds());
@@ -2473,6 +2135,7 @@ mod tests {
             let machine = BspMachine::new(&factor, r);
             let mut keys = lcg_keys(machine.shape().len(), 29);
             let mut transit: Vec<[Option<u64>; 2]> = vec![[None, None]; keys.len()];
+            let mut incoming = Vec::new();
             let certs = opt.cert_points();
             let mut next_cert = 0;
             for (ri, round) in opt.round_ops().iter().enumerate() {
@@ -2487,7 +2150,7 @@ mod tests {
                     );
                     next_cert += 1;
                 }
-                exec_round_serial(&mut keys, &mut transit, round);
+                exec_round_serial_scratch(&mut keys, &mut transit, round, &mut incoming);
             }
             assert!(crate::netsort::is_snake_sorted(machine.shape(), &keys));
         }
@@ -2798,7 +2461,7 @@ mod tests {
             for a in shape.ranks() {
                 for b in shape.ranks() {
                     assert_eq!(
-                        view.has_edge(a, b),
+                        view.edge_ids(a, b).is_some(),
                         edge_by_digits(&factor, shape, a, b),
                         "{factor:?} r={r} ({a},{b})"
                     );
@@ -2818,7 +2481,7 @@ mod tests {
             (&cube, 1, 2),
             (&cube, 3, 4),
         ] {
-            assert!(!view.has_edge(a, b), "({a},{b})");
+            assert!(view.edge_ids(a, b).is_none(), "({a},{b})");
         }
     }
 

@@ -22,7 +22,6 @@ use pns_graph::{route_compare_exchange, Graph};
 use pns_obs::{Event, EventLogger};
 use pns_order::radix::Shape;
 use pns_order::Direction;
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// One `PG_2` sort instance within a parallel round: the subgraph's node
@@ -37,7 +36,7 @@ pub struct Pg2Instance {
 
 /// The two primitive parallel rounds of the network algorithm. Each
 /// returns the number of network steps the round took.
-pub trait Engine<K: Ord + Clone + Send + Sync> {
+pub trait Engine<K: Ord + Clone> {
     /// One parallel round of `PG_2` sorts over disjoint subgraphs.
     fn sort_round(&mut self, keys: &mut [K], subgraphs: &[Pg2Instance]) -> u64;
 
@@ -78,41 +77,17 @@ impl ChargedEngine {
     }
 }
 
-/// Below this many independent work items a parallel round runs
-/// serially: the rayon fork-join overhead dwarfs the work on tiny
-/// rounds. Shared by the engines here and the BSP executor
-/// ([`crate::bsp::BspMachine::run_parallel`]).
-pub const PAR_THRESHOLD: usize = 64;
-
-impl<K: Ord + Clone + Send + Sync> Engine<K> for ChargedEngine {
+impl<K: Ord + Clone> Engine<K> for ChargedEngine {
     fn sort_round(&mut self, keys: &mut [K], subgraphs: &[Pg2Instance]) -> u64 {
-        let gather_sort = |sg: &Pg2Instance, keys: &[K]| {
+        // Gather-sort-scatter, one subgraph at a time.
+        for sg in subgraphs {
             let mut buf: Vec<K> = sg.nodes.iter().map(|&v| keys[v as usize].clone()).collect();
             buf.sort_unstable();
             if sg.dir == Direction::Descending {
                 buf.reverse();
             }
-            buf
-        };
-        if subgraphs.len() < PAR_THRESHOLD {
-            // Serial gather-sort-scatter, one subgraph at a time.
-            for sg in subgraphs {
-                let buf = gather_sort(sg, keys);
-                for (&v, k) in sg.nodes.iter().zip(buf) {
-                    keys[v as usize] = k;
-                }
-            }
-        } else {
-            // Gather-sort in parallel (subgraphs are disjoint), scatter
-            // after.
-            let sorted: Vec<Vec<K>> = subgraphs
-                .par_iter()
-                .map(|sg| gather_sort(sg, keys))
-                .collect();
-            for (sg, buf) in subgraphs.iter().zip(sorted) {
-                for (&v, k) in sg.nodes.iter().zip(buf) {
-                    keys[v as usize] = k;
-                }
+            for (&v, k) in sg.nodes.iter().zip(buf) {
+                keys[v as usize] = k;
             }
         }
         self.logger.log(|| Event::S2Unit {
@@ -260,30 +235,13 @@ fn order_pair(a: u32, b: u32) -> (u32, u32) {
     }
 }
 
-impl<K: Ord + Clone + Send + Sync> Engine<K> for ExecutedEngine {
+impl<K: Ord + Clone> Engine<K> for ExecutedEngine {
     fn sort_round(&mut self, keys: &mut [K], subgraphs: &[Pg2Instance]) -> u64 {
-        let program = &self.program;
-        let gather_run = |sg: &Pg2Instance, keys: &[K]| {
+        for sg in subgraphs {
             let mut buf: Vec<K> = sg.nodes.iter().map(|&v| keys[v as usize].clone()).collect();
-            run_program(&mut buf, program, sg.dir);
-            buf
-        };
-        if subgraphs.len() < PAR_THRESHOLD {
-            for sg in subgraphs {
-                let buf = gather_run(sg, keys);
-                for (&v, k) in sg.nodes.iter().zip(buf) {
-                    keys[v as usize] = k;
-                }
-            }
-        } else {
-            let sorted: Vec<Vec<K>> = subgraphs
-                .par_iter()
-                .map(|sg| gather_run(sg, keys))
-                .collect();
-            for (sg, buf) in subgraphs.iter().zip(sorted) {
-                for (&v, k) in sg.nodes.iter().zip(buf) {
-                    keys[v as usize] = k;
-                }
+            run_program(&mut buf, &self.program, sg.dir);
+            for (&v, k) in sg.nodes.iter().zip(buf) {
+                keys[v as usize] = k;
             }
         }
         self.logger.log(|| Event::S2Unit {

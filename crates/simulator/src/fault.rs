@@ -692,18 +692,8 @@ fn exec_kernel_with_faults<K: Ord + Clone>(
     )
 }
 
-/// One batch lane: distinct `&mut` targets for the parallel workers,
-/// with the per-lane outcome written in place (the vendored `rayon`
-/// subset has no indexed map-collect).
-struct LaneSlot<'a, K> {
-    lane: u64,
-    keys: &'a mut Vec<K>,
-    outcome: Option<Result<FaultReport, FaultError>>,
-}
-
 impl BspMachine {
-    /// Emit the observability events a finished lane accumulated. Runs
-    /// on the calling thread (the logger's buffers are thread-local).
+    /// Emit the observability events a finished lane accumulated.
     pub(crate) fn emit_fault_events(&self, report: &FaultReport, lane: Option<u64>) {
         for f in &report.injected {
             self.logger.log(|| Event::FaultInjected {
@@ -830,9 +820,11 @@ impl BspMachine {
     }
 
     /// Drive a batch of independent key vectors through one compiled
-    /// program under fault injection, lanes fanned out like
-    /// [`BspMachine::run_batch`], each lane using `plan.fork(lane)` so
-    /// lanes fault independently.
+    /// program under fault injection, one lane after another on the
+    /// calling thread, each lane using `plan.fork(lane)` so lanes fault
+    /// independently. This is the reference the column tier's lockstep
+    /// ([`BspMachine::run_vertical_batch_with_faults`]) is pinned to,
+    /// reports and event streams of quarantined lanes included.
     ///
     /// Degrades gracefully instead of failing the batch: a lane that
     /// exhausts its retries is *quarantined* — restored to its original
@@ -840,16 +832,13 @@ impl BspMachine {
     /// ends snake-sorted regardless. Per-lane errors are only the
     /// non-recoverable kinds (wrong key count). An invalid program fails
     /// every lane without executing anything. Never panics on any input.
-    pub fn run_batch_with_faults<K>(
+    pub fn run_batch_with_faults<K: Ord + Clone>(
         &self,
         batch: &mut [Vec<K>],
         program: &CompiledProgram,
         plan: &FaultPlan,
         policy: &RetryPolicy,
-    ) -> Vec<Result<FaultReport, FaultError>>
-    where
-        K: Ord + Clone + Send + Sync,
-    {
+    ) -> Vec<Result<FaultReport, FaultError>> {
         if let Err(e) = self.try_validate(program) {
             return batch
                 .iter()
@@ -857,19 +846,21 @@ impl BspMachine {
                 .collect();
         }
         let _batch_span = self.logger.span(Tier::Fault, Stage::Batch, SpanClass::None);
-        let workers = self.batch_workers(batch.len());
         self.logger.log(|| Event::BatchScheduled {
             batch: batch.len() as u64,
-            lanes: workers as u64,
+            lanes: 1,
         });
         let shape = self.shape();
         let expected = shape.len();
-        let run_lane = |lane: u64, keys: &mut Vec<K>| -> Result<FaultReport, FaultError> {
+        let mut results = Vec::with_capacity(batch.len());
+        for (lane, keys) in batch.iter_mut().enumerate() {
+            let lane = lane as u64;
             if keys.len() as u64 != expected {
-                return Err(FaultError::WrongKeyCount {
+                results.push(Err(FaultError::WrongKeyCount {
                     expected,
                     got: keys.len(),
-                });
+                }));
+                continue;
             }
             let lane_plan = plan.fork(lane);
             // Keep the pristine input around for the quarantine path.
@@ -892,40 +883,8 @@ impl BspMachine {
                 report.rounds = report.counters.total_rounds();
                 report.quarantined = true;
             }
-            Ok(report)
-        };
-        let mut slots: Vec<LaneSlot<'_, K>> = batch
-            .iter_mut()
-            .enumerate()
-            .map(|(i, keys)| LaneSlot {
-                lane: i as u64,
-                keys,
-                outcome: None,
-            })
-            .collect();
-        if workers <= 1 {
-            for slot in &mut slots {
-                slot.outcome = Some(run_lane(slot.lane, slot.keys));
-            }
-        } else {
-            use rayon::prelude::*;
-            slots
-                .par_iter_mut()
-                .for_each(|slot| slot.outcome = Some(run_lane(slot.lane, slot.keys)));
-        }
-        let results: Vec<Result<FaultReport, FaultError>> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.outcome
-                    .unwrap_or(Err(FaultError::Internal("batch lane produced no outcome")))
-            })
-            .collect();
-        // The logger's buffers are thread-local, so lane events are
-        // replayed here, after the join, from the calling thread.
-        for (lane, res) in results.iter().enumerate() {
-            if let Ok(report) = res {
-                self.emit_fault_events(report, Some(lane as u64));
-            }
+            self.emit_fault_events(&report, Some(lane));
+            results.push(Ok(report));
         }
         results
     }

@@ -1,9 +1,9 @@
 //! Flat structure-of-arrays kernel tier for compiled BSP programs.
 //!
-//! [`crate::bsp::BspMachine::run`] and friends *interpret* a
-//! `Vec<Vec<Op>>`: every operation pays an enum discriminant match, and
-//! every round allocates scratch (`incoming` buffers, deferred-action
-//! vectors). For the throughput experiments that execute one schedule
+//! [`crate::bsp::BspMachine::run`] *interprets* a `Vec<Vec<Op>>`: every
+//! operation pays an enum discriminant match and its machine-model
+//! checks, and every run allocates transit slots and validation scratch.
+//! For the throughput experiments that execute one schedule
 //! thousands of times, that interpretive overhead dominates. This module
 //! lowers a validated [`CompiledProgram`] **once** into a
 //! [`KernelProgram`], which keeps two views of every round:
@@ -55,17 +55,15 @@
 //! between them run as one pass each.
 //!
 //! Lowering happens after static validation ([`BspMachine::lower`]), so
-//! the kernels run unchecked, like `run_parallel` after `validate` —
-//! but validation is paid once per program, not once per run.
+//! the kernels run unchecked: validation is paid once per program, not
+//! once per run.
 //!
 //! The intra-round parallel path ([`BspMachine::run_kernel_parallel`])
-//! replaces the interpreter's `par_iter().map().collect::<Vec<Action>>()`
-//! (one allocation per parallel round, plus one heap-allocated action
-//! list) with chunked execution over a large compare round's disjoint
-//! per-op pair ranges (other rounds run their runs serially): worker
-//! threads write swap decisions into a reusable `u64` bitmask, and the
-//! swaps commit serially — bit-identical to serial order because
-//! validated rounds touch each key at most once. It has no library
+//! splits a large compare round's disjoint per-op pair ranges across
+//! threads (other rounds run their runs serially): the workers write
+//! swap decisions into a reusable `u64` bitmask, and the swaps commit
+//! serially — bit-identical to serial order because validated rounds
+//! touch each key at most once. It has no library
 //! caller: it spawns scoped threads in every large round, which costs
 //! more than the serial kernel saves, so `Machine::sort` runs
 //! [`BspMachine::run_kernel`]. The path is kept for the differential
@@ -1036,8 +1034,7 @@ impl BspMachine {
     /// Validate `program` against this machine, then lower it to a
     /// [`KernelProgram`], pairing its relays into compare-exchanges. The
     /// kernels then run unchecked — validation is paid once per program
-    /// instead of once per run (`run_parallel` re-validates on every
-    /// call).
+    /// instead of once per run ([`BspMachine::run`] checks every op).
     ///
     /// # Errors
     ///

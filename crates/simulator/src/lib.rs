@@ -48,7 +48,7 @@ pub use bsp::{
 };
 pub use cache::{fingerprint, CacheStats, ProgramCache, ProgramKey};
 pub use cost::CostModel;
-pub use engine::{ChargedEngine, Engine, ExecutedEngine, Pg2Instance, PAR_THRESHOLD};
+pub use engine::{ChargedEngine, Engine, ExecutedEngine, Pg2Instance};
 pub use fault::{Detection, FaultError, FaultReport, InjectedFault, Retry};
 pub use kernel::{ExecScratch, KernelProgram, RoundClass, ScratchPool, KERNEL_PAR_THRESHOLD};
 // The fault plan/policy vocabulary is re-exported so executor callers

@@ -206,14 +206,6 @@ impl Machine {
         Machine::with_program(factor, r, sorter, program, kernel, vertical)
     }
 
-    /// As [`Machine::executed`], with the sorter resolved from a
-    /// [`SorterChoice`] — [`SorterChoice::Auto`] scores every candidate
-    /// on this factor and uses the routing-aware winner.
-    #[must_use]
-    pub fn executed_with(factor: &Graph, r: usize, choice: SorterChoice) -> Self {
-        Machine::executed(factor, r, choice.resolve(factor))
-    }
-
     /// As [`Machine::compiled`], with the sorter resolved from a
     /// [`SorterChoice`]. The resolved sorter's identity is part of the
     /// cache key, so machines built with different choices (or different
@@ -226,18 +218,6 @@ impl Machine {
         cache: &ProgramCache,
     ) -> Self {
         Machine::compiled(factor, r, choice.resolve(factor), cache)
-    }
-
-    /// As [`Machine::compiled_optimized`], with the sorter resolved from
-    /// a [`SorterChoice`].
-    #[must_use]
-    pub fn compiled_optimized_with(
-        factor: &Graph,
-        r: usize,
-        choice: SorterChoice,
-        cache: &ProgramCache,
-    ) -> Self {
-        Machine::compiled_optimized(factor, r, choice.resolve(factor), cache)
     }
 
     fn with_program(
@@ -690,7 +670,7 @@ mod tests {
         let _again = Machine::compiled_with(&factor, 2, crate::SorterChoice::Auto, &cache);
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
         // The executed constructor resolves the same way.
-        let exec = Machine::executed_with(&factor, 2, crate::SorterChoice::Auto);
+        let exec = Machine::executed(&factor, 2, crate::SorterChoice::Auto.resolve(&factor));
         assert_eq!(exec.s2_steps(), 15, "multiway rounds, all edges on K_4");
     }
 

@@ -55,7 +55,7 @@ pub struct NetSortOutcome {
 /// Panics if `keys.len() != N^r` or `r < 2`.
 pub fn network_sort<K, E>(shape: Shape, keys: &mut [K], engine: &mut E) -> NetSortOutcome
 where
-    K: Ord + Clone + Send + Sync,
+    K: Ord + Clone,
     E: Engine<K>,
 {
     assert_eq!(keys.len() as u64, shape.len(), "one key per node");
@@ -78,7 +78,7 @@ pub(crate) fn network_stage<K, E>(
     dims: &[usize],
     out: &mut NetSortOutcome,
 ) where
-    K: Ord + Clone + Send + Sync,
+    K: Ord + Clone,
     E: Engine<K>,
 {
     if dims.len() == 2 {
@@ -102,7 +102,7 @@ pub fn network_merge<K, E>(
     dims: &[usize],
     out: &mut NetSortOutcome,
 ) where
-    K: Ord + Clone + Send + Sync,
+    K: Ord + Clone,
     E: Engine<K>,
 {
     debug_assert!(dims.len() >= 2);
@@ -137,7 +137,7 @@ fn sort_round<K, E>(
     parity_dims: Option<&[usize]>,
     out: &mut NetSortOutcome,
 ) where
-    K: Ord + Clone + Send + Sync,
+    K: Ord + Clone,
     E: Engine<K>,
 {
     let offsets = pg2_offsets(shape, dim_a, dim_b);
@@ -175,7 +175,7 @@ fn oet_round<K, E>(
     parity: usize,
     out: &mut NetSortOutcome,
 ) where
-    K: Ord + Clone + Send + Sync,
+    K: Ord + Clone,
     E: Engine<K>,
 {
     let n = shape.n();

@@ -80,7 +80,7 @@ fn log2_ceil(x: usize) -> u64 {
 /// Panics if `keys.len() != b·N^r`, `b == 0`, or `oversample == 0` or
 /// `oversample > b`. [`try_sample_sort`] reports the same conditions as
 /// typed errors instead.
-pub fn sample_sort<K: Ord + Clone + Send + Sync>(
+pub fn sample_sort<K: Ord + Clone>(
     factor: &Graph,
     r: usize,
     b: usize,
@@ -101,7 +101,7 @@ pub fn sample_sort<K: Ord + Clone + Send + Sync>(
 /// [`SortError::BadOversample`] unless `1 ≤ oversample ≤ b`,
 /// [`SortError::WrongBlockedKeyCount`] if `keys.len() != b·N^r`. No key
 /// is moved on any error.
-pub fn try_sample_sort<K: Ord + Clone + Send + Sync>(
+pub fn try_sample_sort<K: Ord + Clone>(
     factor: &Graph,
     r: usize,
     b: usize,

@@ -39,7 +39,7 @@ pub fn subgraphs_snake_sorted<K: Ord>(shape: Shape, keys: &[K], k: usize) -> boo
 /// in the algorithm implementation, not bad input).
 pub fn network_sort_checked<K, E>(shape: Shape, keys: &mut [K], engine: &mut E) -> NetSortOutcome
 where
-    K: Ord + Clone + Send + Sync,
+    K: Ord + Clone,
     E: Engine<K>,
 {
     assert_eq!(keys.len() as u64, shape.len(), "one key per node");
@@ -66,7 +66,7 @@ where
 
 fn stage2<K, E>(shape: Shape, keys: &mut [K], engine: &mut E, out: &mut NetSortOutcome)
 where
-    K: Ord + Clone + Send + Sync,
+    K: Ord + Clone,
     E: Engine<K>,
 {
     // One parallel ascending sort round over PG_2(dims 0,1) — identical
@@ -125,7 +125,7 @@ impl<E> LoggingEngine<E> {
 
 impl<K, E> Engine<K> for LoggingEngine<E>
 where
-    K: Ord + Clone + Send + Sync,
+    K: Ord + Clone,
     E: Engine<K>,
 {
     fn sort_round(&mut self, keys: &mut [K], subgraphs: &[Pg2Instance]) -> u64 {

@@ -35,7 +35,8 @@
 //! round indices, op indices, and therefore `FaultSite {round, op}` keys
 //! are shared 1:1 with the interpreter and kernel paths. It injects
 //! from the identical per-lane forked plans and is bit-identical,
-//! reports included, to [`BspMachine::run_batch_with_faults`].
+//! reports included, to the serial reference
+//! [`BspMachine::run_batch_with_faults`].
 
 use std::sync::Arc;
 

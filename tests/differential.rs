@@ -6,13 +6,13 @@
 //!
 //! * the charged engine (`network_sort` + `ChargedEngine`),
 //! * the executed engine (`network_sort` + `ExecutedEngine`),
-//! * the serial BSP machine (`BspMachine::run`),
-//! * the deferred-action parallel executor (`run_parallel`),
-//! * the batched executor (`run_batch`, all inputs in one batch),
+//! * the serial BSP machine (`BspMachine::run`), the oracle, on both
+//!   the raw and the *optimized* program,
 //! * the flat kernel tier (`run_kernel`, the chunked-parallel
 //!   `run_kernel_parallel` forced past its threshold, and
 //!   `run_kernel_batch`), on both the raw and optimized lowerings,
-//! * plus serial/parallel/batched runs of the *optimized* program,
+//! * the vertical column tier (`run_vertical_batch`, all inputs in one
+//!   block), on both lowerings,
 //!
 //! and require all configurations to be elementwise identical and
 //! snake-order equal to the `std` sort oracle. The algorithm is
@@ -117,15 +117,10 @@ fn differential_case(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) {
             "{ctx} {label}: serial vs std oracle"
         );
 
-        // Parallel executor, raw and optimized programs.
-        for (name, prog) in [("program", &program), ("optimized", &optimized)] {
-            let mut par = input.clone();
-            bsp.run_parallel(&mut par, prog);
-            assert_eq!(par, serial, "{ctx} {label}: run_parallel on {name}");
-            let mut ser2 = input.clone();
-            bsp.run(&mut ser2, prog);
-            assert_eq!(ser2, serial, "{ctx} {label}: serial run on {name}");
-        }
+        // The optimized program, through the same oracle.
+        let mut opt = input.clone();
+        bsp.run(&mut opt, &optimized);
+        assert_eq!(opt, serial, "{ctx} {label}: serial run on optimized");
 
         // Kernel tier: serial and chunked-parallel (threshold 1 forces
         // the chunked path even on tiny rounds), raw and optimized.
@@ -151,16 +146,6 @@ fn differential_case(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) {
         assert_eq!(charged, serial, "{ctx} {label}: charged engine");
 
         serials.push(serial);
-    }
-
-    // Batched executor: the whole input bank as one batch, raw and
-    // optimized programs.
-    for (name, prog) in [("program", &program), ("optimized", &optimized)] {
-        let mut batch: Vec<Vec<u64>> = bank.iter().map(|(_, input)| input.clone()).collect();
-        bsp.run_batch(&mut batch, prog);
-        for ((label, _), (got, want)) in bank.iter().zip(batch.iter().zip(&serials)) {
-            assert_eq!(got, want, "{ctx} {label}: run_batch on {name}");
-        }
     }
 
     // Batched kernel executor, one scratch pool across both lowerings.
@@ -208,7 +193,7 @@ fn differential_hypercubes() {
     differential_case(&factories::k2(), 2, &Hypercube2Sorter);
     differential_case(&factories::k2(), 3, &Hypercube2Sorter);
     differential_case(&factories::k2(), 4, &Hypercube2Sorter);
-    // Past the PAR_THRESHOLD so run_parallel takes the rayon path.
+    // 256 nodes: the zoo's largest network.
     differential_case(&factories::k2(), 8, &Hypercube2Sorter);
 }
 
@@ -414,8 +399,8 @@ fn traced_machine(
 /// events are excluded: the interpreter and vertical tiers legitimately
 /// execute different word-level schedules, but the *fault story* —
 /// which sites fired, where detection tripped, what was retried, who
-/// was quarantined — must be identical, and both batch executors replay
-/// it post-join in lane order.
+/// was quarantined — must be identical, and both batch executors emit
+/// it in lane order.
 fn fault_event_stream(events: &[TimedEvent]) -> Vec<Event> {
     events
         .iter()

@@ -8,7 +8,7 @@
 use product_sort::graph::factories;
 use product_sort::service::{
     BreakerConfig, BreakerState, LaneVerdict, ManualClock, Poll, RateLimit, RejectReason,
-    ServiceConfig, ServiceCore, ServiceError, ShapeSpec, SortService, Transport,
+    ServiceConfig, ServiceCore, ServiceError, ShapeSpec, SortService,
 };
 use product_sort::sim::netsort::is_snake_sorted;
 use product_sort::sim::{BspMachine, FaultPlan};
@@ -146,7 +146,7 @@ fn queued_requests_are_answered_shutdown_on_drop() {
             other => panic!("expected Shutdown, got {other:?}"),
         }
     }
-    match Transport::submit(&service, 0, 0, keys_desc()) {
+    match service.submit(0, 0, keys_desc()) {
         Err(ServiceError::Rejected(RejectReason::Shutdown)) => {}
         other => panic!("expected Shutdown after stop, got {other:?}"),
     }

@@ -92,7 +92,7 @@ proptest! {
         // snake is always a candidate).
         let factor = Machine::prepare_factor(&factories::random_connected(n, extra, seed));
         let shape = Shape::new(n, 2);
-        let mut auto = Machine::executed_with(&factor, 2, SorterChoice::Auto);
+        let mut auto = Machine::executed(&factor, 2, SorterChoice::Auto.resolve(&factor));
         let oet = Machine::executed(&factor, 2, &OetSnakeSorter);
         prop_assert!(auto.s2_steps() <= oet.s2_steps());
         let mut keys = keys_for(shape.len(), seed ^ 0xBEEF, modulus);
