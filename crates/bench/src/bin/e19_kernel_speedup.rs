@@ -38,8 +38,9 @@ fn allocations() -> u64 {
 }
 
 fn main() {
-    let rows = pns_bench::experiments::e19_kernel_speedup::collect(Some(allocations));
-    let report = pns_bench::experiments::e19_kernel_speedup::report_from_rows(&rows);
+    use pns_bench::experiments::e19_kernel_speedup::{collect, report_from_rows, REPS};
+    let rows = collect(Some(allocations), REPS);
+    let report = report_from_rows(&rows, REPS);
     println!("{}", report.to_markdown());
     let json = serde_json::to_string_pretty(&rows).expect("rows serialize");
     std::fs::write("BENCH_e19_kernel.json", json).expect("write BENCH_e19_kernel.json");

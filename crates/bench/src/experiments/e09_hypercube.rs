@@ -7,13 +7,20 @@
 //! `PG_2` sorter, every transposition a hypercube edge), and the
 //! depth of Batcher's networks (odd-even merge sort and the bitonic
 //! hypercube schedule, both `r(r+1)/2` rounds).
+//!
+//! Informational columns, for `r ≤ 10`: the compiled program's clean
+//! compare-exchanges, the ones its lowered kernel keeps once the
+//! compare-exchanges the 0/1 principle proves idle are pruned, and the
+//! rounds that still hold one — set beside the comparator count and
+//! depth of Batcher's odd-even merge sort and bitonic sort on `2^r`
+//! keys.
 
 use crate::report::ascii_chart;
 use crate::Report;
 use pns_baselines::bitonic::bitonic_hypercube_steps;
 use pns_baselines::{bitonic_sort_network, odd_even_merge_sort_network};
 use pns_graph::factories;
-use pns_simulator::{Hypercube2Sorter, Machine};
+use pns_simulator::{compile, Hypercube2Sorter, KernelProgram, Machine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,6 +45,23 @@ pub fn ours_measured(r: usize, seed: u64) -> u64 {
     rep.steps()
 }
 
+/// The informational columns for the `r`-cube: clean compare-exchanges,
+/// kept ones, kept non-empty rounds, and Batcher's odd-even merge sort
+/// and bitonic sort as `comparators/depth`.
+fn network_columns(r: usize) -> [String; 5] {
+    let kernel = KernelProgram::lower(&compile(&factories::k2(), r, &Hypercube2Sorter));
+    let kept = kernel.kept();
+    let oem = odd_even_merge_sort_network(1 << r);
+    let bitonic = bitonic_sort_network(1 << r);
+    [
+        kernel.clean_cx_count().to_string(),
+        kept.pairs.to_string(),
+        kept.rounds.to_string(),
+        format!("{}/{}", oem.size(), oem.depth()),
+        format!("{}/{}", bitonic.size(), bitonic.depth()),
+    ]
+}
+
 /// Regenerate the hypercube comparison table.
 #[must_use]
 pub fn run() -> Report {
@@ -52,6 +76,11 @@ pub fn run() -> Report {
             "ours measured",
             "batcher/bitonic depth",
             "ratio ours/batcher",
+            "clean cx",
+            "kept cx",
+            "kept rounds",
+            "odd-even merge cx/depth",
+            "bitonic cx/depth",
             "match",
         ],
     );
@@ -65,6 +94,17 @@ pub fn run() -> Report {
         let batcher = bitonic_hypercube_steps(r);
         let ok = measured == pred;
         report.check(ok);
+        let [clean, kept, kept_rounds, oem, bitonic] = if r <= 10 {
+            network_columns(r)
+        } else {
+            [
+                "-".to_owned(),
+                "-".to_owned(),
+                "-".to_owned(),
+                "-".to_owned(),
+                "-".to_owned(),
+            ]
+        };
         report.row(&[
             r.to_string(),
             (1u64 << r).to_string(),
@@ -76,6 +116,11 @@ pub fn run() -> Report {
             },
             batcher.to_string(),
             format!("{:.2}", pred as f64 / batcher as f64),
+            clean,
+            kept,
+            kept_rounds,
+            oem,
+            bitonic,
             ok.to_string(),
         ]);
     }
@@ -95,6 +140,14 @@ pub fn run() -> Report {
         "The 'ours measured' column is the executed engine: the three-step \
          PG_2 sorter of §5.3 plus one-step transpositions (every compared \
          pair is a hypercube edge), verified against the closed form.",
+    );
+    report.note(
+        "'clean cx' counts the compiled program's compare-exchanges, 'kept \
+         cx' the ones its kernel keeps once those the 0/1 principle proves \
+         idle are pruned, level by level within the analysis budget, and \
+         'kept rounds' the rounds still holding one: what the fault-free \
+         tiers execute. Batcher's networks are counted on the same 2^r \
+         keys (comparators/depth). Informational: not part of 'match'.",
     );
     let ours: Vec<(f64, f64)> = (2..=12usize)
         .map(|r| (r as f64, ours_predicted(r) as f64))

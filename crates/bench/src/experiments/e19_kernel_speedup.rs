@@ -27,9 +27,11 @@ use std::time::Instant;
 
 /// Vectors per batched timing pass.
 const BATCH: usize = 16;
-/// Timed repetitions per executor (keeps debug-mode tests quick while
-/// giving release-mode timings something to average over).
-const REPS: usize = 64;
+/// Timed repetitions per executor in the binary's run, which writes
+/// `BENCH_e19_kernel.json`: enough for release-mode timings to average
+/// over. The library's [`run`] times one repetition, since no timing
+/// column enters its `match`.
+pub const REPS: usize = 64;
 
 fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
     let mut state = seed;
@@ -57,35 +59,35 @@ pub struct E19Row {
     pub compare_rounds: usize,
     /// Rounds lowered to packed route micro-ops.
     pub route_rounds: usize,
-    /// Wall-time for `REPS` single-vector `run` calls, ms.
+    /// Wall-time for `reps` single-vector `run` calls, ms.
     pub interp_ms: f64,
-    /// Wall-time for `REPS` warm single-vector `run_kernel` calls, ms.
+    /// Wall-time for `reps` warm single-vector `run_kernel` calls, ms.
     pub kernel_ms: f64,
     /// `interp_ms / kernel_ms`.
     pub speedup: f64,
-    /// Wall-time for `REPS` passes of 16 `run` calls, one per vector,
+    /// Wall-time for `reps` passes of 16 `run` calls, one per vector,
     /// ms.
     pub batch_interp_ms: f64,
-    /// Wall-time for `REPS` 16-vector `run_kernel_batch` calls, ms.
+    /// Wall-time for `reps` 16-vector `run_kernel_batch` calls, ms.
     pub batch_kernel_ms: f64,
     /// `batch_interp_ms / batch_kernel_ms`.
     pub batch_speedup: f64,
-    /// Heap allocations across the `REPS` timed single-vector `run`
+    /// Heap allocations across the `reps` timed single-vector `run`
     /// calls (probe builds only).
     pub interp_allocs: Option<u64>,
-    /// Heap allocations across the `REPS` timed warm `run_kernel`
+    /// Heap allocations across the `reps` timed warm `run_kernel`
     /// calls (probe builds only) — claim 3 requires exactly zero.
     pub kernel_allocs: Option<u64>,
     /// Claims 1–3 for this configuration.
     pub ok: bool,
 }
 
-/// Measure every configuration. `probe`, when supplied, reads a
-/// process-global allocation counter (the binary installs one as
-/// `#[global_allocator]`); library callers pass `None` and the
-/// allocation columns stay empty.
+/// Measure every configuration, timing `reps` repetitions of each
+/// executor. `probe`, when supplied, reads a process-global allocation
+/// counter (the binary installs one as `#[global_allocator]`); library
+/// callers pass `None` and the allocation columns stay empty.
 #[must_use]
-pub fn collect(probe: Option<fn() -> u64>) -> Vec<E19Row> {
+pub fn collect(probe: Option<fn() -> u64>, reps: usize) -> Vec<E19Row> {
     let cases: Vec<(pns_graph::Graph, usize, &dyn Pg2Sorter)> = vec![
         // The headline ISSUE-5 workload: the 3-ary 3-cube.
         (factories::path(3), 3, &ShearSorter),
@@ -144,7 +146,7 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E19Row> {
         let mut keys = input.clone();
         let a0 = allocs(probe);
         let t0 = Instant::now();
-        for _ in 0..REPS {
+        for _ in 0..reps {
             keys.clone_from_slice(&input);
             bsp.run(&mut keys, &program);
         }
@@ -155,7 +157,7 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E19Row> {
         bsp.run_kernel(&mut keys, &kernel, &mut scratch); // warm-up
         let a1 = allocs(probe);
         let t1 = Instant::now();
-        for _ in 0..REPS {
+        for _ in 0..reps {
             keys.clone_from_slice(&input);
             bsp.run_kernel(&mut keys, &kernel, &mut scratch);
         }
@@ -167,7 +169,7 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E19Row> {
 
         let mut work = batch.clone();
         let t2 = Instant::now();
-        for _ in 0..REPS {
+        for _ in 0..reps {
             for (w, b) in work.iter_mut().zip(&batch) {
                 w.clone_from_slice(b);
                 bsp.run(w, &program);
@@ -177,7 +179,7 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E19Row> {
 
         let mut pool = ScratchPool::new();
         let t3 = Instant::now();
-        for _ in 0..REPS {
+        for _ in 0..reps {
             for (w, b) in work.iter_mut().zip(&batch) {
                 w.clone_from_slice(b);
             }
@@ -206,10 +208,11 @@ pub fn collect(probe: Option<fn() -> u64>) -> Vec<E19Row> {
     rows
 }
 
-/// Build the experiment report from measured rows (separated from
-/// [`collect`] so the binary can serialize the same rows to JSON).
+/// Build the experiment report from rows [`collect`] measured with
+/// `reps` repetitions (separated from it so the binary can serialize
+/// the same rows to JSON).
 #[must_use]
-pub fn report_from_rows(rows: &[E19Row]) -> Report {
+pub fn report_from_rows(rows: &[E19Row], reps: usize) -> Report {
     let mut report = Report::new(
         "e19_kernel_speedup",
         "Extension: flat SoA kernel tier — lowered kernels bit-identical \
@@ -251,23 +254,24 @@ pub fn report_from_rows(rows: &[E19Row]) -> Report {
         ]);
     }
     report.note(&format!(
-        "{REPS} reps per timed pass, batches of {BATCH}. Wall-clock \
+        "{reps} reps per timed pass, batches of {BATCH}. Wall-clock \
          columns are host-dependent (everything in `match` is \
          deterministic): `speedup` is single-vector run (the serial \
          interpreter, which checks every op) vs warm run_kernel, `batch \
          speedup` is one run per vector vs run_kernel_batch. The \
          allocation column (binary runs only) counts heap \
-         allocations across all {REPS} timed calls; the kernel side \
+         allocations across all {reps} timed calls; the kernel side \
          must be exactly 0 after its one warm-up run."
     ));
     report
 }
 
-/// Regenerate the kernel-speedup table (no allocation probe; the
-/// `e19_kernel_speedup` binary adds one).
+/// Regenerate the kernel-speedup table with one timed repetition and
+/// no allocation probe (the `e19_kernel_speedup` binary times
+/// [`REPS`] and adds one).
 #[must_use]
 pub fn run() -> Report {
-    report_from_rows(&collect(None))
+    report_from_rows(&collect(None, 1), 1)
 }
 
 #[cfg(test)]

@@ -17,8 +17,10 @@ use serde::{Deserialize, Serialize};
 /// *data*, never the schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FaultKind {
-    /// A compare-exchange applies the *inverted* direction: the minimum
-    /// lands on the wrong side.
+    /// A compare-exchange inverts its swap decision: it swaps exactly
+    /// when the clean compare-exchange would not (a strictly ordered
+    /// pair goes out of order, and an equal pair trades places), so the
+    /// minimum lands on the wrong side.
     FlipCompare,
     /// A route message is lost: the receiving transit slot is filled
     /// with a stale copy of the receiver's resident key instead of the

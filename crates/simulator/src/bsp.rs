@@ -33,7 +33,10 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum Op {
     /// Adjacent compare-exchange: nodes `a` and `b` swap keys over the
-    /// edge if out of order; the minimum ends at `a` when `min_to_a`.
+    /// edge when they are strictly out of order for the direction — the
+    /// minimum ends at `a` when `min_to_a`, at `b` otherwise — and equal
+    /// keys stay where they are. So `(a, b, min_to_a: false)` acts
+    /// exactly as `(b, a, min_to_a: true)`, on every key type.
     CompareExchange {
         /// First endpoint.
         a: u64,
@@ -220,7 +223,9 @@ impl CompiledProgram {
     ///
     /// 1. **Idempotent compare-exchange elimination** — a compare
     ///    identical to one already applied, with neither resident key
-    ///    touched since, can never swap again and is dropped.
+    ///    touched since, can never swap again (equal keys included: a
+    ///    compare-exchange swaps only a strictly out-of-order pair) and
+    ///    is dropped.
     /// 2. **Empty-round elision** — rounds with no operations (pushed
     ///    by [`compile`] for empty transposition parity classes to
     ///    mirror the executed engine's accounting) are removed.
@@ -841,8 +846,7 @@ impl BspMachine {
                         touch_key(a, &mut key_touched);
                         touch_key(b, &mut key_touched);
                         let (ai, bi) = (a as usize, b as usize);
-                        let a_has_min = keys[ai] <= keys[bi];
-                        if a_has_min != min_to_a {
+                        if swaps(&keys[ai], &keys[bi], min_to_a) {
                             keys.swap(ai, bi);
                         }
                     }
@@ -1163,6 +1167,18 @@ impl BspMachine {
     }
 }
 
+/// Whether [`Op::CompareExchange`] swaps `x` (at `a`) and `y` (at `b`):
+/// only when they are strictly out of order for `min_to_a`, so an equal
+/// pair stays in place. The one tie rule of every executor.
+#[inline]
+pub(crate) fn swaps<K: Ord>(x: &K, y: &K, min_to_a: bool) -> bool {
+    if min_to_a {
+        x > y
+    } else {
+        x < y
+    }
+}
+
 /// One round, serial, unchecked — the data semantics of
 /// [`BspMachine::run`]'s inner loop (takes read start-of-round transit
 /// state; incoming values commit at the end of the round). The caller
@@ -1179,8 +1195,7 @@ pub(crate) fn exec_round_serial_scratch<K: Ord + Clone>(
         match *op {
             Op::CompareExchange { a, b, min_to_a } => {
                 let (ai, bi) = (a as usize, b as usize);
-                let a_has_min = keys[ai] <= keys[bi];
-                if a_has_min != min_to_a {
+                if swaps(&keys[ai], &keys[bi], min_to_a) {
                     keys.swap(ai, bi);
                 }
             }
@@ -1269,8 +1284,7 @@ impl<K: Ord + Clone> Engine<K> for RecordingEngine {
                     let min_to_a = sg.dir == Direction::Ascending;
                     pairs.push((a, b, min_to_a));
                     let (ai, bi) = (a as usize, b as usize);
-                    let a_has_min = keys[ai] <= keys[bi];
-                    if a_has_min != min_to_a {
+                    if swaps(&keys[ai], &keys[bi], min_to_a) {
                         keys.swap(ai, bi);
                     }
                 }

@@ -7,7 +7,7 @@
 //!
 //! 1. **Injection** — [`FaultPlan::decide`] is consulted per site; a
 //!    fired site perturbs the op's semantics ([`FaultKind::FlipCompare`]
-//!    inverts the comparison direction, [`FaultKind::DropRoute`]
+//!    inverts the swap decision, [`FaultKind::DropRoute`]
 //!    delivers a stale clone of the *receiver's* resident key instead of
 //!    the payload, [`FaultKind::StallResolve`] discards the arrived
 //!    value and keeps the resident key). All three preserve the
@@ -64,7 +64,7 @@ use pns_obs::{Event, SpanClass, Stage, Tier};
 use pns_order::radix::Shape;
 
 use crate::bsp::{
-    exec_program, exec_round_serial_scratch, BspMachine, CertPoint, CompiledProgram, Op,
+    exec_program, exec_round_serial_scratch, swaps, BspMachine, CertPoint, CompiledProgram, Op,
     ProgramError,
 };
 use crate::kernel::{
@@ -268,10 +268,9 @@ fn apply_op_faulty<K: Ord + Clone>(
 ) {
     match *op {
         Op::CompareExchange { a, b, min_to_a } => {
-            let min_to_a = if fault.is_some() { !min_to_a } else { min_to_a };
+            // A flip inverts the swap decision.
             let (ai, bi) = (a as usize, b as usize);
-            let a_has_min = keys[ai] <= keys[bi];
-            if a_has_min != min_to_a {
+            if swaps(&keys[ai], &keys[bi], min_to_a) != fault.is_some() {
                 keys.swap(ai, bi);
             }
         }
@@ -436,10 +435,11 @@ impl<K: Ord + Clone> Replay<K> {
 ///
 /// Without `replay`, every fault is a [`FaultKind::FlipCompare`], and
 /// each round runs its clean runs and then swaps the keys of its
-/// flipped pairs. A flipped compare-exchange swaps iff
-/// `(p <= q) == min_to_a`, the clean one iff `(p <= q) != min_to_a`, so
-/// one unconditional swap after the clean step gives the flipped
-/// result, ties included; the round's other runs touch neither key.
+/// flipped pairs. A flipped compare-exchange swaps exactly when the
+/// clean one does not, so one unconditional swap after the clean step
+/// gives the flipped result, ties included; the round's other runs
+/// touch neither key. The clean runs are the full table's: a flip
+/// breaks the level invariant the pruned table relies on.
 /// Paired relays stay exact: pairing depends on which keys ops write,
 /// and a flipped compare-exchange writes the same two keys.
 ///
@@ -468,11 +468,11 @@ fn exec_segment_faulty<K: Ord + Clone>(
         faults = rest;
         match replay.as_deref_mut() {
             Some(replay) if desc.class == RoundClass::Route => {
-                exec_table::<K, Keys>(keys, kernel, clean_from..ri, 1);
+                exec_table::<K, Keys>(keys, &kernel.full, clean_from..ri, 1);
                 replay.route_round(keys, kernel, desc, round_faults);
             }
             _ if !round_faults.is_empty() => {
-                exec_table::<K, Keys>(keys, kernel, clean_from..ri + 1, 1);
+                exec_table::<K, Keys>(keys, &kernel.full, clean_from..ri + 1, 1);
                 for f in round_faults {
                     let (a, b) = cx_keys(kernel, desc, f.site.op as usize);
                     keys.swap(a, b);
@@ -482,7 +482,7 @@ fn exec_segment_faulty<K: Ord + Clone>(
         }
         clean_from = ri + 1;
     }
-    exec_table::<K, Keys>(keys, kernel, clean_from..rounds.end, 1);
+    exec_table::<K, Keys>(keys, &kernel.full, clean_from..rounds.end, 1);
     debug_assert!(
         replay.is_none_or(|r| r.transit.iter().all(|t| t[0].is_none() && t[1].is_none())),
         "transit must drain at certificate boundaries"
@@ -638,9 +638,9 @@ fn exec_with_faults<K: Ord + Clone>(
 }
 
 /// Kernel-path fault executor: the same [`checkpoint_retry_loop`] over
-/// the kernel's run table. A disabled plan takes the clean fast path
-/// (the program's paired compare-exchanges, as [`BspMachine::run_kernel`]
-/// runs them, allocation-free). Otherwise a segment's first attempt
+/// the kernel's full run table. A disabled plan takes the clean fast
+/// path (the full table's compare-exchanges in one pass,
+/// allocation-free). Otherwise a segment's first attempt
 /// decides its faults once ([`decide_segment`]) and runs
 /// [`exec_segment_faulty`]: clean runs plus swaps for a list of flips,
 /// a route-round replay through transit slots (allocated then) for a
@@ -655,7 +655,7 @@ fn exec_kernel_with_faults<K: Ord + Clone>(
     let mut report = FaultReport::default();
     if !plan.is_enabled() {
         // Fast path: plain clean kernel execution, no hashing, no checks.
-        exec_kernel(keys, kernel);
+        exec_kernel(keys, &kernel.full);
         report.counters.useful_rounds = kernel.rounds() as u64;
         report.rounds = kernel.rounds() as u64;
         return (report, None);
@@ -672,7 +672,7 @@ fn exec_kernel_with_faults<K: Ord + Clone>(
             if attempt > 0 {
                 // A retry runs the sites of attempt 0, and each that
                 // fires fired there: nothing fires again.
-                exec_table::<K, Keys>(keys, kernel, seg, 1);
+                exec_table::<K, Keys>(keys, &kernel.full, seg, 1);
                 return;
             }
             let first = injected.len();
@@ -779,9 +779,12 @@ impl BspMachine {
     ///
     /// The kernel is already validated (lowering validates), so the only
     /// input check left is the key count. With a disabled plan this is
-    /// [`BspMachine::run_kernel`] plus report assembly — zero heap
-    /// allocations. `_scratch` is not touched: fault runs keep their
-    /// transit slots to themselves, and clean runs need none.
+    /// one pass over the full run table plus report assembly — zero
+    /// heap allocations. Every path runs the full table, never the
+    /// pruned one [`BspMachine::run_kernel`] runs: the analysis that
+    /// prunes it assumes fault-free levels. `_scratch` is not touched:
+    /// fault runs keep their transit slots to themselves, and clean
+    /// runs need none.
     ///
     /// # Errors
     ///

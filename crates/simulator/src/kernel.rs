@@ -8,26 +8,31 @@
 //! lowers a validated [`CompiledProgram`] **once** into a
 //! [`KernelProgram`], which keeps two views of every round:
 //!
-//! * **The clean view: one run table.** A round's clean
+//! * **The clean view: run tables.** A round's clean
 //!   compare-exchanges are a compare round's ops, or a route round's own
 //!   compare-exchanges plus one per *paired relay*: on fault-free data,
 //!   the two `Resolve`s that end a relay compute exactly one
 //!   compare-exchange between the relay's endpoints (see
-//!   [`KernelProgram::lower`] for the proof the pass checks). A validated
-//!   round touches each key at most once, so the order of its list is
-//!   free, and lowering groups it into maximal unit-stride runs
-//!   `(a, b, len, min_to_a)`: the pairs `(a + i, b + i)` for `i < len`,
-//!   one direction, two index ranges that never overlap. The serial,
-//!   batch, column and bit-sliced executors, and the fault executors'
-//!   clean rounds, all run the runs through one dispatched pass
-//!   (`exec_table`), with no transit slots, no deferred moves and no
-//!   per-round dispatch: the generic pass compiled for AVX2 when the CPU
-//!   has it, and plain otherwise. Each compare-exchange is branch-free
-//!   for keys without drop glue: the `a` side gets `min_by`, the `b`
-//!   side `max_by` (or the reverse), which on a tie reproduces the
-//!   oracle's swap exactly.
+//!   [`KernelProgram::lower`] for the proof the pass checks). A
+//!   compare-exchange swaps only keys strictly out of order for its
+//!   direction, so `(a, b, min_to_a: false)` is `(b, a, min_to_a: true)`,
+//!   and lowering orients every pair to send the minimum to its `a`
+//!   side. A validated round touches each key at most once, so the
+//!   order of its list is free, and lowering groups it into maximal
+//!   unit-stride runs `(a, b, len)`: the pairs `(a + i, b + i)` for
+//!   `i < len`, two index ranges that never overlap. The full table
+//!   holds every clean compare-exchange; a second, pruned table drops
+//!   the ones the level analysis of `prune.rs` proves idle. The
+//!   serial, batch, column and bit-sliced executors run the pruned
+//!   table, and the fault executors' clean rounds the full one, all
+//!   through one dispatched pass (`exec_table`), with no transit slots,
+//!   no deferred moves and no per-round dispatch: the generic pass
+//!   compiled for AVX2 when the CPU has it, and plain otherwise. Each
+//!   compare-exchange is branch-free for keys without drop glue: the `a`
+//!   side gets `min_by`, the `b` side `max_by`, which keeps equal keys
+//!   in place, as the oracle does.
 //! * **The round-faithful view: per-op tables.** Compare rounds keep
-//!   their ops as `(u32, u32)` rank pairs plus a direction bitmask, and
+//!   their ops as `(u32, u32)` rank pairs, oriented minimum-first, and
 //!   route rounds (any round containing a `Move` or `Resolve`) a packed
 //!   [`MicroOp`] array, both in **original op order**, so the op index
 //!   within a round equals the op index within the interpreted round —
@@ -41,9 +46,10 @@
 //!   compare rounds' pairs. Relays, and the transit slots they travel
 //!   through, stay with those replays and with the oracle
 //!   [`BspMachine::run`], which keeps the paper's step counts.
-//! * **Empty rounds** keep a descriptor so kernel round indices map 1:1
-//!   to `CompiledProgram` round indices; `CertPoint` boundaries and
-//!   reported step counts stay valid unchanged.
+//! * **Empty rounds**, and rounds the pruning empties, keep a
+//!   descriptor so kernel round indices map 1:1 to `CompiledProgram`
+//!   round indices; `CertPoint` boundaries, reported step counts and
+//!   round events stay valid unchanged.
 //!
 //! Each round carries a [`RoundClass`] tag, which the fault executors
 //! dispatch on and round spans report. A clean run keeps no state of
@@ -118,20 +124,15 @@ impl RoundClass {
     }
 }
 
-/// One lowered round: a class tag, the round's clean compare-exchanges
-/// as runs (`run_start..run_end` in [`KernelProgram::runs`]), a compare
-/// round's ops in source order (`cx_start..cx_end` in
-/// [`KernelProgram::cx_pairs`]; empty otherwise) and a route round's
-/// micro-ops in source op order (`micro_start..micro_end` in
-/// [`KernelProgram::micro`]; empty otherwise).
+/// One lowered round: a class tag, a compare round's ops in source
+/// order (`cx_start..cx_end` in [`KernelProgram::cx_pairs`]; empty
+/// otherwise) and a route round's micro-ops in source op order
+/// (`micro_start..micro_end` in [`KernelProgram::micro`]; empty
+/// otherwise). Its clean compare-exchanges are its span of each
+/// [`RunTable`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RoundDesc {
     pub(crate) class: RoundClass,
-    run_start: u32,
-    /// The round's runs of two or more pairs come first, its one-pair
-    /// runs from here on.
-    unit_start: u32,
-    run_end: u32,
     cx_start: u32,
     cx_end: u32,
     micro_start: u32,
@@ -139,22 +140,6 @@ pub(crate) struct RoundDesc {
 }
 
 impl RoundDesc {
-    /// Indices of the round's clean runs.
-    #[cfg(test)]
-    fn runs(self) -> Range<usize> {
-        self.run_start as usize..self.run_end as usize
-    }
-
-    /// Indices of the round's runs of two or more pairs.
-    fn long_runs(self) -> Range<usize> {
-        self.run_start as usize..self.unit_start as usize
-    }
-
-    /// Indices of the round's one-pair runs.
-    fn unit_runs(self) -> Range<usize> {
-        self.unit_start as usize..self.run_end as usize
-    }
-
     /// Global pair indices of a compare round's ops (empty for other
     /// classes): what the fault executors index through `FaultSite`.
     pub(crate) fn cx(self) -> Range<usize> {
@@ -167,32 +152,94 @@ impl RoundDesc {
     }
 }
 
-/// Direction bit of [`Run::len_dir`]: `min_to_a`.
-const RUN_MIN_TO_A: u32 = 1 << 31;
-
 /// One maximal unit-stride run of a round's clean compare-exchanges:
-/// the pairs `(a + i, b + i)` for `i < len`, all with one direction.
-/// A validated round touches each key at most once, so the run's two
-/// index ranges never overlap. 12 bytes.
+/// the pairs `(a + i, b + i)` for `i < len`, each sending the minimum
+/// to its `a` side. A validated round touches each key at most once,
+/// so the run's two index ranges never overlap. 12 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Run {
     pub(crate) a: u32,
     pub(crate) b: u32,
-    /// The length, with `min_to_a` in the top bit.
-    len_dir: u32,
+    pub(crate) len: u32,
 }
 
-impl Run {
-    /// Compare-exchanges in the run.
-    #[inline]
-    pub(crate) fn len(self) -> usize {
-        (self.len_dir & !RUN_MIN_TO_A) as usize
+/// One round's slice of a [`RunTable`]: its runs of two or more pairs,
+/// then its one-pair runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunSpan {
+    start: u32,
+    /// Where the round's one-pair runs start.
+    unit_start: u32,
+    end: u32,
+}
+
+impl RunSpan {
+    /// Indices of the round's runs of two or more pairs.
+    fn long_runs(self) -> Range<usize> {
+        self.start as usize..self.unit_start as usize
     }
 
-    /// Whether every pair of the run sends the minimum to `a + i`.
-    #[inline]
-    pub(crate) fn min_to_a(self) -> bool {
-        self.len_dir & RUN_MIN_TO_A != 0
+    /// Indices of the round's one-pair runs.
+    fn unit_runs(self) -> Range<usize> {
+        self.unit_start as usize..self.end as usize
+    }
+}
+
+/// A clean network as the executors run it: every round's
+/// compare-exchanges as maximal unit-stride runs, concatenated in round
+/// order, and one span of them per round (empty rounds included, so
+/// round indices are the program's).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RunTable {
+    pub(crate) runs: Vec<Run>,
+    spans: Vec<RunSpan>,
+}
+
+impl RunTable {
+    /// An empty table with room for `rounds` rounds and `runs` runs.
+    pub(crate) fn with_capacity(rounds: usize, runs: usize) -> Self {
+        RunTable {
+            runs: Vec::with_capacity(runs),
+            spans: Vec::with_capacity(rounds),
+        }
+    }
+
+    /// Round `ri`'s runs.
+    pub(crate) fn round(&self, ri: usize) -> &[Run] {
+        let span = self.spans[ri];
+        &self.runs[span.start as usize..span.end as usize]
+    }
+
+    /// Rounds in the table.
+    pub(crate) fn rounds(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Every round's span of [`RunTable::runs`].
+    #[cfg(test)]
+    pub(crate) fn spans(&self) -> &[RunSpan] {
+        &self.spans
+    }
+
+    /// Compare-exchanges in the table.
+    pub(crate) fn pairs(&self) -> usize {
+        self.runs.iter().map(|run| run.len as usize).sum()
+    }
+
+    /// Rounds that hold at least one compare-exchange.
+    fn busy_rounds(&self) -> usize {
+        self.spans.iter().filter(|s| s.end > s.start).count()
+    }
+
+    /// Append round `ri` of `other` unchanged.
+    pub(crate) fn copy_round(&mut self, other: &RunTable, ri: usize) {
+        let (span, start) = (other.spans[ri], self.runs.len() as u32);
+        self.runs.extend_from_slice(other.round(ri));
+        self.spans.push(RunSpan {
+            start,
+            unit_start: start + span.unit_start - span.start,
+            end: start + span.end - span.start,
+        });
     }
 }
 
@@ -208,10 +255,10 @@ const MERGE_WINDOW: usize = 4;
 /// few partial runs when it continues it. The round's partial runs then
 /// chain through two epoch-stamped, node-indexed tables, of the partial
 /// run whose first pair starts at each node and of the one whose last
-/// pair does: a partial run begins a run unless the one ending at
-/// `(a - 1, b - 1)` has its direction, and each beginning walks its
-/// chain up. Allocated once per lowering.
-struct RunBuilder {
+/// pair does: a partial run begins a run unless one ends at
+/// `(a - 1, b - 1)`, and each beginning walks its chain up. Allocated
+/// once per lowering.
+pub(crate) struct RunBuilder {
     /// Per node: the epoch of the round whose partial run starts there,
     /// and its index in `parts`.
     starts: Vec<(u32, u32)>,
@@ -227,7 +274,7 @@ struct RunBuilder {
 }
 
 impl RunBuilder {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         RunBuilder {
             starts: vec![(0, 0); n],
             ends: vec![(0, 0); n],
@@ -237,24 +284,24 @@ impl RunBuilder {
         }
     }
 
-    /// Add the current round's next clean compare-exchange: it extends
-    /// one of the [`MERGE_WINDOW`] latest partial runs when it continues
-    /// it, and opens a new one otherwise.
+    /// Add the current round's next clean compare-exchange, minimum to
+    /// `a`: it extends one of the [`MERGE_WINDOW`] latest partial runs
+    /// when it continues it, and opens a new one otherwise.
     #[inline]
-    fn push(&mut self, a: u32, b: u32, min_to_a: bool) {
+    pub(crate) fn push(&mut self, a: u32, b: u32) {
         let recent = self.parts.len().saturating_sub(MERGE_WINDOW);
         for part in self.parts[recent..].iter_mut().rev() {
-            let len = part.len() as u32;
-            if part.a + len == a && part.b + len == b && part.min_to_a() == min_to_a {
-                part.len_dir += 1;
+            if part.a + part.len == a && part.b + part.len == b {
+                part.len += 1;
                 return;
             }
         }
-        self.parts.push(Run {
-            a,
-            b,
-            len_dir: 1 | (u32::from(min_to_a) * RUN_MIN_TO_A),
-        });
+        self.parts.push(Run { a, b, len: 1 });
+    }
+
+    /// Drop the current round's pairs.
+    fn discard(&mut self) {
+        self.parts.clear();
     }
 
     /// The current round's partial run that `table` records at node `v`.
@@ -265,41 +312,52 @@ impl RunBuilder {
         }
     }
 
-    /// Append the current round's runs to `runs` and clear it: the runs
-    /// of two or more pairs, then the one-pair runs, each in the source
-    /// order of their first pairs. Returns where the one-pair runs
-    /// start.
-    fn flush(&mut self, runs: &mut Vec<Run>) -> usize {
+    /// Append the current round's runs to `table` as its next round and
+    /// clear it: the runs of two or more pairs, then the one-pair runs,
+    /// each in the source order of their first pairs.
+    pub(crate) fn flush(&mut self, table: &mut RunTable) {
         self.epoch += 1;
         for (i, part) in self.parts.iter().enumerate() {
             let at = (self.epoch, i as u32);
             self.starts[part.a as usize] = at;
-            self.ends[part.a as usize + part.len() - 1] = at;
+            self.ends[(part.a + part.len - 1) as usize] = at;
         }
+        let start = table.runs.len() as u32;
         for &part in &self.parts {
-            let continues = |prev: Run| {
-                prev.min_to_a() == part.min_to_a() && prev.b + prev.len() as u32 == part.b
-            };
+            let continues = |prev: Run| prev.b + prev.len == part.b;
             if part.a > 0 && self.part(&self.ends, part.a - 1).is_some_and(continues) {
                 continue;
             }
             let mut run = part;
-            while let Some(next) = self.part(&self.starts, run.a + run.len() as u32) {
-                if next.min_to_a() != run.min_to_a() || next.b != run.b + run.len() as u32 {
+            while let Some(next) = self.part(&self.starts, run.a + run.len) {
+                if next.b != run.b + run.len {
                     break;
                 }
-                run.len_dir += next.len() as u32;
+                run.len += next.len;
             }
-            if run.len() == 1 {
+            if run.len == 1 {
                 self.units.push(run);
             } else {
-                runs.push(run);
+                table.runs.push(run);
             }
         }
-        let unit_start = runs.len();
-        runs.append(&mut self.units);
+        let unit_start = table.runs.len() as u32;
+        table.runs.append(&mut self.units);
+        table.spans.push(RunSpan {
+            start,
+            unit_start,
+            end: table.runs.len() as u32,
+        });
         self.parts.clear();
-        unit_start
+    }
+}
+
+/// `(a, b)` oriented so that the minimum goes to the first node.
+fn oriented(a: u64, b: u64, min_to_a: bool) -> (u32, u32) {
+    if min_to_a {
+        (a as u32, b as u32)
+    } else {
+        (b as u32, a as u32)
     }
 }
 
@@ -387,11 +445,11 @@ impl MicroOp {
 
 /// A compiled program lowered to flat structure-of-arrays form. Rounds
 /// map 1:1 to the source program's rounds (certificates and step counts
-/// transfer unchanged). Clean runs execute the run table, each round's
-/// clean compare-exchanges grouped into maximal unit-stride runs; the
-/// fault executors decide faults through the per-op tables, whose order
-/// within a round equals interpreted op order (fault sites transfer
-/// unchanged).
+/// transfer unchanged). Fault-free runs execute the pruned run table,
+/// each round's kept clean compare-exchanges grouped into maximal
+/// unit-stride runs; the fault executors run the full one, and decide
+/// faults through the per-op tables, whose order within a round equals
+/// interpreted op order (fault sites transfer unchanged).
 ///
 /// Build one with [`BspMachine::lower`] (validates first) or
 /// [`KernelProgram::lower`] (assumes a valid program, e.g. straight out
@@ -400,23 +458,42 @@ impl MicroOp {
 pub struct KernelProgram {
     pub(crate) shape: Shape,
     pub(crate) rounds: Vec<RoundDesc>,
-    /// The clean view: every round's clean compare-exchanges as maximal
-    /// unit-stride runs, concatenated in round order. A compare round's
-    /// list is its ops; a route round's is its own compare-exchanges and
-    /// its paired relays.
-    pub(crate) runs: Vec<Run>,
-    /// The compare rounds' ops in source order, concatenated: what the
-    /// fault executors index through `FaultSite`.
+    /// The full clean network. A compare round's list is its ops; a
+    /// route round's is its own compare-exchanges and its paired relays.
+    /// The fault executors, the column lockstep and the chunked path run
+    /// it.
+    pub(crate) full: RunTable,
+    /// `full` without the compare-exchanges the level analysis proved
+    /// idle (`crate::prune`); `None` when it proved none.
+    pruned: Option<RunTable>,
+    /// The compare rounds' ops in source order, concatenated, each
+    /// oriented minimum-first: what the fault executors index through
+    /// `FaultSite`.
     pub(crate) cx_pairs: Vec<(u32, u32)>,
-    /// `min_to_a` per pair, one bit per **global** pair index.
-    pub(crate) cx_dirs: Vec<u64>,
     /// All route rounds' packed ops, concatenated, original order.
     pub(crate) micro: Vec<MicroOp>,
     pub(crate) cert_points: Vec<CertPoint>,
     compare_rounds: usize,
     route_rounds: usize,
-    /// Sum of the run lengths.
+    /// Compare-exchanges in `full`.
     clean_cx: usize,
+    kept: KeptNetwork,
+}
+
+/// The clean network the fault-free executors run, once the
+/// compare-exchanges the level analysis proved idle are pruned
+/// ([`KernelProgram::kept`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeptNetwork {
+    /// Compare-exchanges kept, out of
+    /// [`KernelProgram::clean_cx_count`].
+    pub pairs: usize,
+    /// Rounds that still hold a compare-exchange.
+    pub rounds: usize,
+    /// The highest merge level the analysis proved: levels
+    /// `2..=level` are pruned, later ones run whole. 0 when it proved
+    /// none.
+    pub level: u32,
 }
 
 /// A transit value as the pairing pass sees it: a copy of `src`'s
@@ -464,10 +541,10 @@ impl RelayPairing {
         }
     }
 
-    /// A compare round wrote `a` and `b`.
-    fn compared(&mut self, a: u64, b: u64) {
+    /// A compare round wrote both nodes of each of `pairs`.
+    fn compared(&mut self, pairs: &[(u32, u32)]) {
         if self.in_flight > 0 {
-            for v in [a, b] {
+            for v in pairs.iter().flat_map(|&(a, b)| [a, b]) {
                 self.writes[v as usize] = self.writes[v as usize].wrapping_add(1);
             }
         }
@@ -481,7 +558,8 @@ impl RelayPairing {
 
     /// One route round: emit, in op order, its compare-exchanges and one
     /// compare-exchange per paired relay (at the resolve that keeps the
-    /// minimum), then commit its moves.
+    /// minimum), each oriented to send the minimum to its first node,
+    /// then commit its moves.
     ///
     /// A valid round reads every key before any op writes it (a key is
     /// read and written in one round only by a rejected program), so
@@ -495,7 +573,7 @@ impl RelayPairing {
         &mut self,
         ri: usize,
         round: &[Op],
-        mut emit: impl FnMut(u64, u64, bool),
+        mut emit: impl FnMut(u32, u32),
     ) -> Result<(), ProgramError> {
         let stamp = ri + 1;
         for op in round {
@@ -537,7 +615,10 @@ impl RelayPairing {
         }
         for op in round {
             match *op {
-                Op::CompareExchange { a, b, min_to_a } => emit(a, b, min_to_a),
+                Op::CompareExchange { a, b, min_to_a } => {
+                    let (lo, hi) = oriented(a, b, min_to_a);
+                    emit(lo, hi);
+                }
                 Op::Move { .. } => {}
                 Op::Resolve { node: y, .. } => {
                     let (_, copy, keep_min) = self.resolved[y as usize];
@@ -552,7 +633,7 @@ impl RelayPairing {
                         return Err(ProgramError::UnpairedRelay { round: ri, node: y });
                     }
                     if keep_min {
-                        emit(y, x, true);
+                        emit(y as u32, x as u32);
                     }
                 }
             }
@@ -588,6 +669,15 @@ impl KernelProgram {
     /// the round's clean list. Writes are tracked only while some copy
     /// is in flight, so relay-free programs pay nothing per op.
     ///
+    /// A round is copied as a compare round while it classifies: its
+    /// ops go into the per-op tables and the run builder as they are
+    /// read, and the first `Move` or `Resolve` undoes the round's
+    /// entries and sends it down the route path instead.
+    ///
+    /// The full run table then goes through the level analysis of
+    /// `prune.rs`, within a budget of 32 lane-operations per source op;
+    /// the pruned table it returns is what fault-free runs execute.
+    ///
     /// # Panics
     ///
     /// Panics if the network has more than `u32::MAX` nodes (ranks are
@@ -611,84 +701,88 @@ impl KernelProgram {
             "kernel tier packs ranks into u32"
         );
         let source = program.round_ops();
-        let is_compare = |round: &[Op]| {
-            round
-                .iter()
-                .all(|op| matches!(op, Op::CompareExchange { .. }))
-        };
         let n = program.shape().len() as usize;
         let mut rounds = Vec::with_capacity(source.len());
         // At most one run per op: reserved up front and shrunk in place
         // at the end, so the table is never copied while it grows, and
         // the untouched tail is never resident.
-        let mut runs: Vec<Run> = Vec::with_capacity(program.op_count());
+        let mut full = RunTable::with_capacity(source.len(), program.op_count());
         let mut cx_pairs: Vec<(u32, u32)> = Vec::new();
-        let mut cx_dirs: Vec<u64> = Vec::new();
         let mut micro: Vec<MicroOp> = Vec::new();
         let mut relays: Option<RelayPairing> = None;
         let mut builder = RunBuilder::new(n);
         let (mut compare_rounds, mut route_rounds) = (0, 0);
         for (ri, round) in source.iter().enumerate() {
-            let (cx_start, micro_start) = (cx_pairs.len() as u32, micro.len() as u32);
-            let class = if round.is_empty() {
+            let (cx_start, micro_start) = (cx_pairs.len(), micro.len() as u32);
+            let mut class = if round.is_empty() {
                 RoundClass::Empty
-            } else if is_compare(round) {
-                compare_rounds += 1;
-                for op in round {
-                    if let Op::CompareExchange { a, b, min_to_a } = *op {
-                        let gi = cx_pairs.len();
-                        if gi & 63 == 0 {
-                            cx_dirs.push(0);
-                        }
-                        cx_dirs[gi >> 6] |= u64::from(min_to_a) << (gi & 63);
-                        cx_pairs.push((a as u32, b as u32));
-                        builder.push(a as u32, b as u32, min_to_a);
-                        if let Some(relays) = relays.as_mut() {
-                            relays.compared(a, b);
-                        }
-                    }
-                }
-                RoundClass::Compare
             } else {
-                route_rounds += 1;
-                for op in round {
-                    if let Op::Move { slot, .. } | Op::Resolve { slot, .. } = *op {
-                        assert!(slot < 2, "validation rejects slots >= 2");
-                    }
-                    micro.push(MicroOp::pack(op));
-                }
-                relays
-                    .get_or_insert_with(|| RelayPairing::new(n))
-                    .route_round(ri, round, |a, b, min_to_a| {
-                        builder.push(a as u32, b as u32, min_to_a);
-                    })?;
-                RoundClass::Route
+                RoundClass::Compare
             };
-            let run_start = runs.len() as u32;
-            let unit_start = builder.flush(&mut runs) as u32;
+            for op in round {
+                let Op::CompareExchange { a, b, min_to_a } = *op else {
+                    class = RoundClass::Route;
+                    break;
+                };
+                let (lo, hi) = oriented(a, b, min_to_a);
+                cx_pairs.push((lo, hi));
+                builder.push(lo, hi);
+            }
+            match class {
+                RoundClass::Empty => {}
+                RoundClass::Compare => {
+                    compare_rounds += 1;
+                    if let Some(relays) = relays.as_mut() {
+                        relays.compared(&cx_pairs[cx_start..]);
+                    }
+                }
+                RoundClass::Route => {
+                    // Undo the round's per-op entries.
+                    cx_pairs.truncate(cx_start);
+                    builder.discard();
+                    route_rounds += 1;
+                    for op in round {
+                        if let Op::Move { slot, .. } | Op::Resolve { slot, .. } = *op {
+                            assert!(slot < 2, "validation rejects slots >= 2");
+                        }
+                        micro.push(MicroOp::pack(op));
+                    }
+                    relays
+                        .get_or_insert_with(|| RelayPairing::new(n))
+                        .route_round(ri, round, |a, b| builder.push(a, b))?;
+                }
+            }
+            builder.flush(&mut full);
             rounds.push(RoundDesc {
                 class,
-                run_start,
-                unit_start,
-                run_end: runs.len() as u32,
-                cx_start,
+                cx_start: cx_start as u32,
                 cx_end: cx_pairs.len() as u32,
                 micro_start,
                 micro_end: micro.len() as u32,
             });
         }
-        runs.shrink_to_fit();
+        full.runs.shrink_to_fit();
+        let budget = crate::prune::BUDGET_PER_OP.saturating_mul(program.op_count() as u64);
+        let (pruned, level) =
+            crate::prune::prune(program.shape(), &full, program.cert_points(), budget);
+        let clean = pruned.as_ref().unwrap_or(&full);
+        let kept = KeptNetwork {
+            pairs: clean.pairs(),
+            rounds: clean.busy_rounds(),
+            level,
+        };
         Ok(KernelProgram {
             shape: program.shape(),
             rounds,
-            clean_cx: runs.iter().map(|run| run.len()).sum(),
-            runs,
+            clean_cx: full.pairs(),
+            full,
+            pruned,
             cx_pairs,
-            cx_dirs,
             micro,
             cert_points: program.cert_points().to_vec(),
             compare_rounds,
             route_rounds,
+            kept,
         })
     }
 
@@ -752,12 +846,26 @@ impl KernelProgram {
         self.micro.len()
     }
 
-    /// Compare-exchanges one clean run executes: the compare rounds'
+    /// Compare-exchanges of the full clean network: the compare rounds'
     /// pairs, the route rounds' own compare-exchanges, and one per
-    /// paired relay (the sum of the run lengths).
+    /// paired relay. The fault executors run them all; fault-free runs
+    /// run the [`KernelProgram::kept`] ones.
     #[must_use]
     pub fn clean_cx_count(&self) -> usize {
         self.clean_cx
+    }
+
+    /// The network fault-free runs execute: the clean compare-exchanges
+    /// left once the ones the level analysis proved idle are pruned,
+    /// the rounds that still hold one, and the levels it proved.
+    #[must_use]
+    pub fn kept(&self) -> KeptNetwork {
+        self.kept
+    }
+
+    /// The run table fault-free runs execute.
+    pub(crate) fn clean(&self) -> &RunTable {
+        self.pruned.as_ref().unwrap_or(&self.full)
     }
 
     /// Total source operations across all rounds — the program-size
@@ -772,12 +880,6 @@ impl KernelProgram {
     #[must_use]
     pub fn cert_points(&self) -> &[CertPoint] {
         &self.cert_points
-    }
-
-    /// `min_to_a` for the global pair index `gi`.
-    #[inline]
-    pub(crate) fn dir(&self, gi: usize) -> bool {
-        (self.cx_dirs[gi >> 6] >> (gi & 63)) & 1 == 1
     }
 }
 
@@ -827,9 +929,9 @@ impl<K> ScratchPool<K> {
 /// ([`Bits`]). Always inlined into the pass, so each element type
 /// compiles its own flat loops, once plain and once for AVX2.
 pub(crate) trait Exchange<T> {
-    /// Exchange `x` (the `a` side) with `y`: the minimum to `x` when
-    /// `min_to_a`, to `y` otherwise.
-    fn pair(x: &mut T, y: &mut T, min_to_a: bool);
+    /// Exchange `x` (the `a` side) with `y` so that `x` holds the
+    /// minimum; equal keys stay where they are.
+    fn pair(x: &mut T, y: &mut T);
 }
 
 /// Full keys, compared as the oracle compares them.
@@ -839,22 +941,21 @@ impl<K: Ord + Clone> Exchange<K> for Keys {
     /// Keys without drop glue (`u64`, say) take the branch-free
     /// `(min_by(x, y), max_by(x, y))` of clones: `min_by` returns its
     /// first argument on `Equal` and `max_by` its second, so on a tie
-    /// the sides keep their keys when the minimum goes to `a`, and trade
-    /// them otherwise — exactly the oracle's swap when
-    /// `(x <= y) != min_to_a`. Keys with drop glue (`String` payloads,
-    /// say) keep compare-and-swap, since cloning them for every compare
-    /// would cost more than the branch. `needs_drop` is a compile-time
-    /// constant, so each key type compiles one arm.
+    /// both sides keep their keys — the oracle's swap only when `x > y`.
+    /// Keys with drop glue (`String` payloads, say) keep
+    /// compare-and-swap, since cloning them for every compare would cost
+    /// more than the branch. `needs_drop` is a compile-time constant, so
+    /// each key type compiles one arm.
     #[inline(always)]
-    fn pair(x: &mut K, y: &mut K, min_to_a: bool) {
+    fn pair(x: &mut K, y: &mut K) {
         if std::mem::needs_drop::<K>() {
-            if (*x <= *y) != min_to_a {
+            if *x > *y {
                 std::mem::swap(x, y);
             }
         } else {
             let lo = min_by(x.clone(), y.clone(), K::cmp);
             let hi = max_by(x.clone(), y.clone(), K::cmp);
-            (*x, *y) = if min_to_a { (lo, hi) } else { (hi, lo) };
+            (*x, *y) = (lo, hi);
         }
     }
 }
@@ -865,21 +966,19 @@ pub(crate) enum Bits {}
 
 impl Exchange<u64> for Bits {
     #[inline(always)]
-    fn pair(x: &mut u64, y: &mut u64, min_to_a: bool) {
-        let (mn, mx) = (*x & *y, *x | *y);
-        (*x, *y) = if min_to_a { (mn, mx) } else { (mx, mn) };
+    fn pair(x: &mut u64, y: &mut u64) {
+        (*x, *y) = (*x & *y, *x | *y);
     }
 }
 
 /// Walk `runs` over `data`, in which every node owns `w` consecutive
 /// elements (`w = 1` for a key vector, the block width for node-major
 /// columns): each run's two disjoint slices of `len * w` elements, the
-/// `a` side first, exchange pair by pair, in one flat loop whose
-/// direction is fixed.
+/// `a` side first, exchange pair by pair, in one flat loop.
 #[inline(always)]
 fn exchange_runs<T, E: Exchange<T>>(data: &mut [T], runs: &[Run], w: usize) {
     for run in runs {
-        let (a, b, m) = (run.a as usize * w, run.b as usize * w, run.len() * w);
+        let (a, b, m) = (run.a as usize * w, run.b as usize * w, run.len as usize * w);
         let (xs, ys) = if a < b {
             let (lo, hi) = data.split_at_mut(b);
             (&mut lo[a..a + m], &mut hi[..m])
@@ -887,41 +986,35 @@ fn exchange_runs<T, E: Exchange<T>>(data: &mut [T], runs: &[Run], w: usize) {
             let (lo, hi) = data.split_at_mut(a);
             (&mut hi[..m], &mut lo[b..b + m])
         };
-        if run.min_to_a() {
-            for (x, y) in xs.iter_mut().zip(ys) {
-                E::pair(x, y, true);
-            }
-        } else {
-            for (x, y) in xs.iter_mut().zip(ys) {
-                E::pair(x, y, false);
-            }
+        for (x, y) in xs.iter_mut().zip(ys) {
+            E::pair(x, y);
         }
     }
 }
 
-/// The clean pass, plain: `rounds` of the run table over `data` at
-/// stride `w` (see [`exchange_runs`]). Each round runs its runs of two
-/// or more pairs, then its one-pair runs (a round's pairs touch
-/// disjoint nodes, so their order is free). At stride 1 the one-pair
-/// runs are a flat loop of single exchanges, with no inner loop whose
-/// varying trip count the branch predictor would miss. Every clean
-/// tier reaches it through [`exec_table`].
+/// The clean pass, plain: the rounds `spans` of a run table's `runs`
+/// over `data` at stride `w` (see [`exchange_runs`]). Each round runs
+/// its runs of two or more pairs, then its one-pair runs (a round's
+/// pairs touch disjoint nodes, so their order is free). At stride 1 the
+/// one-pair runs are a flat loop of single exchanges, with no inner
+/// loop whose varying trip count the branch predictor would miss. Every
+/// clean tier reaches it through [`exec_table`].
 #[inline(always)]
 pub(crate) fn exec_pass<T, E: Exchange<T>>(
     data: &mut [T],
     runs: &[Run],
-    rounds: &[RoundDesc],
+    spans: &[RunSpan],
     w: usize,
 ) {
-    for desc in rounds {
-        exchange_runs::<T, E>(data, &runs[desc.long_runs()], w);
-        let units = &runs[desc.unit_runs()];
+    for span in spans {
+        exchange_runs::<T, E>(data, &runs[span.long_runs()], w);
+        let units = &runs[span.unit_runs()];
         if w == 1 {
             for run in units {
                 let [x, y] = data
                     .get_disjoint_mut([run.a as usize, run.b as usize])
                     .expect("validated: a pair's nodes are distinct and in range");
-                E::pair(x, y, run.min_to_a());
+                E::pair(x, y);
             }
         } else {
             exchange_runs::<T, E>(data, units, w);
@@ -940,41 +1033,41 @@ pub(crate) fn exec_pass<T, E: Exchange<T>>(
 unsafe fn exec_pass_avx2<T, E: Exchange<T>>(
     data: &mut [T],
     runs: &[Run],
-    rounds: &[RoundDesc],
+    spans: &[RunSpan],
     w: usize,
 ) {
-    exec_pass::<T, E>(data, runs, rounds, w);
+    exec_pass::<T, E>(data, runs, spans, w);
 }
 
-/// Every clean execution of the run table: the kernel's rounds `rounds`
-/// over `data` at stride `w`, as one pass. The AVX2 build of
-/// [`exec_pass`] runs when the CPU has AVX2 (detected at run time,
-/// cached by `std`), the plain build otherwise; both give identical
-/// outputs. Serves `run_kernel`, batch lanes, the fault executors'
-/// clean rounds, retries and quarantine re-runs, the column tier
-/// (`w` = block width) and the 0/1 word layout.
+/// Every clean execution of a run table: its rounds `rounds` over
+/// `data` at stride `w`, as one pass. The AVX2 build of [`exec_pass`]
+/// runs when the CPU has AVX2 (detected at run time, cached by `std`),
+/// the plain build otherwise; both give identical outputs. Serves
+/// `run_kernel`, batch lanes, the column tier (`w` = block width) and
+/// the 0/1 word layout on the pruned table, and the fault executors'
+/// clean rounds, retries and quarantine re-runs on the full one.
 pub(crate) fn exec_table<T, E: Exchange<T>>(
     data: &mut [T],
-    kernel: &KernelProgram,
+    table: &RunTable,
     rounds: Range<usize>,
     w: usize,
 ) {
-    let (runs, rounds) = (&kernel.runs[..], &kernel.rounds[rounds]);
+    let (runs, spans) = (&table.runs[..], &table.spans[rounds]);
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `exec_pass_avx2` only requires AVX2, and the CPU was
         // just detected to support it.
-        unsafe { exec_pass_avx2::<T, E>(data, runs, rounds, w) };
+        unsafe { exec_pass_avx2::<T, E>(data, runs, spans, w) };
         return;
     }
-    exec_pass::<T, E>(data, runs, rounds, w);
+    exec_pass::<T, E>(data, runs, spans, w);
 }
 
-/// A whole kernel program on one key vector, unlogged — shared by batch
-/// lanes, the fault executors' disabled-plan paths and their quarantine
-/// re-runs.
-pub(crate) fn exec_kernel<K: Ord + Clone>(keys: &mut [K], kernel: &KernelProgram) {
-    exec_table::<K, Keys>(keys, kernel, 0..kernel.rounds(), 1);
+/// A whole run table on one key vector, unlogged: batch lanes run the
+/// kernel's pruned table ([`KernelProgram::clean`]), the fault
+/// executors' disabled-plan paths and quarantine re-runs its full one.
+pub(crate) fn exec_kernel<K: Ord + Clone>(keys: &mut [K], table: &RunTable) {
+    exec_table::<K, Keys>(keys, table, 0..table.rounds(), 1);
 }
 
 /// One round's compare-exchanges with the decision phase split across
@@ -1009,7 +1102,7 @@ fn exec_round_chunked<K: Ord + Send + Sync>(
                         for j in 0..in_word {
                             let gi = start + pair_base + j;
                             let (a, b) = kernel.cx_pairs[gi];
-                            if (keys_ref[a as usize] <= keys_ref[b as usize]) != kernel.dir(gi) {
+                            if keys_ref[a as usize] > keys_ref[b as usize] {
                                 bits |= 1u64 << j;
                             }
                         }
@@ -1057,11 +1150,11 @@ impl BspMachine {
         KernelProgram::try_lower(program)
     }
 
-    /// Execute a lowered program on `keys`, serially: the clean runs of
-    /// every round in one dispatched pass, or, with a logger attached, one
-    /// pass per observed round and per stretch between them (see
-    /// `observed_passes`). Bit-identical to
-    /// [`BspMachine::run`] on every input; performs **zero heap
+    /// Execute a lowered program on `keys`, serially: the pruned clean
+    /// runs of every round ([`KernelProgram::kept`]) in one dispatched
+    /// pass, or, with a logger attached, one pass per observed round and
+    /// per stretch between them (see `observed_passes`). Bit-identical
+    /// to [`BspMachine::run`] on every input; performs **zero heap
     /// allocations**. `_scratch` is not touched (a clean run keeps no
     /// state); it keeps the call shape of
     /// [`BspMachine::run_kernel_parallel`].
@@ -1093,7 +1186,7 @@ impl BspMachine {
             SpanClass::None,
         );
         self.observed_passes(kernel, Tier::Kernel, |rounds| {
-            exec_table::<K, Keys>(keys, kernel, rounds, 1);
+            exec_table::<K, Keys>(keys, kernel.clean(), rounds, 1);
         });
         kernel.rounds.len() as u64
     }
@@ -1143,8 +1236,8 @@ impl BspMachine {
     /// As [`BspMachine::run_kernel`], with compare rounds of at least
     /// [`KERNEL_PAR_THRESHOLD`] ops split across threads (chunked
     /// bitmask decision phase over the per-op pair table, then a serial
-    /// commit). Other rounds run their runs serially. Bit-identical to
-    /// the serial kernel on every input.
+    /// commit). Other rounds run their runs of the full table serially.
+    /// Bit-identical to the serial kernel on every input.
     ///
     /// No library path calls this: the scoped threads it spawns in every
     /// large round cost more than they save (`Machine::sort` runs
@@ -1219,7 +1312,7 @@ impl BspMachine {
             if par {
                 exec_round_chunked(keys, kernel, desc.cx(), &mut scratch.swap_words, threads);
             } else {
-                exec_table::<K, Keys>(keys, kernel, ri..ri + 1, 1);
+                exec_table::<K, Keys>(keys, &kernel.full, ri..ri + 1, 1);
             }
             if observed {
                 self.logger.log(|| Event::RoundEnd { round: ri as u64 });
@@ -1229,7 +1322,8 @@ impl BspMachine {
     }
 
     /// Drive a batch of independent key vectors through one lowered
-    /// program, each lane running the serial clean kernel. The lanes
+    /// program, each lane running the serial clean kernel on the pruned
+    /// table. The lanes
     /// split into one contiguous chunk per core, or run on the calling
     /// thread on a [`BspMachine::serial`] machine. Produces exactly the
     /// configurations [`BspMachine::run`] would. Lanes keep no state, so
@@ -1268,13 +1362,13 @@ impl BspMachine {
         });
         if workers <= 1 {
             for keys in batch.iter_mut() {
-                exec_kernel(keys, kernel);
+                exec_kernel(keys, kernel.clean());
             }
         } else {
             use rayon::prelude::*;
             batch
                 .par_iter_mut()
-                .for_each(|keys| exec_kernel(keys, kernel));
+                .for_each(|keys| exec_kernel(keys, kernel.clean()));
         }
         kernel.rounds.len() as u64
     }
@@ -1326,9 +1420,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// Run `input` through the plain pass, the dispatched pass, and
-    /// `run_kernel` with and without a recording logger, and require
-    /// each to equal `BspMachine::run` through `view`. The logged run
+    /// Run `input` through the plain and the dispatched pass over the
+    /// full and the pruned table, and `run_kernel` with and without a
+    /// recording logger, and require each to equal `BspMachine::run`
+    /// through `view`. The logged run
     /// must emit one `RoundStart`/`RoundEnd` pair per round of at least
     /// `ROUND_OBS_MIN_OPS` ops, in order; the detached run nothing.
     fn check_clean_paths<K, V>(
@@ -1350,12 +1445,14 @@ pub(crate) mod tests {
             assert_eq!(got, want, "{ctx}: {name}");
         };
 
-        let mut got = input.to_vec();
-        exec_pass::<K, Keys>(&mut got, &kernel.runs, &kernel.rounds, 1);
-        check("plain pass", &got);
-        let mut got = input.to_vec();
-        exec_table::<K, Keys>(&mut got, kernel, 0..kernel.rounds(), 1);
-        check("dispatched pass", &got);
+        for (name, table) in [("full", &kernel.full), ("pruned", kernel.clean())] {
+            let mut got = input.to_vec();
+            exec_pass::<K, Keys>(&mut got, &table.runs, table.spans(), 1);
+            check(&format!("plain pass, {name} table"), &got);
+            let mut got = input.to_vec();
+            exec_table::<K, Keys>(&mut got, table, 0..kernel.rounds(), 1);
+            check(&format!("dispatched pass, {name} table"), &got);
+        }
 
         let (sink, reader) = pns_obs::MemorySink::with_capacity(1 << 16);
         bsp.attach_logger(pns_obs::EventLogger::new(Box::new(sink)));
@@ -1412,7 +1509,7 @@ pub(crate) mod tests {
         // Few distinct keys, so ties meet at every compare-exchange; the
         // `u64` keys straddle 2^63, where a signed compare would misorder.
         let big = [0, 1, 2, 1 << 63, (1 << 63) + 1, u64::MAX - 1, u64::MAX];
-        let (mut long_runs, mut unit_runs) = (0, 0);
+        let (mut long_runs, mut unit_runs, mut pruned) = (0, 0, 0);
         for (factor, r) in cases {
             let factor = Machine::prepare_factor(&factor);
             let program = compile(&factor, r, SorterChoice::Auto.resolve(&factor));
@@ -1420,9 +1517,15 @@ pub(crate) mod tests {
             let n = bsp.shape().len() as usize;
             for (name, prog) in [("raw", program.clone()), ("optimized", program.optimized())] {
                 let kernel = bsp.lower(&prog).expect("compiled programs validate");
-                let units: usize = kernel.rounds.iter().map(|d| d.unit_runs().len()).sum();
+                let units: usize = kernel
+                    .full
+                    .spans()
+                    .iter()
+                    .map(|s| s.unit_runs().len())
+                    .sum();
                 unit_runs += units;
-                long_runs += kernel.runs.len() - units;
+                long_runs += kernel.full.runs.len() - units;
+                pruned += kernel.clean_cx_count() - kernel.kept().pairs;
                 let ctx = format!("{}^{r} {name}", factor.name());
                 let ties: Vec<u64> = (0..n).map(|_| big[(next() >> 33) as usize % 7]).collect();
                 let wide: Vec<u64> = (0..n).map(|_| next()).collect();
@@ -1439,6 +1542,7 @@ pub(crate) mod tests {
             }
         }
         assert!(long_runs > 0 && unit_runs > 0, "both kinds of run must run");
+        assert!(pruned > 0, "some pair must be pruned");
     }
 
     #[test]
@@ -1477,7 +1581,12 @@ pub(crate) mod tests {
             let cx = count(|op| matches!(op, Op::CompareExchange { .. }));
             let resolves = count(|op| matches!(op, Op::Resolve { .. }));
             let d = kernel.rounds[ri];
-            let run_pairs: usize = kernel.runs[d.runs()].iter().map(|run| run.len()).sum();
+            let run_pairs: usize = kernel
+                .full
+                .round(ri)
+                .iter()
+                .map(|run| run.len as usize)
+                .sum();
             assert_eq!(run_pairs, cx + resolves / 2, "round {ri}");
             let per_op = if kernel.class(ri) == RoundClass::Compare {
                 round.len()
@@ -1492,10 +1601,10 @@ pub(crate) mod tests {
     }
 
     /// Each round's clean compare-exchanges, derived from the source
-    /// program alone: its compare-exchange ops, and for every resolve
-    /// that keeps the minimum, one with the node whose key its transit
-    /// slot holds.
-    fn clean_lists(program: &CompiledProgram) -> Vec<Vec<(u32, u32, bool)>> {
+    /// program alone and oriented minimum first: its compare-exchange
+    /// ops, and for every resolve that keeps the minimum, one with the
+    /// node whose key its transit slot holds.
+    fn clean_lists(program: &CompiledProgram) -> Vec<Vec<(u32, u32)>> {
         let mut slots = vec![[0u64; 2]; program.shape().len() as usize];
         let mut incoming = Vec::new();
         program
@@ -1506,7 +1615,7 @@ pub(crate) mod tests {
                 for op in round {
                     match *op {
                         Op::CompareExchange { a, b, min_to_a } => {
-                            list.push((a as u32, b as u32, min_to_a));
+                            list.push(if min_to_a { (a, b) } else { (b, a) });
                         }
                         Op::Move {
                             from,
@@ -1527,8 +1636,7 @@ pub(crate) mod tests {
                             keep_min,
                         } => {
                             if keep_min {
-                                let src = slots[node as usize][slot as usize];
-                                list.push((node as u32, src as u32, true));
+                                list.push((node, slots[node as usize][slot as usize]));
                             }
                         }
                     }
@@ -1536,10 +1644,31 @@ pub(crate) mod tests {
                 for (to, slot, src) in incoming.drain(..) {
                     slots[to as usize][slot as usize] = src;
                 }
+                let mut list: Vec<(u32, u32)> = list
+                    .into_iter()
+                    .map(|(a, b)| (a as u32, b as u32))
+                    .collect();
                 list.sort_unstable();
                 list
             })
             .collect()
+    }
+
+    /// Round `ri`'s pairs in `table`, sorted, after checking that its
+    /// runs are maximal: no run continues where another starts.
+    fn maximal_round_pairs(ctx: &str, table: &RunTable, ri: usize) -> Vec<(u32, u32)> {
+        let runs = table.round(ri);
+        let starts: std::collections::HashSet<_> = runs.iter().map(|run| (run.a, run.b)).collect();
+        for run in runs {
+            let next = (run.a + run.len, run.b + run.len);
+            assert!(!starts.contains(&next), "{ctx}: round {ri} {run:?} merges");
+        }
+        let mut pairs: Vec<(u32, u32)> = runs
+            .iter()
+            .flat_map(|run| (0..run.len).map(|i| (run.a + i, run.b + i)))
+            .collect();
+        pairs.sort_unstable();
+        pairs
     }
 
     #[test]
@@ -1550,6 +1679,8 @@ pub(crate) mod tests {
             (factories::star(4), 3, 913),
             (factories::complete_binary_tree(3), 3, 25_878),
             (factories::petersen(), 2, 2_430),
+            (factories::k2(), 8, 7_577),
+            (factories::path(3), 4, 1_996),
         ];
         for (factor, r, raw_runs) in cases {
             let factor = Machine::prepare_factor(&factor);
@@ -1558,34 +1689,21 @@ pub(crate) mod tests {
             for (name, prog) in [("raw", &program), ("optimized", &optimized)] {
                 let ctx = format!("{}^{r} {name}", factor.name());
                 let kernel = KernelProgram::lower(prog);
-                let want = clean_lists(prog);
-                for (ri, d) in kernel.rounds.iter().enumerate() {
-                    let runs = &kernel.runs[d.runs()];
-                    let mut got: Vec<(u32, u32, bool)> = runs
-                        .iter()
-                        .flat_map(|run| {
-                            (0..run.len() as u32).map(|i| (run.a + i, run.b + i, run.min_to_a()))
-                        })
-                        .collect();
-                    got.sort_unstable();
-                    assert_eq!(got, want[ri], "{ctx}: round {ri}");
-                    let starts: std::collections::HashSet<_> = runs
-                        .iter()
-                        .map(|run| (run.a, run.b, run.min_to_a()))
-                        .collect();
-                    for run in runs {
-                        let next = (
-                            run.a + run.len() as u32,
-                            run.b + run.len() as u32,
-                            run.min_to_a(),
-                        );
-                        assert!(!starts.contains(&next), "{ctx}: round {ri} {run:?} merges");
-                    }
+                assert_eq!(kernel.rounds(), prog.rounds(), "{ctx}");
+                for (ri, want) in clean_lists(prog).into_iter().enumerate() {
+                    let full = maximal_round_pairs(&ctx, &kernel.full, ri);
+                    assert_eq!(full, want, "{ctx}: round {ri}");
+                    // The pruned table keeps a subset of each round.
+                    let kept = maximal_round_pairs(&ctx, kernel.clean(), ri);
+                    assert!(
+                        kept.iter().all(|p| full.binary_search(p).is_ok()),
+                        "{ctx}: round {ri} keeps a pair it does not have"
+                    );
                 }
-                let total: usize = kernel.runs.iter().map(|run| run.len()).sum();
-                assert_eq!(total, kernel.clean_cx_count(), "{ctx}");
+                assert_eq!(kernel.full.pairs(), kernel.clean_cx_count(), "{ctx}");
+                assert_eq!(kernel.clean().pairs(), kernel.kept().pairs, "{ctx}");
                 if name == "raw" {
-                    assert_eq!(kernel.runs.len(), raw_runs, "{ctx}: run count");
+                    assert_eq!(kernel.full.runs.len(), raw_runs, "{ctx}: run count");
                 }
             }
         }

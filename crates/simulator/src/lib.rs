@@ -35,6 +35,7 @@ pub mod fault;
 pub mod kernel;
 pub mod machine;
 pub mod netsort;
+mod prune;
 pub mod sample;
 pub mod select;
 pub mod sorters;
@@ -50,7 +51,9 @@ pub use cache::{fingerprint, CacheStats, ProgramCache, ProgramKey};
 pub use cost::CostModel;
 pub use engine::{ChargedEngine, Engine, ExecutedEngine, Pg2Instance};
 pub use fault::{Detection, FaultError, FaultReport, InjectedFault, Retry};
-pub use kernel::{ExecScratch, KernelProgram, RoundClass, ScratchPool, KERNEL_PAR_THRESHOLD};
+pub use kernel::{
+    ExecScratch, KeptNetwork, KernelProgram, RoundClass, ScratchPool, KERNEL_PAR_THRESHOLD,
+};
 // The fault plan/policy vocabulary is re-exported so executor callers
 // need not depend on `pns-fault` directly.
 pub use machine::{Machine, SortError, SortReport};

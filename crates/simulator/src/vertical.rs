@@ -26,9 +26,10 @@
 //!   warm runs allocation-free (`tests/vertical_alloc.rs` proves zero
 //!   heap allocations).
 //!
-//! Clean runs of both layouts execute the kernel's run table: relays
-//! were paired into compare-exchanges at lowering, so no transit column
-//! exists outside the fault lockstep.
+//! Clean runs of both layouts execute the kernel's pruned run table:
+//! relays were paired into compare-exchanges at lowering, so no transit
+//! column exists outside the fault lockstep, and the compare-exchanges
+//! the level analysis proved idle are gone.
 //! [`BspMachine::run_vertical_batch_with_faults`] walks the *same*
 //! [`KernelProgram`] rounds, micro-ops included, in the same order — a
 //! [`VerticalProgram`] is a layout commitment, not a new lowering — so
@@ -45,7 +46,7 @@ use pns_fault::{FaultKind, FaultPlan, FaultSite, OpClass, RetryPolicy};
 use pns_obs::{Event, SpanClass, Stage, Tier, SORT_OBS_MIN_OPS};
 use pns_order::radix::Shape;
 
-use crate::bsp::BspMachine;
+use crate::bsp::{swaps, BspMachine};
 use crate::fault::{segments, Detection, FaultError, FaultReport, InjectedFault, Retry};
 use crate::kernel::{
     exec_kernel, exec_table, Bits, KernelProgram, Keys, RoundClass, FLAG_PRIMARY, FLAG_SLOT1,
@@ -107,8 +108,8 @@ fn even_blocks<T>(batch: &mut [T], cap: usize) -> impl Iterator<Item = &mut [T]>
 /// A kernel program committed to the vertical (lane-major) layout.
 ///
 /// Lowering is a wrapper, not a rewrite: the vertical executors read
-/// the kernel's flat tables directly (clean runs its run table, the
-/// fault lockstep its per-op pairs and micro-ops), which
+/// the kernel's flat tables directly (clean runs its pruned run table,
+/// the fault lockstep its per-op pairs and micro-ops), which
 /// is what guarantees round and op indices — and with them fault sites
 /// and certificate boundaries — stay aligned across all three tiers. The
 /// type exists so the [`crate::cache::ProgramCache`] can track vertical
@@ -144,10 +145,10 @@ impl VerticalProgram {
         &self.kernel
     }
 
-    /// Word-level operations one full-width run executes: every clean
-    /// compare-exchange touches one word (or one column pair) regardless
-    /// of how many lanes ride in it
-    /// ([`KernelProgram::clean_cx_count`]).
+    /// Word-level operations of the full clean network, one word (or
+    /// one column pair) per compare-exchange regardless of how many
+    /// lanes ride in it ([`KernelProgram::clean_cx_count`]). A clean run
+    /// executes the kept ones ([`KernelProgram::kept`]).
     #[must_use]
     pub fn word_ops(&self) -> usize {
         self.kernel.clean_cx_count()
@@ -334,9 +335,10 @@ impl<K> VerticalPool<K> {
     }
 }
 
-/// Transpose a block of lanes in, run the clean program over node-major
-/// columns (a run covers the two flat slices `cols[a·w .. (a + len)·w]`
-/// and `cols[b·w .. (b + len)·w]`), transpose back.
+/// Transpose a block of lanes in, run the pruned clean program over
+/// node-major columns (a run covers the two flat slices
+/// `cols[a·w .. (a + len)·w]` and `cols[b·w .. (b + len)·w]`),
+/// transpose back.
 fn exec_cols_block<K: Ord + Clone>(
     lanes: &mut [Vec<K>],
     kernel: &KernelProgram,
@@ -350,7 +352,7 @@ fn exec_cols_block<K: Ord + Clone>(
             scratch.cols.push(lane[node].clone());
         }
     }
-    exec_table::<K, Keys>(&mut scratch.cols, kernel, 0..kernel.rounds(), w);
+    exec_table::<K, Keys>(&mut scratch.cols, kernel.clean(), 0..kernel.rounds(), w);
     for node in 0..n {
         for (l, lane) in lanes.iter_mut().enumerate() {
             std::mem::swap(&mut lane[node], &mut scratch.cols[node * w + l]);
@@ -384,7 +386,7 @@ impl BspMachine {
     /// `i` (see [`pack_zero_one_masks`]). Every lane lands exactly
     /// where [`BspMachine::run`] would put its scalar 0/1 vector —
     /// compare-exchange on 0/1 keys *is* `AND`/`OR`, and every round is
-    /// its range of the run table.
+    /// its range of the pruned run table.
     ///
     /// Returns the number of rounds executed; performs zero heap
     /// allocations.
@@ -415,7 +417,7 @@ impl BspMachine {
         // word-wide rounds run in nanoseconds, so only rounds with
         // enough ops get their own events and span.
         self.observed_passes(kernel, Tier::Vertical, |rounds| {
-            exec_table::<u64, Bits>(words, kernel, rounds, 1);
+            exec_table::<u64, Bits>(words, kernel.clean(), rounds, 1);
         });
         kernel.rounds() as u64
     }
@@ -426,9 +428,9 @@ impl BspMachine {
     /// evenly so no block is more than one lane narrower than another.
     /// For `u64` keys that is 8 lanes a block on `K2^14` and 64 on
     /// shapes of up to 2 048 nodes. Each block is transposed into
-    /// node-major columns, run through the kernel's run table (each run
-    /// one branch-free min/max loop over two column slices, AVX2 when
-    /// the CPU has it), then transposed back. Bit-identical to
+    /// node-major columns, run through the kernel's pruned run table
+    /// (each run one branch-free min/max loop over two column slices,
+    /// AVX2 when the CPU has it), then transposed back. Bit-identical to
     /// [`BspMachine::run_kernel_batch`]
     /// (and therefore to per-lane [`BspMachine::run`]) on every input;
     /// blocks run in parallel (on the calling thread on a
@@ -571,9 +573,9 @@ fn exec_cols_round_faulty<K: Ord + Clone>(
         };
         for l in Lanes(active) {
             let fault = faults.decide(l, site, OpClass::Compare);
-            let dir = min_to_a != fault.is_some();
             let (x, y) = (a as usize * w + l, b as usize * w + l);
-            if (cols[x] <= cols[y]) != dir {
+            // A flip inverts the swap decision, as in `apply_op_faulty`.
+            if swaps(&cols[x], &cols[y], min_to_a) != fault.is_some() {
                 cols.swap(x, y);
             }
         }
@@ -583,7 +585,7 @@ fn exec_cols_round_faulty<K: Ord + Clone>(
         RoundClass::Compare => {
             for (oi, gi) in desc.cx().enumerate() {
                 let (a, b) = kernel.cx_pairs[gi];
-                cx(cols, faults, oi, a, b, kernel.dir(gi));
+                cx(cols, faults, oi, a, b, true);
             }
         }
         RoundClass::Route => {
@@ -734,10 +736,11 @@ impl BspMachine {
                 cols.extend(chunk.iter().map(|&bi| batch[bi][node].clone()));
             }
             if !plan.is_enabled() {
-                // Fast path: plain clean vertical execution, no hashing,
-                // no checks, no transit — fault-free execution of a
+                // Fast path: plain clean vertical execution of the full
+                // table, as every fault path runs it, no hashing, no
+                // checks, no transit — fault-free execution of a
                 // validated program is correct by construction.
-                exec_table::<K, Keys>(&mut scratch.cols, kernel, 0..kernel.rounds(), w);
+                exec_table::<K, Keys>(&mut scratch.cols, &kernel.full, 0..kernel.rounds(), w);
                 for (l, &bi) in chunk.iter().enumerate() {
                     for (node, key) in batch[bi].iter_mut().enumerate() {
                         *key = scratch.cols[node * w + l].clone();
@@ -879,7 +882,7 @@ impl BspMachine {
                     // Quarantine: everything executed so far is
                     // discarded; re-run clean from the original input.
                     batch[bi].clone_from(&originals[l]);
-                    exec_kernel(&mut batch[bi], kernel);
+                    exec_kernel(&mut batch[bi], &kernel.full);
                     report.counters.wasted_rounds += report.counters.useful_rounds;
                     report.counters.useful_rounds = total_rounds as u64;
                     report.quarantined = true;
@@ -1032,12 +1035,13 @@ mod tests {
 
     /// The clean pass over a whole column block, plain.
     fn plain<K: Ord + Clone>(cols: &mut [K], kernel: &KernelProgram, w: usize) {
-        crate::kernel::exec_pass::<K, Keys>(cols, &kernel.runs, &kernel.rounds, w);
+        let table = kernel.clean();
+        crate::kernel::exec_pass::<K, Keys>(cols, &table.runs, table.spans(), w);
     }
 
     /// The clean pass over a whole column block, through the dispatch.
     fn dispatched<K: Ord + Clone>(cols: &mut [K], kernel: &KernelProgram, w: usize) {
-        exec_table::<K, Keys>(cols, kernel, 0..kernel.rounds(), w);
+        exec_table::<K, Keys>(cols, kernel.clean(), 0..kernel.rounds(), w);
     }
 
     /// Run `body` over each block of `lanes` (64 lanes, then the tail)
