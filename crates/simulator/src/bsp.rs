@@ -937,8 +937,7 @@ impl BspMachine {
     /// hop) and written (by a compare-exchange or resolve). Rounds with
     /// that property execute identically whether ops run in order or
     /// all read the start-of-round state: the relay pairing of
-    /// [`BspMachine::lower`] and the staged moves of the column tier's
-    /// fault lockstep rely on it. [`compile`] and
+    /// [`BspMachine::lower`] relies on it. [`compile`] and
     /// [`CompiledProgram::optimized`] never produce such rounds.
     ///
     /// Linear in the program's op count: each op's edge test costs a few
@@ -2053,8 +2052,6 @@ mod tests {
         for lanes in [64u64, 130] {
             let mut batch: Vec<Vec<u64>> = (0..lanes).map(|s| lcg_keys(9, s + 1)).collect();
             machine.run_vertical_batch(&mut batch, &vertical, &mut pool);
-            let _ = machine
-                .run_vertical_batch_with_faults(&mut batch, &vertical, &plan, &policy, &mut pool);
         }
         assert_eq!(
             scheduled(&drain(&machine, &reader)),
@@ -2064,16 +2061,8 @@ mod tests {
                     lanes: 1
                 },
                 Event::BatchScheduled {
-                    batch: 64,
-                    lanes: 1
-                },
-                Event::BatchScheduled {
                     batch: 130,
                     lanes: 3.min(threads)
-                },
-                Event::BatchScheduled {
-                    batch: 130,
-                    lanes: 1
                 },
             ]
         );

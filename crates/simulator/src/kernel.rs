@@ -41,10 +41,9 @@
 //!   interpreter path). Clean runs never read it. The kernel fault
 //!   executor walks it to decide a segment's faults and to find the
 //!   pairs a flip strikes, and replays its micro-ops only in a segment
-//!   where a route drops or a resolve stalls; the vertical fault
-//!   lockstep replays it op by op, and the chunked parallel path splits
-//!   compare rounds' pairs. Relays, and the transit slots they travel
-//!   through, stay with those replays and with the oracle
+//!   where a route drops or a resolve stalls; the chunked parallel path
+//!   splits compare rounds' pairs. Relays, and the transit slots they
+//!   travel through, stay with those replays and with the oracle
 //!   [`BspMachine::run`], which keeps the paper's step counts.
 //! * **Empty rounds**, and rounds the pruning empties, keep a
 //!   descriptor so kernel round indices map 1:1 to `CompiledProgram`
@@ -460,8 +459,7 @@ pub struct KernelProgram {
     pub(crate) rounds: Vec<RoundDesc>,
     /// The full clean network. A compare round's list is its ops; a
     /// route round's is its own compare-exchanges and its paired relays.
-    /// The fault executors, the column lockstep and the chunked path run
-    /// it.
+    /// The fault executors and the chunked path run it.
     pub(crate) full: RunTable,
     /// `full` without the compare-exchanges the level analysis proved
     /// idle (`crate::prune`); `None` when it proved none.

@@ -26,39 +26,26 @@
 //!   warm runs allocation-free (`tests/vertical_alloc.rs` proves zero
 //!   heap allocations).
 //!
-//! Clean runs of both layouts execute the kernel's pruned run table:
-//! relays were paired into compare-exchanges at lowering, so no transit
-//! column exists outside the fault lockstep, and the compare-exchanges
-//! the level analysis proved idle are gone.
-//! [`BspMachine::run_vertical_batch_with_faults`] walks the *same*
-//! [`KernelProgram`] rounds, micro-ops included, in the same order — a
-//! [`VerticalProgram`] is a layout commitment, not a new lowering — so
-//! round indices, op indices, and therefore `FaultSite {round, op}` keys
-//! are shared 1:1 with the interpreter and kernel paths. It injects
-//! from the identical per-lane forked plans and is bit-identical,
-//! reports included, to the serial reference
-//! [`BspMachine::run_batch_with_faults`].
+//! Both layouts execute the kernel's pruned run table: relays were
+//! paired into compare-exchanges at lowering, so the tier keeps no
+//! transit columns, and the compare-exchanges the level analysis proved
+//! idle are gone. The tier has no fault path: a lane under a fault plan
+//! runs through [`BspMachine::run_kernel_with_faults`], which under a
+//! compare-fault plan measured several times cheaper per lane than
+//! running faults over column blocks of any width (DESIGN.md §12).
 
 use std::sync::Arc;
 
-use pns_fault::detect::{full_subgraph_certificate, sampled_subgraph_certificate};
-use pns_fault::{FaultKind, FaultPlan, FaultSite, OpClass, RetryPolicy};
 use pns_obs::{Event, SpanClass, Stage, Tier, SORT_OBS_MIN_OPS};
 use pns_order::radix::Shape;
 
-use crate::bsp::{swaps, BspMachine};
-use crate::fault::{segments, Detection, FaultError, FaultReport, InjectedFault, Retry};
-use crate::kernel::{
-    exec_kernel, exec_table, Bits, KernelProgram, Keys, RoundClass, FLAG_PRIMARY, FLAG_SLOT1,
-    TAG_CX, TAG_MOVE,
-};
+use crate::bsp::BspMachine;
+use crate::kernel::{exec_table, Bits, KernelProgram, Keys};
 
 /// Lanes per machine word: the widest block the vertical layout packs
-/// into one `u64` of decision (or data) bits. The fault lockstep always
-/// blocks this many lanes (its active sets are `u64` masks); for the
-/// clean column tier it is an upper bound, and
-/// [`BspMachine::run_vertical_batch`] narrows blocks whose key columns
-/// would not fit its cache budget.
+/// into one `u64` of data bits. For the column tier it is an upper
+/// bound, and [`BspMachine::run_vertical_batch`] narrows blocks whose
+/// key columns would not fit its cache budget.
 pub const WORD_LANES: usize = 64;
 
 /// Batch size at which [`crate::machine::Machine::sort_batch`] and the
@@ -107,14 +94,12 @@ fn even_blocks<T>(batch: &mut [T], cap: usize) -> impl Iterator<Item = &mut [T]>
 
 /// A kernel program committed to the vertical (lane-major) layout.
 ///
-/// Lowering is a wrapper, not a rewrite: the vertical executors read
-/// the kernel's flat tables directly (clean runs its pruned run table,
-/// the fault lockstep its per-op pairs and micro-ops), which
-/// is what guarantees round and op indices — and with them fault sites
-/// and certificate boundaries — stay aligned across all three tiers. The
-/// type exists so the [`crate::cache::ProgramCache`] can track vertical
-/// adoption separately and so callers cannot accidentally hand a
-/// horizontal scratch to a vertical run.
+/// Lowering is a wrapper, not a rewrite: both vertical executors read
+/// the kernel's pruned run table directly, so round indices stay
+/// aligned with the kernel's and the interpreter's. The type exists so
+/// the [`crate::cache::ProgramCache`] can track vertical adoption
+/// separately and so callers cannot accidentally hand a horizontal
+/// scratch to a vertical run.
 #[derive(Debug, Clone)]
 pub struct VerticalProgram {
     kernel: Arc<KernelProgram>,
@@ -221,30 +206,16 @@ pub fn unpack_zero_one_lane_into(words: &[u64], lane: usize, keys: &mut Vec<u8>)
 // Full-key path: node-major columns of w ≤ 64 lanes; a run is two column slices.
 // ---------------------------------------------------------------------------
 
-/// Reusable state for one vertical block of up to [`WORD_LANES`] lanes
-/// (clean blocks are as wide as [`BspMachine::run_vertical_batch`]'s
-/// block plan makes them; fault blocks are full words): the transposed
-/// key columns and, for the fault lockstep only, column-wide transit
-/// slots and the round-local staging buffer for deferred moves. Clean
-/// blocks run paired compare-exchanges and never size the transit
-/// columns: on `K2^14` a 64-lane fault block holds 2 × 32 MiB of them.
-///
-/// Transit and staging are indexed `(node * 2 + slot) * w + lane`, so
-/// the fault lockstep empties every slot before each block: a scratch
-/// warmed for a 64-lane block must not leak wider-stride slots into a
-/// narrower tail block that borrows it.
+/// Reusable state for one column block of up to [`WORD_LANES`] lanes,
+/// as wide as [`BspMachine::run_vertical_batch`]'s block plan makes it:
+/// the transposed key columns. Blocks run paired compare-exchanges, so
+/// no transit column is ever needed.
 #[derive(Debug)]
 pub struct VerticalScratch<K> {
     /// Lane width (block size) of the current block.
     w: usize,
     /// Transposed keys, node-major: `cols[node * w + lane]`.
     cols: Vec<K>,
-    /// Transit columns: `transit[(node * 2 + slot) * w + lane]`.
-    transit: Vec<Option<K>>,
-    /// Deferred-move staging, same indexing as `transit`.
-    staged: Vec<Option<K>>,
-    /// Transit slot indices (`node * 2 + slot`) staged this round.
-    touched: Vec<u32>,
 }
 
 impl<K> Default for VerticalScratch<K> {
@@ -252,9 +223,6 @@ impl<K> Default for VerticalScratch<K> {
         VerticalScratch {
             w: 0,
             cols: Vec::new(),
-            transit: Vec::new(),
-            staged: Vec::new(),
-            touched: Vec::new(),
         }
     }
 }
@@ -278,21 +246,6 @@ impl<K> VerticalScratch<K> {
         self.w = w;
         self.cols.clear();
     }
-
-    /// Empty transit and staging columns for the current block over `n`
-    /// nodes (the fault lockstep's), reusing them when the size matches.
-    fn reset_transit(&mut self, n: usize) {
-        let len = n * 2 * self.w;
-        for buf in [&mut self.transit, &mut self.staged] {
-            if buf.len() == len {
-                buf.fill_with(|| None);
-            } else {
-                buf.clear();
-                buf.resize_with(len, || None);
-            }
-        }
-        self.touched.clear();
-    }
 }
 
 /// A pool of per-block [`VerticalScratch`]es for batched vertical runs,
@@ -315,7 +268,7 @@ impl<K> VerticalPool<K> {
         Self::default()
     }
 
-    pub(crate) fn ensure(&mut self, blocks: usize) -> &mut [VerticalScratch<K>] {
+    fn ensure(&mut self, blocks: usize) -> &mut [VerticalScratch<K>] {
         if self.slots.len() < blocks {
             self.slots.resize_with(blocks, VerticalScratch::new);
         }
@@ -492,419 +445,6 @@ impl BspMachine {
                 .for_each(|b| exec_cols_block(b.lanes, kernel, b.scratch));
         }
         kernel.rounds() as u64
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fault injection on the vertical tier.
-// ---------------------------------------------------------------------------
-
-/// Iterate the set bit positions (lanes) of a mask, ascending.
-#[derive(Clone, Copy)]
-struct Lanes(u64);
-
-impl Iterator for Lanes {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.0 == 0 {
-            return None;
-        }
-        let l = self.0.trailing_zeros() as usize;
-        self.0 &= self.0 - 1;
-        Some(l)
-    }
-}
-
-/// Mutable per-lane fault state for one block, split out so the round
-/// executor can borrow it alongside the column buffers.
-struct BlockFaults<'a> {
-    plans: &'a [FaultPlan],
-    reports: &'a mut [FaultReport],
-    /// Whether the block runs its segment's first attempt. A retry
-    /// runs the sites of the first attempt, and each that fires fired
-    /// there, so retries ask the plans nothing (faults are transient).
-    first_attempt: bool,
-}
-
-impl BlockFaults<'_> {
-    /// Lane `l`'s fault at `site`, recorded in its report.
-    fn decide(&mut self, l: usize, site: FaultSite, class: OpClass) -> Option<FaultKind> {
-        if !self.first_attempt {
-            return None;
-        }
-        let fault = self.plans[l].decide(site, class);
-        if let Some(kind) = fault {
-            self.reports[l].injected.push(InjectedFault { site, kind });
-        }
-        fault
-    }
-}
-
-/// One faulty vertical round over the lanes in `active`. Op-major like
-/// every other executor — for each op, every active lane consults its
-/// own plan at the shared `FaultSite {round, op}` (on a segment's first
-/// attempt only) and applies the op (possibly perturbed per
-/// `apply_op_faulty`'s semantics) to its column slice. Inactive lanes'
-/// columns are untouched.
-#[allow(clippy::too_many_arguments)]
-fn exec_cols_round_faulty<K: Ord + Clone>(
-    kernel: &KernelProgram,
-    ri: usize,
-    w: usize,
-    active: u64,
-    faults: &mut BlockFaults<'_>,
-    cols: &mut [K],
-    transit: &mut [Option<K>],
-    staged: &mut [Option<K>],
-    touched: &mut Vec<u32>,
-) {
-    let desc = kernel.rounds[ri];
-    let round_idx = ri as u64;
-    let cx = |cols: &mut [K],
-              faults: &mut BlockFaults<'_>,
-              oi: usize,
-              a: u32,
-              b: u32,
-              min_to_a: bool| {
-        let site = FaultSite {
-            round: round_idx,
-            op: oi as u64,
-        };
-        for l in Lanes(active) {
-            let fault = faults.decide(l, site, OpClass::Compare);
-            let (x, y) = (a as usize * w + l, b as usize * w + l);
-            // A flip inverts the swap decision, as in `apply_op_faulty`.
-            if swaps(&cols[x], &cols[y], min_to_a) != fault.is_some() {
-                cols.swap(x, y);
-            }
-        }
-    };
-    match desc.class {
-        RoundClass::Empty => {}
-        RoundClass::Compare => {
-            for (oi, gi) in desc.cx().enumerate() {
-                let (a, b) = kernel.cx_pairs[gi];
-                cx(cols, faults, oi, a, b, true);
-            }
-        }
-        RoundClass::Route => {
-            touched.clear();
-            for (oi, m) in kernel.micro[desc.micro()].iter().enumerate() {
-                let ai = m.a as usize;
-                let si = usize::from(m.flags & FLAG_SLOT1 != 0);
-                let primary = m.flags & FLAG_PRIMARY != 0;
-                let site = FaultSite {
-                    round: round_idx,
-                    op: oi as u64,
-                };
-                match m.tag {
-                    TAG_CX => cx(cols, faults, oi, m.a, m.b, primary),
-                    TAG_MOVE => {
-                        let fbase = (ai * 2 + si) * w;
-                        let tbase = (m.b as usize * 2 + si) * w;
-                        for l in Lanes(active) {
-                            let fault = faults.decide(l, site, OpClass::Route);
-                            // The source slot is consumed even when the
-                            // payload is dropped (the wire fired).
-                            let payload = if primary {
-                                cols[ai * w + l].clone()
-                            } else {
-                                transit[fbase + l].take().expect("validated: slot occupied")
-                            };
-                            let payload = if fault.is_some() {
-                                // Dropped in flight: the receiver's slot
-                                // latches a stale copy of its own
-                                // resident key.
-                                cols[m.b as usize * w + l].clone()
-                            } else {
-                                payload
-                            };
-                            staged[tbase + l] = Some(payload);
-                        }
-                        touched.push(m.b * 2 + si as u32);
-                    }
-                    _ => {
-                        let base = (ai * 2 + si) * w;
-                        for l in Lanes(active) {
-                            let fault = faults.decide(l, site, OpClass::Resolve);
-                            let arrived =
-                                transit[base + l].take().expect("validated: slot occupied");
-                            if fault.is_none() {
-                                let resident = &mut cols[ai * w + l];
-                                let keep_arrived = if primary {
-                                    arrived < *resident
-                                } else {
-                                    arrived > *resident
-                                };
-                                if keep_arrived {
-                                    *resident = arrived;
-                                }
-                            }
-                            // Stalled: arrived discarded, resident
-                            // survives, slot cleared on schedule.
-                        }
-                    }
-                }
-            }
-            for &idx in touched.iter() {
-                let base = idx as usize * w;
-                for l in Lanes(active) {
-                    transit[base + l] = staged[base + l].take();
-                }
-            }
-        }
-    }
-}
-
-impl BspMachine {
-    /// [`BspMachine::run_batch_with_faults`] on the vertical tier:
-    /// lanes are blocked into columns and run the checkpoint/retry
-    /// protocol in **lockstep** — segment rounds execute op-major over
-    /// the still-active lanes of the block, each lane injecting from
-    /// its own `plan.fork(lane)` at the shared `FaultSite {round, op}`
-    /// keys, then each active lane checks its own certificate at the
-    /// boundary. Lanes that pass drop out of the retry set; lanes that
-    /// fail restore only their own checkpoint columns and re-run.
-    ///
-    /// Lockstep preserves the serial accounting exactly: a lane stays
-    /// in the retry set only while *it* keeps failing, so its k-th
-    /// attempt here is its k-th attempt serially — same probe seeds,
-    /// same detections, same retries, and (faults being per-lane
-    /// transient) the same keys. Reports and outputs are bit-identical
-    /// to [`BspMachine::run_batch_with_faults`], which the differential
-    /// suite pins, event sequences included.
-    ///
-    /// Degrades like the scalar batch: a lane that exhausts its retries
-    /// is quarantined — restored to its original input and re-run clean
-    /// through the kernel tier — so every `Ok` lane ends snake-sorted.
-    /// Per-lane errors are only the non-recoverable kinds (wrong key
-    /// count). Never panics on any input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program was lowered for another shape.
-    pub fn run_vertical_batch_with_faults<K>(
-        &self,
-        batch: &mut [Vec<K>],
-        vertical: &VerticalProgram,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        pool: &mut VerticalPool<K>,
-    ) -> Vec<Result<FaultReport, FaultError>>
-    where
-        K: Ord + Clone + Send + Sync,
-    {
-        let kernel = vertical.kernel();
-        assert_eq!(
-            kernel.shape(),
-            self.shape(),
-            "vertical program lowered for another shape"
-        );
-        let _batch_span = self.logger.span(Tier::Fault, Stage::Batch, SpanClass::None);
-        let shape = self.shape();
-        let expected = shape.len();
-        let n = expected as usize;
-        let total_rounds = kernel.rounds();
-        let mut results: Vec<Option<Result<FaultReport, FaultError>>> = batch
-            .iter()
-            .map(|keys| {
-                (keys.len() as u64 != expected).then_some(Err(FaultError::WrongKeyCount {
-                    expected,
-                    got: keys.len(),
-                }))
-            })
-            .collect();
-        let good: Vec<usize> = (0..batch.len()).filter(|&i| results[i].is_none()).collect();
-        self.logger.log(|| Event::BatchScheduled {
-            batch: batch.len() as u64,
-            // The blocks run one after another on this thread.
-            lanes: u64::from(!good.is_empty()),
-        });
-        let mut lane_buf: Vec<K> = Vec::new();
-        let mut checkpoint: Vec<K> = Vec::new();
-        for chunk in good.chunks(WORD_LANES) {
-            let w = chunk.len();
-            let scratch = &mut pool.ensure(1)[0];
-            scratch.reset(w);
-            // Transpose in, node-major: `node` strides one position of
-            // *every* lane's vector at once, so there is no single
-            // container for the loop to iterate.
-            #[allow(clippy::needless_range_loop)]
-            for node in 0..n {
-                let cols = &mut scratch.cols;
-                cols.extend(chunk.iter().map(|&bi| batch[bi][node].clone()));
-            }
-            if !plan.is_enabled() {
-                // Fast path: plain clean vertical execution of the full
-                // table, as every fault path runs it, no hashing, no
-                // checks, no transit — fault-free execution of a
-                // validated program is correct by construction.
-                exec_table::<K, Keys>(&mut scratch.cols, &kernel.full, 0..kernel.rounds(), w);
-                for (l, &bi) in chunk.iter().enumerate() {
-                    for (node, key) in batch[bi].iter_mut().enumerate() {
-                        *key = scratch.cols[node * w + l].clone();
-                    }
-                    let mut report = FaultReport::default();
-                    report.counters.useful_rounds = total_rounds as u64;
-                    report.rounds = total_rounds as u64;
-                    results[bi] = Some(Ok(report));
-                }
-                continue;
-            }
-            // Lanes keep their *original batch index* as the fork key —
-            // malformed lanes still consume an index, exactly as the
-            // scalar batch numbers its lanes.
-            scratch.reset_transit(n);
-            let plans: Vec<FaultPlan> = chunk.iter().map(|&bi| plan.fork(bi as u64)).collect();
-            let originals: Vec<Vec<K>> = chunk.iter().map(|&bi| batch[bi].clone()).collect();
-            let mut reports: Vec<FaultReport> = vec![FaultReport::default(); w];
-            let full: u64 = if w == WORD_LANES { !0 } else { (1 << w) - 1 };
-            let mut live: u64 = full;
-            let mut dead: u64 = 0;
-            for seg in segments(kernel.cert_points(), total_rounds) {
-                if live == 0 {
-                    break;
-                }
-                let seg_rounds = (seg.end - seg.start) as u64;
-                // Transit is empty at segment boundaries, so the column
-                // matrix is the entire checkpoint (shared by all lanes;
-                // restores copy back per-lane slices).
-                if policy.max_retries > 0 && seg.check.is_some() {
-                    checkpoint.clear();
-                    checkpoint.extend(scratch.cols.iter().cloned());
-                }
-                let mut active = live;
-                let mut attempt: u32 = 0;
-                loop {
-                    for ri in seg.start..seg.end {
-                        exec_cols_round_faulty(
-                            kernel,
-                            ri,
-                            w,
-                            active,
-                            &mut BlockFaults {
-                                plans: &plans,
-                                reports: &mut reports,
-                                first_attempt: attempt == 0,
-                            },
-                            &mut scratch.cols,
-                            &mut scratch.transit,
-                            &mut scratch.staged,
-                            &mut scratch.touched,
-                        );
-                    }
-                    debug_assert!(
-                        scratch.transit.iter().all(Option::is_none),
-                        "transit must drain at certificate boundaries"
-                    );
-                    let mut passed: u64 = 0;
-                    for l in Lanes(active) {
-                        // The check yields the failing certificate
-                        // directly, so the failure arm cannot run
-                        // without one — no panic path (mirrors the
-                        // serial loop's structure exactly).
-                        let failed_check = match seg.check {
-                            None => None,
-                            Some((boundary, dims, is_final)) => {
-                                lane_buf.clear();
-                                for node in 0..n {
-                                    lane_buf.push(scratch.cols[node * w + l].clone());
-                                }
-                                // The final certificate is always checked
-                                // in full, matching the serial loop.
-                                let ok = if !is_final && policy.recheck_depth > 0 {
-                                    sampled_subgraph_certificate(
-                                        shape,
-                                        &lane_buf,
-                                        dims as usize,
-                                        policy.recheck_depth,
-                                        plans[l].probe_seed(boundary, u64::from(attempt)),
-                                    )
-                                } else {
-                                    full_subgraph_certificate(shape, &lane_buf, dims as usize)
-                                };
-                                (!ok).then_some((boundary, dims, is_final))
-                            }
-                        };
-                        if let Some((boundary, dims, is_final)) = failed_check {
-                            reports[l].detections.push(Detection {
-                                round: boundary,
-                                dims,
-                                sampled: !is_final && policy.recheck_depth > 0,
-                            });
-                            reports[l].counters.detections += 1;
-                            reports[l].counters.wasted_rounds += seg_rounds;
-                        } else {
-                            passed |= 1 << l;
-                            reports[l].counters.useful_rounds += seg_rounds;
-                        }
-                    }
-                    active &= !passed;
-                    if active == 0 {
-                        break;
-                    }
-                    if attempt >= policy.max_retries {
-                        // These lanes are out of retries: serial lanes
-                        // return RetryExhausted here and the batch
-                        // wrapper quarantines them; we mark them dead
-                        // and quarantine below.
-                        dead |= active;
-                        live &= !active;
-                        break;
-                    }
-                    attempt += 1;
-                    // Backoff before the lockstep re-execution (zero —
-                    // no syscall — unless the policy enables it). One
-                    // sleep covers the whole retrying block, matching
-                    // the serial path's per-attempt schedule.
-                    let delay_ns = policy.backoff_ns(attempt);
-                    if delay_ns > 0 {
-                        std::thread::sleep(std::time::Duration::from_nanos(delay_ns));
-                    }
-                    for node in 0..n {
-                        for l in Lanes(active) {
-                            scratch.cols[node * w + l] = checkpoint[node * w + l].clone();
-                        }
-                    }
-                    for l in Lanes(active) {
-                        reports[l].retries.push(Retry {
-                            round: seg.start as u64,
-                            attempt,
-                        });
-                        reports[l].counters.retries += 1;
-                    }
-                }
-            }
-            for (l, &bi) in chunk.iter().enumerate() {
-                let mut report = std::mem::take(&mut reports[l]);
-                if dead >> l & 1 == 1 {
-                    // Quarantine: everything executed so far is
-                    // discarded; re-run clean from the original input.
-                    batch[bi].clone_from(&originals[l]);
-                    exec_kernel(&mut batch[bi], &kernel.full);
-                    report.counters.wasted_rounds += report.counters.useful_rounds;
-                    report.counters.useful_rounds = total_rounds as u64;
-                    report.quarantined = true;
-                } else {
-                    for (node, key) in batch[bi].iter_mut().enumerate() {
-                        *key = scratch.cols[node * w + l].clone();
-                    }
-                }
-                report.rounds = report.counters.total_rounds();
-                results[bi] = Some(Ok(report));
-            }
-        }
-        let results: Vec<Result<FaultReport, FaultError>> = results
-            .into_iter()
-            .map(|r| r.unwrap_or(Err(FaultError::Internal("batch lane produced no outcome"))))
-            .collect();
-        for (lane, res) in results.iter().enumerate() {
-            if let Ok(report) = res {
-                self.emit_fault_events(report, Some(lane as u64));
-            }
-        }
-        results
     }
 }
 
@@ -1143,79 +683,5 @@ mod tests {
         let kernel = machine.lower(&program).expect("validates");
         machine.run_kernel_batch(&mut want, &kernel, &mut kpool);
         assert_eq!(narrow, want, "tail block after a wide warm-up");
-    }
-
-    #[test]
-    fn vertical_fault_batch_matches_scalar_fault_batch() {
-        let factor = factories::path(3);
-        let program = compile(&factor, 3, &ShearSorter);
-        let machine = BspMachine::new(&factor, 3);
-        let vertical = machine.lower_vertical(&program).expect("validates");
-        let len = machine.shape().len();
-        let batch: Vec<Vec<u64>> = (0..10).map(|s| lcg_keys(len, 0xFA17 + s)).collect();
-        let mut pool = VerticalPool::new();
-        for policy in [RetryPolicy::default(), RetryPolicy::detect_only()] {
-            for seed in 0..6u64 {
-                let plan = FaultPlan::random(seed, 8_000);
-                let mut a = batch.clone();
-                let ra = machine.run_batch_with_faults(&mut a, &program, &plan, &policy);
-                let mut b = batch.clone();
-                let rb = machine
-                    .run_vertical_batch_with_faults(&mut b, &vertical, &plan, &policy, &mut pool);
-                assert_eq!(ra, rb, "seed={seed}: fault reports diverge");
-                assert_eq!(a, b, "seed={seed}: faulty keys diverge");
-            }
-        }
-    }
-
-    #[test]
-    fn vertical_fault_batch_flags_malformed_lanes_in_place() {
-        let factor = factories::path(3);
-        let program = compile(&factor, 2, &ShearSorter);
-        let machine = BspMachine::new(&factor, 2);
-        let vertical = machine.lower_vertical(&program).expect("validates");
-        let len = machine.shape().len();
-        let mut batch: Vec<Vec<u64>> = (0..5).map(|s| lcg_keys(len, s + 1)).collect();
-        batch[2] = vec![7; 3];
-        let mut pool = VerticalPool::new();
-        let results = machine.run_vertical_batch_with_faults(
-            &mut batch,
-            &vertical,
-            &FaultPlan::random(3, 10_000),
-            &RetryPolicy::default(),
-            &mut pool,
-        );
-        assert_eq!(results.len(), 5);
-        for (lane, res) in results.iter().enumerate() {
-            if lane == 2 {
-                assert!(matches!(res, Err(FaultError::WrongKeyCount { .. })));
-            } else {
-                assert!(res.is_ok(), "lane {lane}");
-                assert!(
-                    is_snake_sorted(machine.shape(), &batch[lane]),
-                    "lane {lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn disabled_plan_reports_match_the_scalar_batch() {
-        let factor = factories::path(3);
-        let program = compile(&factor, 2, &ShearSorter);
-        let machine = BspMachine::new(&factor, 2);
-        let vertical = machine.lower_vertical(&program).expect("validates");
-        let len = machine.shape().len();
-        let batch: Vec<Vec<u64>> = (0..4).map(|s| lcg_keys(len, s + 9)).collect();
-        let plan = FaultPlan::disabled();
-        let policy = RetryPolicy::default();
-        let mut a = batch.clone();
-        let ra = machine.run_batch_with_faults(&mut a, &program, &plan, &policy);
-        let mut b = batch.clone();
-        let mut pool = VerticalPool::new();
-        let rb =
-            machine.run_vertical_batch_with_faults(&mut b, &vertical, &plan, &policy, &mut pool);
-        assert_eq!(ra, rb);
-        assert_eq!(a, b);
     }
 }

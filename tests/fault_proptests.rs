@@ -1,14 +1,14 @@
 //! Property-based tests for the fault-injecting executors: a transient
 //! fault is either harmless or caught by the stage certificates, the
 //! default retry policy always repairs sparse faults, batch execution
-//! degrades instead of panicking, and the kernel and vertical fault
-//! executors match the interpreter bit for bit.
+//! degrades instead of panicking, and the kernel fault executor matches
+//! the interpreter bit for bit.
 
 use product_sort::graph::factories;
 use product_sort::sim::netsort::is_snake_sorted;
 use product_sort::sim::{
     compile, BspMachine, CompiledProgram, ExecScratch, FaultError, FaultKind, FaultPlan, FaultSite,
-    Machine, OetSnakeSorter, Op, RetryPolicy, ShearSorter, VerticalPool,
+    Machine, OetSnakeSorter, Op, RetryPolicy, ShearSorter,
 };
 use proptest::prelude::*;
 
@@ -154,40 +154,6 @@ proptest! {
                 "lane {} unsorted (quarantined: {})", lane, report.quarantined
             );
         }
-    }
-
-    #[test]
-    fn vertical_fault_batch_matches_the_scalar_batch_on_random_factors(
-        n in 3usize..6, lanes in 1usize..70, plan_seed in any::<u64>(),
-        seed in any::<u64>(), rate in 1u64..50_000, optimized in any::<bool>(),
-        max_retries in 0u32..3, recheck_depth in 0u32..3,
-    ) {
-        // Random relabeled factors exercise relay moves (Route rounds
-        // with transit traffic) through the lockstep vertical fault
-        // executor. Whatever the plan, policy, lowering, or lane count
-        // (including multi-block batches with a partial tail word),
-        // every report and every output key must match the scalar
-        // batch bit for bit.
-        let factor = Machine::prepare_factor(&factories::random_connected(n, 2, seed));
-        let program = compile(&factor, 2, &OetSnakeSorter);
-        let program = if optimized { program.optimized() } else { program };
-        let machine = BspMachine::new(&factor, 2);
-        let vertical = machine
-            .lower_vertical(&program)
-            .map_err(|e| TestCaseError::Fail(format!("lowering failed: {e}")))?;
-        let len = machine.shape().len();
-        let batch: Vec<Vec<u64>> = (0..lanes as u64)
-            .map(|i| keys_for(len, seed ^ (i * 7919), 1000))
-            .collect();
-        let plan = FaultPlan::random(plan_seed, rate);
-        let policy = RetryPolicy { max_retries, recheck_depth, ..RetryPolicy::default() };
-        let mut a = batch.clone();
-        let ra = machine.run_batch_with_faults(&mut a, &program, &plan, &policy);
-        let mut b = batch;
-        let mut pool = VerticalPool::new();
-        let rb = machine.run_vertical_batch_with_faults(&mut b, &vertical, &plan, &policy, &mut pool);
-        prop_assert_eq!(ra, rb, "fault reports diverge");
-        prop_assert_eq!(a, b, "faulty keys diverge");
     }
 
     #[test]

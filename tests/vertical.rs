@@ -7,8 +7,9 @@
 //! sweep from a release-mode luxury (`tests/heavy.rs`) into a cheap
 //! tier-1 check: every test here sweeps **all** `2^n` masks of its
 //! fixture through `run_vertical_bits`, for both the raw and optimized
-//! lowerings, and cross-checks the tier against the serial machine,
-//! the kernel batch, and the fault executors.
+//! lowerings, and cross-checks the tier against the serial machine and
+//! the kernel batch; the nightly sweep also pins the kernel fault path
+//! to the interpreter's over the same space.
 
 use product_sort::graph::factories;
 use product_sort::graph::Graph;
@@ -16,7 +17,7 @@ use product_sort::order::radix::Shape;
 use product_sort::sim::bsp::{compile, BspMachine};
 use product_sort::sim::netsort::read_snake_order;
 use product_sort::sim::{
-    pack_zero_one_masks, pack_zero_one_masks_into, unpack_zero_one_lane, FaultPlan,
+    pack_zero_one_masks, pack_zero_one_masks_into, unpack_zero_one_lane, ExecScratch, FaultPlan,
     Hypercube2Sorter, Machine, OetSnakeSorter, Pg2Sorter, ProgramCache, RetryPolicy, ScratchPool,
     ShearSorter, SortError, VerticalPool, WORD_LANES,
 };
@@ -241,13 +242,15 @@ fn machine_sort_batch_auto_selects_the_vertical_tier() {
 /// Nightly cross-product: every engine tier × both lowerings × the
 /// fault layer, swept over **all** `2^16` zero-one vectors per fixture.
 /// The tier-1 tests above prove the bit path exhaustively; this run
-/// additionally checks every bit-path lane against the serial machine
-/// and pushes the full space through the column batch and the two
-/// batch fault executors, requiring lane-for-lane agreement. On the
-/// star square, relay-free clean batches meet the round-faithful fault
+/// additionally checks every bit-path lane against the serial machine,
+/// pushes the full space through the column and kernel batches, and
+/// pins the kernel fault path (`run_kernel_with_faults`) to the
+/// interpreter's (`run_with_faults`) lane by lane, each lane on its own
+/// forked plan, requiring identical reports and keys. On the star
+/// square, relay-free clean batches meet the round-faithful fault
 /// executors.
 #[test]
-#[ignore = "release-mode sweep: 3 fixtures x 2 lowerings x 65,536 lanes through the bit path, three batch executors and the serial machine"]
+#[ignore = "release-mode sweep: 3 fixtures x 2 lowerings x 65,536 lanes through the bit path, the column and kernel batches, both fault paths and the serial machine"]
 fn exhaustive_zero_one_engine_optimizer_fault_cross_product() {
     let cases: [(&Graph, usize, &dyn Pg2Sorter); 3] = [
         (&factories::k2(), 4, &Hypercube2Sorter),
@@ -283,18 +286,28 @@ fn exhaustive_zero_one_engine_optimizer_fault_cross_product() {
             machine.run_kernel_batch(&mut kern, &kernel, &mut kpool);
             assert_eq!(cols, kern, "{ctx}: column batch vs kernel batch");
 
-            // Fault executors: identical plans over the whole space.
+            // Fault paths: the kernel against the interpreter, lane by
+            // lane, under the same forked plan over the whole space.
+            let mut scratch = ExecScratch::new();
             for policy in [RetryPolicy::default(), RetryPolicy::detect_only()] {
                 for seed in 0..2u64 {
                     let plan = FaultPlan::random(seed, 2_000);
-                    let mut a = all_inputs.clone();
-                    let ra = machine.run_batch_with_faults(&mut a, prog, &plan, &policy);
-                    let mut b = all_inputs.clone();
-                    let rb = machine.run_vertical_batch_with_faults(
-                        &mut b, &vertical, &plan, &policy, &mut pool,
-                    );
-                    assert_eq!(ra, rb, "{ctx} seed={seed}: fault reports diverge");
-                    assert_eq!(a, b, "{ctx} seed={seed}: faulty keys diverge");
+                    for (lane, input) in all_inputs.iter().enumerate() {
+                        let lane_plan = plan.fork(lane as u64);
+                        let mut a = input.clone();
+                        let ra = machine.run_with_faults(&mut a, prog, &lane_plan, &policy);
+                        let mut b = input.clone();
+                        let rb = machine.run_kernel_with_faults(
+                            &mut b,
+                            &kernel,
+                            &lane_plan,
+                            &policy,
+                            &mut scratch,
+                        );
+                        let at = format!("{ctx} seed={seed} lane={lane}");
+                        assert_eq!(ra, rb, "{at}: fault reports diverge");
+                        assert_eq!(a, b, "{at}: faulty keys diverge");
+                    }
                 }
             }
         }
