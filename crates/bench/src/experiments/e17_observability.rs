@@ -169,14 +169,14 @@ pub fn run() -> Report {
             (6, total, cache.stats().to_string())
         }),
     );
-    let optimized: Setup = (
-        "shear 4x4 r=2 opt",
-        "compiled+opt",
+    let narrow: Setup = (
+        "shear 4x4 r=2",
+        "compiled",
         Box::new(|logger| {
             let factor = factories::path(4);
             let mut cache = ProgramCache::new();
             cache.attach_logger(logger.clone());
-            let mut machine = Machine::compiled_optimized(&factor, 2, &ShearSorter, &cache);
+            let mut machine = Machine::compiled(&factor, 2, &ShearSorter, &cache);
             machine.attach_logger(logger.clone());
             let len = machine.shape().len();
             let batch: Vec<Vec<u64>> = (0..3).map(|s| lcg_keys(len, s + 40)).collect();
@@ -190,7 +190,10 @@ pub fn run() -> Report {
         }),
     );
 
-    for (case, engine, mut body) in [charged, executed, compiled, optimized] {
+    for (i, (case, engine, mut body)) in [charged, executed, compiled, narrow]
+        .into_iter()
+        .enumerate()
+    {
         let (logger, reader) = memory_logger(&format!("e17_observability {case}"));
         let (sorts, counters, cache_line) = body(&logger);
         logger.finish();
@@ -203,7 +206,7 @@ pub fn run() -> Report {
         // Round events (when present) are well-paired.
         let rounds_ok = summary.unmatched_rounds() == 0;
         // JSONL encodes the stream losslessly.
-        let reparsed = jsonl_roundtrip(&events, engine);
+        let reparsed = jsonl_roundtrip(&events, &format!("{engine}_{i}"));
         let json_summary = ObsSummary::from_events(&reparsed);
         let json_ok = reparsed.len() == events.len()
             && json_summary.s2_units == summary.s2_units

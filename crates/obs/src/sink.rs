@@ -6,14 +6,12 @@
 //!   [`MemoryReader`]; the test and assertion sink.
 //! * [`JsonlSink`] — one JSON object per line, appended to a file; the
 //!   machine-readable experiment sink (`obs.jsonl`).
-//! * [`SummarySink`] — aggregates the stream into an
-//!   [`ObsSummary`](crate::ObsSummary) and prints the table to stderr
-//!   when finished; the interactive sink.
-//! * [`ProfileSink`] — aggregates spans into a
-//!   [`Profile`](crate::Profile) and writes the time-breakdown table
-//!   (stderr, or a file when given a path).
+//! * [`SummarySink`] — aggregates the stream into an [`ObsSummary`] and
+//!   prints the table to stderr when finished; the interactive sink.
+//! * [`ProfileSink`] — aggregates spans into a [`Profile`] and writes
+//!   the time-breakdown table (stderr, or a file when given a path).
 //! * [`PromSink`] — same aggregation, written as a Prometheus text
-//!   exposition via the metrics [`Registry`](crate::Registry).
+//!   exposition via the metrics [`Registry`].
 //!
 //! [`Directive`] is the typed form of the `PNS_OBS` environment
 //! variable (`jsonl[:path]` | `summary` | `profile[:path]` |

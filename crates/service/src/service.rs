@@ -25,7 +25,7 @@
 //! 3. **Service-level retry** — a lane that exhausts in-run retries is
 //!    re-executed from its original input under a *re-forked* fault
 //!    plan, after a capped-exponential deterministically-jittered
-//!    backoff ([`RetryPolicy::backoff_ns`]), up to
+//!    backoff ([`pns_fault::RetryPolicy::backoff_ns`]), up to
 //!    [`ServiceConfig::service_retries`] times.
 //! 4. **Serial quarantined lane** — still failing, the lane runs clean
 //!    (injection off) and serially; the response is marked `degraded`.

@@ -28,6 +28,7 @@ use pns_obs::{Event, EventLogger, SpanClass, Stage, Tier, ROUND_OBS_MIN_OPS};
 use pns_order::radix::Shape;
 use pns_order::Direction;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One machine operation within a synchronous round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -142,13 +143,36 @@ pub struct CertPoint {
 /// [`Counters`] its replay of the algorithm accumulated
 /// ([`CompiledProgram::counters`]), so a machine built on it needs no
 /// second replay to report them.
+///
+/// Its rounds live in one shared allocation: every lowering of the
+/// program ([`crate::KernelProgram`]) holds that allocation rather than
+/// a copy, so a fault site `(round, op)` indexes the same ops on every
+/// tier.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CompiledProgram {
     shape: Shape,
-    rounds: Vec<BspRound>,
+    rounds: SharedRounds,
     stats: ProgramStats,
     cert_points: Vec<CertPoint>,
     counters: Counters,
+}
+
+/// A program's rounds behind one reference-counted allocation. It
+/// serializes as the plain list of rounds.
+#[derive(Debug, Clone)]
+struct SharedRounds(Arc<[BspRound]>);
+
+impl serde::Serialize for SharedRounds {
+    fn to_value(&self) -> serde::Value {
+        serde::Serialize::to_value(&*self.0)
+    }
+}
+
+impl serde::Deserialize for SharedRounds {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        <Vec<BspRound> as serde::Deserialize>::from_value(v)
+            .map(|rounds| SharedRounds(rounds.into()))
+    }
 }
 
 impl CompiledProgram {
@@ -163,7 +187,7 @@ impl CompiledProgram {
         let stats = ProgramStats::identity(rounds.len() as u64, ops);
         CompiledProgram {
             shape,
-            rounds,
+            rounds: SharedRounds(rounds.into()),
             stats,
             cert_points: Vec::new(),
             counters: Counters::default(),
@@ -190,19 +214,25 @@ impl CompiledProgram {
     /// Number of synchronous rounds.
     #[must_use]
     pub fn rounds(&self) -> usize {
-        self.rounds.len()
+        self.rounds.0.len()
     }
 
     /// Total operations across all rounds.
     #[must_use]
     pub fn op_count(&self) -> usize {
-        self.rounds.iter().map(Vec::len).sum()
+        self.rounds.0.iter().map(Vec::len).sum()
     }
 
     /// The rounds themselves (for inspection/statistics).
     #[must_use]
     pub fn round_ops(&self) -> &[BspRound] {
-        &self.rounds
+        &self.rounds.0
+    }
+
+    /// The rounds' shared allocation, for a lowering to keep instead of
+    /// copying its ops.
+    pub(crate) fn shared_rounds(&self) -> Arc<[BspRound]> {
+        Arc::clone(&self.rounds.0)
     }
 
     /// The shape this program sorts.
@@ -241,8 +271,8 @@ impl CompiledProgram {
     /// default; opt in where raw round counts are not being compared.
     #[must_use]
     pub fn optimized(&self) -> CompiledProgram {
-        let mut stats = ProgramStats::identity(self.rounds.len() as u64, self.op_count() as u64);
-        let mut rounds = self.rounds.clone();
+        let mut stats = ProgramStats::identity(self.rounds() as u64, self.op_count() as u64);
+        let mut rounds = self.round_ops().to_vec();
         eliminate_idempotent_cx(&mut rounds, &mut stats);
         // Empty-round elision, tracking how each boundary index shifts:
         // kept_before[i] = rounds kept among the first i.
@@ -282,7 +312,7 @@ impl CompiledProgram {
         stats.ops_after = rounds.iter().map(Vec::len).sum::<usize>() as u64;
         CompiledProgram {
             shape: self.shape,
-            rounds,
+            rounds: SharedRounds(rounds.into()),
             stats,
             cert_points,
             counters: self.counters,
@@ -805,7 +835,7 @@ impl BspMachine {
         // state: buffer incoming values and commit after the round.
         let mut incoming: Vec<(u64, u8, K)> = Vec::new();
 
-        for (ri, round) in program.rounds.iter().enumerate() {
+        for (ri, round) in program.round_ops().iter().enumerate() {
             self.logger.log(|| Event::RoundStart {
                 round: ri as u64,
                 ops: round.len() as u64,
@@ -919,7 +949,7 @@ impl BspMachine {
             transit.iter().all(|t| t[0].is_none() && t[1].is_none()),
             "transit values left in flight after the program ended"
         );
-        program.rounds.len() as u64
+        program.rounds() as u64
     }
 
     /// Statically validate a program against this machine — without any
@@ -972,7 +1002,7 @@ impl BspMachine {
         let mut prev = 0;
         for (index, c) in certs.iter().enumerate() {
             if c.round < prev
-                || c.round > program.rounds.len() as u64
+                || c.round > program.rounds() as u64
                 || !(1..=self.shape.r() as u64).contains(&u64::from(c.dims))
             {
                 return Err(ProgramError::BadCertPoint {
@@ -1000,7 +1030,7 @@ impl BspMachine {
         let mut reads: Vec<u64> = Vec::new();
         let mut taken: Vec<(u64, u8)> = Vec::new();
         let mut written: Vec<(u64, u8)> = Vec::new();
-        for (ri, round) in program.rounds.iter().enumerate() {
+        for (ri, round) in program.round_ops().iter().enumerate() {
             epoch = epoch.checked_add(1).unwrap_or_else(|| {
                 for set in [
                     &mut key_written,
@@ -1153,13 +1183,13 @@ impl BspMachine {
         self.logger.log(|| {
             let stats = program.stats();
             Event::Validate {
-                rounds: program.rounds.len() as u64,
+                rounds: program.rounds() as u64,
                 elided_cx: stats.compare_exchanges_elided,
                 fused: stats.rounds_fused,
             }
         });
         Ok(ValidationReport {
-            rounds: program.rounds.len(),
+            rounds: program.rounds(),
             ops: program.op_count(),
             cert_points: program.cert_points.len(),
         })
@@ -1175,73 +1205,6 @@ pub(crate) fn swaps<K: Ord>(x: &K, y: &K, min_to_a: bool) -> bool {
         x > y
     } else {
         x < y
-    }
-}
-
-/// One round, serial, unchecked — the data semantics of
-/// [`BspMachine::run`]'s inner loop (takes read start-of-round transit
-/// state; incoming values commit at the end of the round). The caller
-/// owns the incoming buffer, so hot loops (whole-program execution,
-/// fault segments) allocate it once instead of once per round.
-pub(crate) fn exec_round_serial_scratch<K: Ord + Clone>(
-    keys: &mut [K],
-    transit: &mut [[Option<K>; 2]],
-    round: &[Op],
-    incoming: &mut Vec<(usize, usize, K)>,
-) {
-    incoming.clear();
-    for op in round {
-        match *op {
-            Op::CompareExchange { a, b, min_to_a } => {
-                let (ai, bi) = (a as usize, b as usize);
-                if swaps(&keys[ai], &keys[bi], min_to_a) {
-                    keys.swap(ai, bi);
-                }
-            }
-            Op::Move {
-                from,
-                to,
-                slot,
-                from_key,
-            } => {
-                let (fi, si) = (from as usize, slot as usize);
-                let payload = if from_key {
-                    keys[fi].clone()
-                } else {
-                    transit[fi][si].take().expect("validated: slot occupied")
-                };
-                incoming.push((to as usize, si, payload));
-            }
-            Op::Resolve {
-                node,
-                slot,
-                keep_min,
-            } => {
-                let (ni, si) = (node as usize, slot as usize);
-                let arrived = transit[ni][si].take().expect("validated: slot occupied");
-                let resident = &mut keys[ni];
-                let keep_arrived = if keep_min {
-                    arrived < *resident
-                } else {
-                    arrived > *resident
-                };
-                if keep_arrived {
-                    *resident = arrived;
-                }
-            }
-        }
-    }
-    for (to, slot, payload) in incoming.drain(..) {
-        transit[to][slot] = Some(payload);
-    }
-}
-
-/// Run a whole validated program serially on one key vector.
-pub(crate) fn exec_program<K: Ord + Clone>(keys: &mut [K], program: &CompiledProgram) {
-    let mut transit: Vec<[Option<K>; 2]> = vec![[None, None]; keys.len()];
-    let mut incoming: Vec<(usize, usize, K)> = Vec::new();
-    for round in &program.rounds {
-        exec_round_serial_scratch(keys, &mut transit, round, &mut incoming);
     }
 }
 
@@ -1518,6 +1481,7 @@ fn emit_wave(wave: &[(Vec<u64>, bool)], rounds: &mut Vec<BspRound>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::Transit;
     use crate::netsort::network_sort;
     use crate::sorters::{Hypercube2Sorter, OetSnakeSorter, ShearSorter};
     use crate::{ExecutedEngine, Machine};
@@ -1607,7 +1571,7 @@ mod tests {
         );
         // Relays exist: some rounds carry Move/Resolve ops.
         let has_moves = program
-            .rounds
+            .round_ops()
             .iter()
             .flatten()
             .any(|op| matches!(op, Op::Move { .. }));
@@ -2091,8 +2055,7 @@ mod tests {
             // The certified invariant actually holds at each boundary.
             let machine = BspMachine::new(&factor, r);
             let mut keys = lcg_keys(machine.shape().len(), 23);
-            let mut transit: Vec<[Option<u64>; 2]> = vec![[None, None]; keys.len()];
-            let mut incoming = Vec::new();
+            let mut transit = Transit::new(keys.len());
             let mut next_cert = 0;
             for (ri, round) in program.round_ops().iter().enumerate() {
                 while next_cert < certs.len() && certs[next_cert].round as usize == ri {
@@ -2106,7 +2069,7 @@ mod tests {
                     );
                     next_cert += 1;
                 }
-                exec_round_serial_scratch(&mut keys, &mut transit, round, &mut incoming);
+                transit.round(&mut keys, round, |_, _| None);
             }
             for c in &certs[next_cert..] {
                 assert_eq!(c.round as usize, program.rounds());
@@ -2137,8 +2100,7 @@ mod tests {
             // Certified invariants hold at the remapped boundaries too.
             let machine = BspMachine::new(&factor, r);
             let mut keys = lcg_keys(machine.shape().len(), 29);
-            let mut transit: Vec<[Option<u64>; 2]> = vec![[None, None]; keys.len()];
-            let mut incoming = Vec::new();
+            let mut transit = Transit::new(keys.len());
             let certs = opt.cert_points();
             let mut next_cert = 0;
             for (ri, round) in opt.round_ops().iter().enumerate() {
@@ -2153,7 +2115,7 @@ mod tests {
                     );
                     next_cert += 1;
                 }
-                exec_round_serial_scratch(&mut keys, &mut transit, round, &mut incoming);
+                transit.round(&mut keys, round, |_, _| None);
             }
             assert!(crate::netsort::is_snake_sorted(machine.shape(), &keys));
         }

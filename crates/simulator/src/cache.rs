@@ -40,30 +40,24 @@ pub struct ProgramKey {
     pub sorter: String,
     /// Normalized edge list: each edge as `(min, max)`, sorted.
     pub edges: Vec<(u32, u32)>,
-    /// Whether the cached program went through
-    /// [`CompiledProgram::optimized`].
-    pub optimized: bool,
 }
 
 impl ProgramKey {
     /// Key for the program sorting the product of `factor` with `r`
     /// dimensions using `sorter`.
     #[must_use]
-    pub fn new(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter, optimized: bool) -> Self {
+    pub fn new(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> Self {
         ProgramKey {
             n: factor.n(),
             r,
             sorter: sorter.id(),
             edges: normalized_edges(factor),
-            optimized,
         }
     }
 
     /// Compact digest of this key's structural identity (FNV-1a over
     /// node count, dimensions, sorter identity, and the normalized edge
-    /// set — `optimized` is excluded, so the digest names the topology,
-    /// not the compilation mode). Display/logging only: the cache
-    /// compares full keys.
+    /// set). Display/logging only: the cache compares full keys.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -97,7 +91,7 @@ pub(crate) fn normalized_edges(factor: &Graph) -> Vec<(u32, u32)> {
 /// fingerprint collisions cannot cause wrong programs to be served.
 #[must_use]
 pub fn fingerprint(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> u64 {
-    ProgramKey::new(factor, r, sorter, false).fingerprint()
+    ProgramKey::new(factor, r, sorter).fingerprint()
 }
 
 /// Point-in-time snapshot of a [`ProgramCache`]'s accounting, for
@@ -198,22 +192,8 @@ impl ProgramCache {
         r: usize,
         sorter: &dyn Pg2Sorter,
     ) -> Arc<CompiledProgram> {
-        self.lookup(ProgramKey::new(factor, r, sorter, false), || {
+        self.lookup(ProgramKey::new(factor, r, sorter), || {
             compile(factor, r, sorter)
-        })
-    }
-
-    /// As [`ProgramCache::get_or_compile`], but the cached program is
-    /// run through [`CompiledProgram::optimized`]. Cached separately
-    /// from the unoptimized program.
-    pub fn get_or_compile_optimized(
-        &self,
-        factor: &Graph,
-        r: usize,
-        sorter: &dyn Pg2Sorter,
-    ) -> Arc<CompiledProgram> {
-        self.lookup(ProgramKey::new(factor, r, sorter, true), || {
-            compile(factor, r, sorter).optimized()
         })
     }
 
@@ -230,21 +210,7 @@ impl ProgramCache {
         sorter: &dyn Pg2Sorter,
     ) -> (Arc<CompiledProgram>, Arc<KernelProgram>) {
         let program = self.get_or_compile(factor, r, sorter);
-        let kernel = self.kernel_lookup(ProgramKey::new(factor, r, sorter, false), &program);
-        (program, kernel)
-    }
-
-    /// As [`ProgramCache::get_or_compile_kernel`], for the optimized
-    /// program ([`CompiledProgram::optimized`]). Cached separately from
-    /// the unoptimized kernel.
-    pub fn get_or_compile_kernel_optimized(
-        &self,
-        factor: &Graph,
-        r: usize,
-        sorter: &dyn Pg2Sorter,
-    ) -> (Arc<CompiledProgram>, Arc<KernelProgram>) {
-        let program = self.get_or_compile_optimized(factor, r, sorter);
-        let kernel = self.kernel_lookup(ProgramKey::new(factor, r, sorter, true), &program);
+        let kernel = self.kernel_lookup(ProgramKey::new(factor, r, sorter), &program);
         (program, kernel)
     }
 
@@ -266,24 +232,7 @@ impl ProgramCache {
         Arc<VerticalProgram>,
     ) {
         let (program, kernel) = self.get_or_compile_kernel(factor, r, sorter);
-        let vertical = self.vertical_lookup(ProgramKey::new(factor, r, sorter, false), &kernel);
-        (program, kernel, vertical)
-    }
-
-    /// As [`ProgramCache::get_or_compile_vertical`], for the optimized
-    /// program. Cached separately from the unoptimized vertical.
-    pub fn get_or_compile_vertical_optimized(
-        &self,
-        factor: &Graph,
-        r: usize,
-        sorter: &dyn Pg2Sorter,
-    ) -> (
-        Arc<CompiledProgram>,
-        Arc<KernelProgram>,
-        Arc<VerticalProgram>,
-    ) {
-        let (program, kernel) = self.get_or_compile_kernel_optimized(factor, r, sorter);
-        let vertical = self.vertical_lookup(ProgramKey::new(factor, r, sorter, true), &kernel);
+        let vertical = self.vertical_lookup(ProgramKey::new(factor, r, sorter), &kernel);
         (program, kernel, vertical)
     }
 
@@ -516,9 +465,8 @@ mod tests {
         let _ = cache.get_or_compile(&factor, 2, &ShearSorter);
         let _ = cache.get_or_compile(&factor, 3, &ShearSorter); // other r
         let _ = cache.get_or_compile(&factor, 2, &OetSnakeSorter); // other sorter
-        let _ = cache.get_or_compile_optimized(&factor, 2, &ShearSorter); // optimized
-        assert_eq!(cache.misses(), 4);
-        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.misses(), 3);
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]
@@ -576,8 +524,8 @@ mod tests {
         // must differ because the edge sets differ.
         let path = factories::path(4);
         let star = factories::star(4);
-        let kp = ProgramKey::new(&path, 2, &OetSnakeSorter, false);
-        let ks = ProgramKey::new(&star, 2, &OetSnakeSorter, false);
+        let kp = ProgramKey::new(&path, 2, &OetSnakeSorter);
+        let ks = ProgramKey::new(&star, 2, &OetSnakeSorter);
         assert_eq!(kp.n, ks.n);
         assert_eq!(kp.edges.len(), ks.edges.len());
         assert_ne!(kp, ks, "wiring must be part of the key");
@@ -700,6 +648,10 @@ mod tests {
         assert!(Arc::ptr_eq(&p1, &p2), "program comes from the same entry");
         assert!(Arc::ptr_eq(&k1, &k2), "kernel is lowered exactly once");
         assert_eq!(k1.rounds(), p1.rounds());
+        assert!(
+            std::ptr::eq(&k1.ops[..], p1.round_ops()),
+            "the kernel shares the cached program's rounds"
+        );
         assert_eq!((cache.kernel_hits(), cache.kernel_misses()), (1, 1));
         assert_eq!(cache.kernel_len(), 1);
         // Kernel traffic rides on the same program lookups — the
@@ -713,10 +665,6 @@ mod tests {
                 entries: 1
             }
         );
-        // Optimized kernels are distinct cache entries.
-        let (_p3, k3) = cache.get_or_compile_kernel_optimized(&factor, 2, &ShearSorter);
-        assert!(!Arc::ptr_eq(&k1, &k3));
-        assert_eq!(cache.kernel_len(), 2);
         cache.clear();
         assert_eq!(cache.kernel_len(), 0, "clear drops kernels too");
     }
@@ -746,10 +694,6 @@ mod tests {
                 entries: 1
             }
         );
-        // Optimized verticals are distinct cache entries.
-        let (_p3, _k3, v3) = cache.get_or_compile_vertical_optimized(&factor, 2, &ShearSorter);
-        assert!(!Arc::ptr_eq(&v1, &v3));
-        assert_eq!(cache.vertical_len(), 2);
         cache.clear();
         assert_eq!(cache.vertical_len(), 0, "clear drops verticals too");
     }

@@ -37,16 +37,21 @@
 //!
 //! Both executors share `checkpoint_retry_loop`, the crate's only
 //! checkpoint/retry loop, and differ only in how they run a segment.
-//! The interpreter ([`BspMachine::run_with_faults`], the reference)
-//! asks the plan about every op of every attempt and keeps a set of
-//! fired sites. The kernel
+//! Both read a site's op from the same place: the program's rounds,
+//! which a lowered kernel shares rather than copies, so a site
+//! `(round, op)` names one op on either path. The interpreter
+//! ([`BspMachine::run_with_faults`], the reference) asks the plan about
+//! every op of every attempt and keeps a set of fired sites. The kernel
 //! ([`BspMachine::run_kernel_with_faults`]) asks once, on a segment's
 //! first attempt, and gets the segment's fault list. A list of
 //! comparator flips runs the segment's clean runs, one pass up to and
-//! including each flipped round, and then swaps that round's flipped
-//! pairs; a list holding a [`FaultKind::DropRoute`] or
-//! [`FaultKind::StallResolve`] replays the segment's route rounds
-//! through transit slots; retries run clean, one pass per segment.
+//! including each flipped round, and then swaps the keys of that
+//! round's flipped compare-exchanges; a list holding a
+//! [`FaultKind::DropRoute`] or [`FaultKind::StallResolve`] replays the
+//! segment's route rounds through transit slots; retries run clean, one
+//! pass per segment. Every op-by-op replay (the interpreter's rounds,
+//! clean or faulted, and the kernel's route replays) is one function,
+//! `Transit::round`.
 //!
 //! [`BspMachine::run_batch_with_faults`] runs the interpreter's loop
 //! lane by lane and adds graceful degradation: a lane that exhausts its
@@ -72,14 +77,8 @@ use pns_fault::{FaultKind, FaultPlan, FaultSite, OpClass, RetryPolicy};
 use pns_obs::{Event, SpanClass, Stage, Tier};
 use pns_order::radix::Shape;
 
-use crate::bsp::{
-    exec_program, exec_round_serial_scratch, swaps, BspMachine, CertPoint, CompiledProgram, Op,
-    ProgramError,
-};
-use crate::kernel::{
-    exec_kernel, exec_table, ExecScratch, KernelProgram, Keys, RoundClass, RoundDesc, TAG_CX,
-    TAG_MOVE,
-};
+use crate::bsp::{swaps, BspMachine, CertPoint, CompiledProgram, Op, ProgramError};
+use crate::kernel::{exec_kernel, exec_table, ExecScratch, KernelProgram, Keys, RoundClass};
 use pns_core::RetryCounters;
 
 /// Why a fault-tolerant run could not produce a sorted vector.
@@ -279,43 +278,11 @@ fn multiset_fingerprint<K: Hash>(keys: &[K]) -> u64 {
     })
 }
 
-/// Fault-decision state threaded through the round executors: the plan
-/// plus the per-run fired set and injection log.
-struct FaultCtx<'a> {
-    plan: &'a FaultPlan,
-    fired: &'a mut HashSet<FaultSite>,
-    injected: &'a mut Vec<InjectedFault>,
-}
-
-impl FaultCtx<'_> {
-    /// Decide whether the site `(round_idx, oi)` fires under the plan,
-    /// honouring the transient model (a site that already fired never
-    /// fires again, so retried segments execute clean) and recording
-    /// what fired. Keyed purely by `(round, op)` indices, which lowering
-    /// preserves — so the interpreter and kernel fault paths draw the
-    /// identical decision sequence from the same plan.
-    fn decide(&mut self, round_idx: u64, oi: usize, class: OpClass) -> Option<FaultKind> {
-        let site = FaultSite {
-            round: round_idx,
-            op: oi as u64,
-        };
-        let fault = if self.fired.contains(&site) {
-            None
-        } else {
-            self.plan.decide(site, class)
-        };
-        if let Some(kind) = fault {
-            self.fired.insert(site);
-            self.injected.push(InjectedFault { site, kind });
-        }
-        fault
-    }
-}
-
 /// Apply one op under an (optional) fired fault. Semantics match
-/// `exec_round_serial` except at fired sites; the transit occupancy
-/// schedule is identical either way. Shared by the interpreter and
-/// kernel fault paths, so their fault semantics cannot drift apart.
+/// [`BspMachine::run`]'s except at fired sites; the transit occupancy
+/// schedule is identical either way. Every op-by-op replay applies its
+/// ops here ([`Transit::round`]), so the interpreter's and the kernel's
+/// fault semantics cannot drift apart.
 fn apply_op_faulty<K: Ord + Clone>(
     op: &Op,
     fault: Option<FaultKind>,
@@ -378,34 +345,72 @@ fn apply_op_faulty<K: Ord + Clone>(
     }
 }
 
-/// Execute one interpreted round with fault injection.
-fn exec_round_faulty<K: Ord + Clone>(
-    keys: &mut [K],
-    transit: &mut [[Option<K>; 2]],
-    incoming: &mut Vec<(usize, usize, K)>,
-    round: &[Op],
-    round_idx: u64,
-    ctx: &mut FaultCtx<'_>,
-) {
-    incoming.clear();
-    for (oi, op) in round.iter().enumerate() {
-        let class = match op {
-            Op::CompareExchange { .. } => OpClass::Compare,
-            Op::Move { .. } => OpClass::Route,
-            Op::Resolve { .. } => OpClass::Resolve,
-        };
-        let fault = ctx.decide(round_idx, oi, class);
-        apply_op_faulty(op, fault, keys, transit, incoming);
+/// The class of sites `op` is: what [`FaultPlan::decide`] is asked
+/// about it, on every path.
+fn op_class(op: &Op) -> OpClass {
+    match op {
+        Op::CompareExchange { .. } => OpClass::Compare,
+        Op::Move { .. } => OpClass::Route,
+        Op::Resolve { .. } => OpClass::Resolve,
     }
-    for (to, slot, payload) in incoming.drain(..) {
-        transit[to][slot] = Some(payload);
+}
+
+/// The transit slots and deferred-move buffer of an op-by-op replay:
+/// the state the machine model keeps beside the keys.
+pub(crate) struct Transit<K> {
+    slots: Vec<[Option<K>; 2]>,
+    incoming: Vec<(usize, usize, K)>,
+}
+
+impl<K: Ord + Clone> Transit<K> {
+    /// Empty slots for `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        Transit {
+            slots: vec![[None, None]; nodes],
+            incoming: Vec::new(),
+        }
+    }
+
+    /// Apply `round`'s ops in order through [`apply_op_faulty`], op `oi`
+    /// under the fault `fault(oi, op)` returns, then commit the round's
+    /// moves: moves read start-of-round transit state, as in
+    /// [`BspMachine::run`], unchecked. The crate's only op-by-op replay:
+    /// the interpreter's fault rounds, every clean interpreted run of
+    /// the fault executors (a disabled plan, a quarantine re-run) and
+    /// the kernel's route replays.
+    pub(crate) fn round(
+        &mut self,
+        keys: &mut [K],
+        round: &[Op],
+        mut fault: impl FnMut(usize, &Op) -> Option<FaultKind>,
+    ) {
+        for (oi, op) in round.iter().enumerate() {
+            apply_op_faulty(op, fault(oi, op), keys, &mut self.slots, &mut self.incoming);
+        }
+        for (to, slot, payload) in self.incoming.drain(..) {
+            self.slots[to][slot] = Some(payload);
+        }
+    }
+
+    /// Whether every slot is empty, as at every certificate boundary.
+    fn is_empty(&self) -> bool {
+        self.slots.iter().all(|t| t[0].is_none() && t[1].is_none())
+    }
+}
+
+/// Run a whole validated program on one key vector, fault-free and
+/// unchecked, one round after another.
+fn exec_program<K: Ord + Clone>(keys: &mut [K], program: &CompiledProgram) {
+    let mut transit = Transit::new(keys.len());
+    for round in program.round_ops() {
+        transit.round(keys, round, |_, _| None);
     }
 }
 
 /// Ask `plan` about every site of the kernel rounds `rounds`, in op
 /// order, and append the faults that fire to `out`: the segment's
-/// fault list, in the order the interpreter records them. Compare
-/// rounds' sites are their per-op pairs, route rounds' their micro-ops.
+/// fault list, in the order the interpreter records them. The sites are
+/// the program's own ops, which the kernel shares.
 fn decide_segment(
     kernel: &KernelProgram,
     plan: &FaultPlan,
@@ -413,76 +418,14 @@ fn decide_segment(
     out: &mut Vec<InjectedFault>,
 ) {
     for ri in rounds {
-        let desc = kernel.rounds[ri];
-        let mut decide = |oi: usize, class: OpClass| {
+        for (oi, op) in kernel.ops[ri].iter().enumerate() {
             let site = FaultSite {
                 round: ri as u64,
                 op: oi as u64,
             };
-            if let Some(kind) = plan.decide(site, class) {
+            if let Some(kind) = plan.decide(site, op_class(op)) {
                 out.push(InjectedFault { site, kind });
             }
-        };
-        match desc.class {
-            RoundClass::Empty => {}
-            RoundClass::Compare => (0..desc.cx().len()).for_each(|oi| decide(oi, OpClass::Compare)),
-            RoundClass::Route => {
-                for (oi, m) in kernel.micro[desc.micro()].iter().enumerate() {
-                    let class = match m.tag {
-                        TAG_CX => OpClass::Compare,
-                        TAG_MOVE => OpClass::Route,
-                        _ => OpClass::Resolve,
-                    };
-                    decide(oi, class);
-                }
-            }
-        }
-    }
-}
-
-/// The two keys of op `oi` of round `desc`, a compare-exchange: a
-/// compare round's per-op pair, or a route round's own micro-op.
-fn cx_keys(kernel: &KernelProgram, desc: RoundDesc, oi: usize) -> (usize, usize) {
-    if desc.class == RoundClass::Compare {
-        let (a, b) = kernel.cx_pairs[desc.cx().start + oi];
-        (a as usize, b as usize)
-    } else {
-        let m = kernel.micro[desc.micro().start + oi];
-        (m.a as usize, m.b as usize)
-    }
-}
-
-/// Transit slots and the deferred-move buffer of a kernel segment that
-/// replays its route rounds, allocated the first time one does.
-struct Replay<K> {
-    transit: Vec<[Option<K>; 2]>,
-    incoming: Vec<(usize, usize, K)>,
-}
-
-impl<K: Ord + Clone> Replay<K> {
-    /// Replay one route round's micro-ops in op order, through
-    /// [`apply_op_faulty`], with `faults` (the round's, in op order)
-    /// applied at their sites.
-    fn route_round(
-        &mut self,
-        keys: &mut [K],
-        kernel: &KernelProgram,
-        desc: RoundDesc,
-        faults: &[InjectedFault],
-    ) {
-        let mut faults = faults.iter().peekable();
-        for (oi, m) in kernel.micro[desc.micro()].iter().enumerate() {
-            let fault = faults.next_if(|f| f.site.op == oi as u64).map(|f| f.kind);
-            apply_op_faulty(
-                &m.to_op(),
-                fault,
-                keys,
-                &mut self.transit,
-                &mut self.incoming,
-            );
-        }
-        for (to, slot, payload) in self.incoming.drain(..) {
-            self.transit[to][slot] = Some(payload);
         }
     }
 }
@@ -492,17 +435,17 @@ impl<K: Ord + Clone> Replay<K> {
 ///
 /// Without `replay`, every fault is a [`FaultKind::FlipCompare`], and
 /// each round runs its clean runs and then swaps the keys of its
-/// flipped pairs. A flipped compare-exchange swaps exactly when the
-/// clean one does not, so one unconditional swap after the clean step
-/// gives the flipped result, ties included; the round's other runs
-/// touch neither key. The clean runs are the full table's: a flip
-/// breaks the level invariant the pruned table relies on.
+/// flipped compare-exchanges. A flipped compare-exchange swaps exactly
+/// when the clean one does not, so one unconditional swap after the
+/// clean step gives the flipped result, ties included; the round's
+/// other runs touch neither key. The clean runs are the full table's:
+/// a flip breaks the level invariant the pruned table relies on.
 /// Paired relays stay exact: pairing depends on which keys ops write,
 /// and a flipped compare-exchange writes the same two keys.
 ///
-/// With `replay`, route rounds replay their micro-ops through transit
-/// slots, so dropped and stalled relays take effect; compare rounds
-/// still run clean and swap.
+/// With `replay`, route rounds replay their ops through transit slots
+/// ([`Transit::round`]), so dropped and stalled relays take effect;
+/// compare rounds still run clean and swap.
 ///
 /// Rounds that neither replay nor swap run in stretches, each one clean
 /// pass: a stretch ends before a replayed round, or with a flipped
@@ -512,11 +455,10 @@ fn exec_segment_faulty<K: Ord + Clone>(
     kernel: &KernelProgram,
     rounds: Range<usize>,
     mut faults: &[InjectedFault],
-    mut replay: Option<&mut Replay<K>>,
+    mut replay: Option<&mut Transit<K>>,
 ) {
     let mut clean_from = rounds.start;
     for ri in rounds.clone() {
-        let desc = kernel.rounds[ri];
         let here = faults
             .iter()
             .take_while(|f| f.site.round == ri as u64)
@@ -524,15 +466,22 @@ fn exec_segment_faulty<K: Ord + Clone>(
         let (round_faults, rest) = faults.split_at(here);
         faults = rest;
         match replay.as_deref_mut() {
-            Some(replay) if desc.class == RoundClass::Route => {
+            Some(replay) if kernel.class(ri) == RoundClass::Route => {
                 exec_table::<K, Keys>(keys, &kernel.full, clean_from..ri, 1);
-                replay.route_round(keys, kernel, desc, round_faults);
+                let mut round_faults = round_faults.iter().peekable();
+                replay.round(keys, &kernel.ops[ri], |oi, _| {
+                    round_faults
+                        .next_if(|f| f.site.op == oi as u64)
+                        .map(|f| f.kind)
+                });
             }
             _ if !round_faults.is_empty() => {
                 exec_table::<K, Keys>(keys, &kernel.full, clean_from..ri + 1, 1);
                 for f in round_faults {
-                    let (a, b) = cx_keys(kernel, desc, f.site.op as usize);
-                    keys.swap(a, b);
+                    // A flip fires only at a compare-exchange.
+                    if let Op::CompareExchange { a, b, .. } = kernel.ops[ri][f.site.op as usize] {
+                        keys.swap(a as usize, b as usize);
+                    }
                 }
             }
             _ => continue,
@@ -541,7 +490,7 @@ fn exec_segment_faulty<K: Ord + Clone>(
     }
     exec_table::<K, Keys>(keys, &kernel.full, clean_from..rounds.end, 1);
     debug_assert!(
-        replay.is_none_or(|r| r.transit.iter().all(|t| t[0].is_none() && t[1].is_none())),
+        replay.is_none_or(|r| r.is_empty()),
         "transit must drain at certificate boundaries"
     );
 }
@@ -660,17 +609,14 @@ fn exec_with_faults<K: Ord + Clone + Hash>(
 ) -> (FaultReport, Option<(u64, u32)>) {
     let rounds = program.round_ops();
     let mut report = FaultReport::default();
-    let mut transit: Vec<[Option<K>; 2]> = vec![[None, None]; keys.len()];
-    let mut incoming: Vec<(usize, usize, K)> = Vec::new();
     if !plan.is_enabled() {
         // Fast path: plain serial execution, no hashing, no checks.
-        for round in rounds {
-            exec_round_serial_scratch(keys, &mut transit, round, &mut incoming);
-        }
+        exec_program(keys, program);
         report.counters.useful_rounds = rounds.len() as u64;
         report.rounds = rounds.len() as u64;
         return (report, None);
     }
+    let mut transit = Transit::new(keys.len());
     let mut fired: HashSet<FaultSite> = HashSet::new();
     checkpoint_retry_loop(
         shape,
@@ -680,23 +626,25 @@ fn exec_with_faults<K: Ord + Clone + Hash>(
         plan,
         policy,
         |keys, seg, _attempt, injected| {
-            let mut ctx = FaultCtx {
-                plan,
-                fired: &mut fired,
-                injected,
-            };
             for ri in seg {
-                exec_round_faulty(
-                    keys,
-                    &mut transit,
-                    &mut incoming,
-                    &rounds[ri],
-                    ri as u64,
-                    &mut ctx,
-                );
+                transit.round(keys, &rounds[ri], |oi, op| {
+                    // Transient faults: a site that already fired never
+                    // fires again, so a retried segment executes clean.
+                    let site = FaultSite {
+                        round: ri as u64,
+                        op: oi as u64,
+                    };
+                    if fired.contains(&site) {
+                        return None;
+                    }
+                    let kind = plan.decide(site, op_class(op))?;
+                    fired.insert(site);
+                    injected.push(InjectedFault { site, kind });
+                    Some(kind)
+                });
             }
             debug_assert!(
-                transit.iter().all(|t| t[0].is_none() && t[1].is_none()),
+                transit.is_empty(),
                 "transit must drain at certificate boundaries"
             );
         },
@@ -726,7 +674,7 @@ fn exec_kernel_with_faults<K: Ord + Clone + Hash>(
         report.rounds = kernel.rounds() as u64;
         return (report, None);
     }
-    let mut replay: Option<Replay<K>> = None;
+    let mut replay: Option<Transit<K>> = None;
     checkpoint_retry_loop(
         shape,
         keys,
@@ -748,10 +696,7 @@ fn exec_kernel_with_faults<K: Ord + Clone + Hash>(
                 None
             } else {
                 let n = keys.len();
-                Some(replay.get_or_insert_with(|| Replay {
-                    transit: vec![[None, None]; n],
-                    incoming: Vec::new(),
-                }))
+                Some(replay.get_or_insert_with(|| Transit::new(n)))
             };
             exec_segment_faulty(keys, kernel, seg, faults, replay);
         },
@@ -837,11 +782,12 @@ impl BspMachine {
     /// to [`BspMachine::run_with_faults`] on the source program.
     ///
     /// It runs the kernel's run table, not its relays. A segment's first
-    /// attempt asks the plan once about every site of the segment. When
-    /// only comparators flip, each round runs its clean runs and then
-    /// swaps its flipped pairs; a segment where a route drops or a
-    /// resolve stalls replays its route rounds' micro-ops through
-    /// transit slots instead, allocated the first time one does. Retries
+    /// attempt asks the plan once about every site of the segment, the
+    /// program's own ops, which the kernel shares. When only
+    /// comparators flip, each round runs its clean runs and then swaps
+    /// its flipped pairs; a segment where a route drops or a resolve
+    /// stalls replays its route rounds' ops through transit slots
+    /// instead, allocated the first time one does. Retries
     /// run clean, since no site fires twice. So a faulted run costs
     /// about a clean run plus its checkpoints and certificate checks.
     ///

@@ -31,24 +31,24 @@
 //!   compare-exchange is branch-free for keys without drop glue: the `a`
 //!   side gets `min_by`, the `b` side `max_by`, which keeps equal keys
 //!   in place, as the oracle does.
-//! * **The round-faithful view: per-op tables.** Compare rounds keep
-//!   their ops as `(u32, u32)` rank pairs, oriented minimum-first, and
-//!   route rounds (any round containing a `Move` or `Resolve`) a packed
-//!   [`MicroOp`] array, both in **original op order**, so the op index
-//!   within a round equals the op index within the interpreted round —
-//!   this is what keeps `FaultSite { round, op }` keys *path-independent*
-//!   (a `FaultPlan` fires at the same sites on the kernel path as on the
-//!   interpreter path). Clean runs never read it. The kernel fault
-//!   executor walks it to decide a segment's faults and to find the
-//!   pairs a flip strikes, and replays its micro-ops only in a segment
-//!   where a route drops or a resolve stalls; the chunked parallel path
-//!   splits compare rounds' pairs. Relays, and the transit slots they
-//!   travel through, stay with those replays and with the oracle
-//!   [`BspMachine::run`], which keeps the paper's step counts.
-//! * **Empty rounds**, and rounds the pruning empties, keep a
-//!   descriptor so kernel round indices map 1:1 to `CompiledProgram`
-//!   round indices; `CertPoint` boundaries, reported step counts and
-//!   round events stay valid unchanged.
+//! * **The round-faithful view: the program's own ops.** The kernel
+//!   keeps the source program's rounds as they are, sharing their
+//!   allocation with the [`CompiledProgram`] ([`KernelProgram::lower`]
+//!   copies no op), so op `oi` of kernel round `ri` is op `oi` of the
+//!   interpreted round `ri` — this is what keeps `FaultSite { round, op }`
+//!   keys *path-independent* (a `FaultPlan` fires at the same sites on
+//!   the kernel path as on the interpreter path). Clean runs never read
+//!   them. The kernel fault executor walks them to decide a segment's
+//!   faults and to find the keys a flip strikes, and replays a route
+//!   round's ops only in a segment where a route drops or a resolve
+//!   stalls; the chunked parallel path splits compare rounds' ops.
+//!   Relays, and the transit slots they travel through, stay with those
+//!   replays and with the oracle [`BspMachine::run`], which keeps the
+//!   paper's step counts.
+//! * **Empty rounds**, and rounds the pruning empties, keep their class
+//!   and an empty run-table span, so kernel round indices map 1:1 to
+//!   `CompiledProgram` round indices; `CertPoint` boundaries, reported
+//!   step counts and round events stay valid unchanged.
 //!
 //! Each round carries a [`RoundClass`] tag, which the fault executors
 //! dispatch on and round spans report. A clean run keeps no state of
@@ -64,7 +64,7 @@
 //! once per run.
 //!
 //! The intra-round parallel path ([`BspMachine::run_kernel_parallel`])
-//! splits a large compare round's disjoint per-op pair ranges across
+//! splits a large compare round's ops into disjoint ranges across
 //! threads (other rounds run their runs serially): the workers write
 //! swap decisions into a reusable `u64` bitmask, and the swaps commit
 //! serially — bit-identical to serial order because validated rounds
@@ -81,11 +81,12 @@
 use std::cmp::{max_by, min_by};
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::sync::Arc;
 
 use pns_obs::{Event, SpanClass, Stage, Tier, ROUND_OBS_MIN_OPS, SORT_OBS_MIN_OPS};
 use pns_order::radix::Shape;
 
-use crate::bsp::{BspMachine, CertPoint, CompiledProgram, Op, ProgramError};
+use crate::bsp::{swaps, BspMachine, BspRound, CertPoint, CompiledProgram, Op, ProgramError};
 
 /// Minimum compare-pairs in a round before
 /// [`BspMachine::run_kernel_parallel`] splits it across threads. The
@@ -104,9 +105,9 @@ pub enum RoundClass {
     Empty,
     /// Only compare-exchanges.
     Compare,
-    /// At least one `Move`/`Resolve`: a fault replay runs it as packed
-    /// micro-ops with a deferred incoming commit (transit reads see
-    /// previous-round state).
+    /// At least one `Move`/`Resolve`: a fault replay runs its ops
+    /// through transit slots with a deferred incoming commit (transit
+    /// reads see previous-round state).
     Route,
 }
 
@@ -120,34 +121,6 @@ impl RoundClass {
             RoundClass::Compare => SpanClass::Compare,
             RoundClass::Route => SpanClass::Route,
         }
-    }
-}
-
-/// One lowered round: a class tag, a compare round's ops in source
-/// order (`cx_start..cx_end` in [`KernelProgram::cx_pairs`]; empty
-/// otherwise) and a route round's micro-ops in source op order
-/// (`micro_start..micro_end` in [`KernelProgram::micro`]; empty
-/// otherwise). Its clean compare-exchanges are its span of each
-/// [`RunTable`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RoundDesc {
-    pub(crate) class: RoundClass,
-    cx_start: u32,
-    cx_end: u32,
-    micro_start: u32,
-    micro_end: u32,
-}
-
-impl RoundDesc {
-    /// Global pair indices of a compare round's ops (empty for other
-    /// classes): what the fault executors index through `FaultSite`.
-    pub(crate) fn cx(self) -> Range<usize> {
-        self.cx_start as usize..self.cx_end as usize
-    }
-
-    /// Indices of a route round's micro-ops (empty for other classes).
-    pub(crate) fn micro(self) -> Range<usize> {
-        self.micro_start as usize..self.micro_end as usize
     }
 }
 
@@ -360,95 +333,13 @@ fn oriented(a: u64, b: u64, min_to_a: bool) -> (u32, u32) {
     }
 }
 
-/// Micro-op tags: the [`MicroOp::tag`] values.
-pub(crate) const TAG_CX: u8 = 0;
-pub(crate) const TAG_MOVE: u8 = 1;
-pub(crate) const TAG_RESOLVE: u8 = 2;
-/// Flag bit 0: `min_to_a` (CX), `from_key` (Move), `keep_min` (Resolve).
-pub(crate) const FLAG_PRIMARY: u8 = 1;
-/// Flag bit 1: transit slot 1 rather than 0 (Move/Resolve).
-pub(crate) const FLAG_SLOT1: u8 = 2;
-
-/// One packed operation of a route round — 10 bytes instead of a 32-byte
-/// enum variant, in the **original op order** of the interpreted round.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MicroOp {
-    /// First rank: CX `a`, Move `from`, Resolve `node`.
-    pub(crate) a: u32,
-    /// Second rank: CX `b`, Move `to`, unused for Resolve.
-    pub(crate) b: u32,
-    /// [`TAG_CX`] / [`TAG_MOVE`] / [`TAG_RESOLVE`].
-    pub(crate) tag: u8,
-    /// [`FLAG_PRIMARY`] | [`FLAG_SLOT1`].
-    pub(crate) flags: u8,
-}
-
-impl MicroOp {
-    fn pack(op: &Op) -> MicroOp {
-        match *op {
-            Op::CompareExchange { a, b, min_to_a } => MicroOp {
-                a: a as u32,
-                b: b as u32,
-                tag: TAG_CX,
-                flags: u8::from(min_to_a) * FLAG_PRIMARY,
-            },
-            Op::Move {
-                from,
-                to,
-                slot,
-                from_key,
-            } => MicroOp {
-                a: from as u32,
-                b: to as u32,
-                tag: TAG_MOVE,
-                flags: u8::from(from_key) * FLAG_PRIMARY + u8::from(slot == 1) * FLAG_SLOT1,
-            },
-            Op::Resolve {
-                node,
-                slot,
-                keep_min,
-            } => MicroOp {
-                a: node as u32,
-                b: 0,
-                tag: TAG_RESOLVE,
-                flags: u8::from(keep_min) * FLAG_PRIMARY + u8::from(slot == 1) * FLAG_SLOT1,
-            },
-        }
-    }
-
-    /// The interpreted op this micro-op was lowered from — exact, so the
-    /// fault executor can reuse the interpreter's per-op semantics.
-    pub(crate) fn to_op(self) -> Op {
-        let primary = self.flags & FLAG_PRIMARY != 0;
-        let slot = u8::from(self.flags & FLAG_SLOT1 != 0);
-        match self.tag {
-            TAG_CX => Op::CompareExchange {
-                a: u64::from(self.a),
-                b: u64::from(self.b),
-                min_to_a: primary,
-            },
-            TAG_MOVE => Op::Move {
-                from: u64::from(self.a),
-                to: u64::from(self.b),
-                slot,
-                from_key: primary,
-            },
-            _ => Op::Resolve {
-                node: u64::from(self.a),
-                slot,
-                keep_min: primary,
-            },
-        }
-    }
-}
-
 /// A compiled program lowered to flat structure-of-arrays form. Rounds
 /// map 1:1 to the source program's rounds (certificates and step counts
 /// transfer unchanged). Fault-free runs execute the pruned run table,
 /// each round's kept clean compare-exchanges grouped into maximal
 /// unit-stride runs; the fault executors run the full one, and decide
-/// faults through the per-op tables, whose order within a round equals
-/// interpreted op order (fault sites transfer unchanged).
+/// faults through the source program's own ops, which the kernel shares
+/// (fault sites transfer unchanged).
 ///
 /// Build one with [`BspMachine::lower`] (validates first) or
 /// [`KernelProgram::lower`] (assumes a valid program, e.g. straight out
@@ -456,7 +347,12 @@ impl MicroOp {
 #[derive(Debug, Clone)]
 pub struct KernelProgram {
     pub(crate) shape: Shape,
-    pub(crate) rounds: Vec<RoundDesc>,
+    /// The source program's rounds, the same allocation
+    /// ([`CompiledProgram::round_ops`]): what the fault executors index
+    /// through `FaultSite` and replay.
+    pub(crate) ops: Arc<[BspRound]>,
+    /// Each round's class.
+    classes: Vec<RoundClass>,
     /// The full clean network. A compare round's list is its ops; a
     /// route round's is its own compare-exchanges and its paired relays.
     /// The fault executors and the chunked path run it.
@@ -464,15 +360,13 @@ pub struct KernelProgram {
     /// `full` without the compare-exchanges the level analysis proved
     /// idle (`crate::prune`); `None` when it proved none.
     pruned: Option<RunTable>,
-    /// The compare rounds' ops in source order, concatenated, each
-    /// oriented minimum-first: what the fault executors index through
-    /// `FaultSite`.
-    pub(crate) cx_pairs: Vec<(u32, u32)>,
-    /// All route rounds' packed ops, concatenated, original order.
-    pub(crate) micro: Vec<MicroOp>,
     pub(crate) cert_points: Vec<CertPoint>,
     compare_rounds: usize,
     route_rounds: usize,
+    /// Ops in compare rounds.
+    compare_ops: usize,
+    /// Ops in route rounds.
+    route_ops: usize,
     /// Compare-exchanges in `full`.
     clean_cx: usize,
     kept: KeptNetwork,
@@ -539,11 +433,15 @@ impl RelayPairing {
         }
     }
 
-    /// A compare round wrote both nodes of each of `pairs`.
-    fn compared(&mut self, pairs: &[(u32, u32)]) {
+    /// A compare round wrote both nodes of each of its ops.
+    fn compared(&mut self, round: &[Op]) {
         if self.in_flight > 0 {
-            for v in pairs.iter().flat_map(|&(a, b)| [a, b]) {
-                self.writes[v as usize] = self.writes[v as usize].wrapping_add(1);
+            for op in round {
+                if let Op::CompareExchange { a, b, .. } = *op {
+                    for v in [a, b] {
+                        self.writes[v as usize] = self.writes[v as usize].wrapping_add(1);
+                    }
+                }
             }
         }
     }
@@ -667,10 +565,10 @@ impl KernelProgram {
     /// the round's clean list. Writes are tracked only while some copy
     /// is in flight, so relay-free programs pay nothing per op.
     ///
-    /// A round is copied as a compare round while it classifies: its
-    /// ops go into the per-op tables and the run builder as they are
-    /// read, and the first `Move` or `Resolve` undoes the round's
-    /// entries and sends it down the route path instead.
+    /// A round goes into the run builder as a compare round while it
+    /// classifies, and the first `Move` or `Resolve` drops the round's
+    /// pairs and sends it down the route path instead. No op is copied:
+    /// the kernel shares the program's rounds.
     ///
     /// The full run table then goes through the level analysis of
     /// `prune.rs`, within a budget of 32 lane-operations per source op;
@@ -698,20 +596,18 @@ impl KernelProgram {
             program.shape().len() <= u64::from(u32::MAX),
             "kernel tier packs ranks into u32"
         );
-        let source = program.round_ops();
+        let ops = program.shared_rounds();
         let n = program.shape().len() as usize;
-        let mut rounds = Vec::with_capacity(source.len());
+        let mut classes = Vec::with_capacity(ops.len());
         // At most one run per op: reserved up front and shrunk in place
         // at the end, so the table is never copied while it grows, and
         // the untouched tail is never resident.
-        let mut full = RunTable::with_capacity(source.len(), program.op_count());
-        let mut cx_pairs: Vec<(u32, u32)> = Vec::new();
-        let mut micro: Vec<MicroOp> = Vec::new();
+        let mut full = RunTable::with_capacity(ops.len(), program.op_count());
         let mut relays: Option<RelayPairing> = None;
         let mut builder = RunBuilder::new(n);
         let (mut compare_rounds, mut route_rounds) = (0, 0);
-        for (ri, round) in source.iter().enumerate() {
-            let (cx_start, micro_start) = (cx_pairs.len(), micro.len() as u32);
+        let (mut compare_ops, mut route_ops) = (0, 0);
+        for (ri, round) in ops.iter().enumerate() {
             let mut class = if round.is_empty() {
                 RoundClass::Empty
             } else {
@@ -723,27 +619,25 @@ impl KernelProgram {
                     break;
                 };
                 let (lo, hi) = oriented(a, b, min_to_a);
-                cx_pairs.push((lo, hi));
                 builder.push(lo, hi);
             }
             match class {
                 RoundClass::Empty => {}
                 RoundClass::Compare => {
                     compare_rounds += 1;
+                    compare_ops += round.len();
                     if let Some(relays) = relays.as_mut() {
-                        relays.compared(&cx_pairs[cx_start..]);
+                        relays.compared(round);
                     }
                 }
                 RoundClass::Route => {
-                    // Undo the round's per-op entries.
-                    cx_pairs.truncate(cx_start);
                     builder.discard();
                     route_rounds += 1;
+                    route_ops += round.len();
                     for op in round {
                         if let Op::Move { slot, .. } | Op::Resolve { slot, .. } = *op {
                             assert!(slot < 2, "validation rejects slots >= 2");
                         }
-                        micro.push(MicroOp::pack(op));
                     }
                     relays
                         .get_or_insert_with(|| RelayPairing::new(n))
@@ -751,13 +645,7 @@ impl KernelProgram {
                 }
             }
             builder.flush(&mut full);
-            rounds.push(RoundDesc {
-                class,
-                cx_start: cx_start as u32,
-                cx_end: cx_pairs.len() as u32,
-                micro_start,
-                micro_end: micro.len() as u32,
-            });
+            classes.push(class);
         }
         full.runs.shrink_to_fit();
         let budget = crate::prune::BUDGET_PER_OP.saturating_mul(program.op_count() as u64);
@@ -771,15 +659,16 @@ impl KernelProgram {
         };
         Ok(KernelProgram {
             shape: program.shape(),
-            rounds,
+            ops,
+            classes,
             clean_cx: full.pairs(),
             full,
             pruned,
-            cx_pairs,
-            micro,
             cert_points: program.cert_points().to_vec(),
             compare_rounds,
             route_rounds,
+            compare_ops,
+            route_ops,
             kept,
         })
     }
@@ -793,7 +682,7 @@ impl KernelProgram {
     /// Rounds in the kernel (= the source program's round count).
     #[must_use]
     pub fn rounds(&self) -> usize {
-        self.rounds.len()
+        self.classes.len()
     }
 
     /// The class of round `ri`.
@@ -803,7 +692,7 @@ impl KernelProgram {
     /// Panics if `ri >= self.rounds()`.
     #[must_use]
     pub fn class(&self, ri: usize) -> RoundClass {
-        self.rounds[ri].class
+        self.classes[ri]
     }
 
     /// Operations in round `ri` (= the source round's op count).
@@ -813,11 +702,7 @@ impl KernelProgram {
     /// Panics if `ri >= self.rounds()`.
     #[must_use]
     pub fn round_len(&self, ri: usize) -> usize {
-        let d = self.rounds[ri];
-        match d.class {
-            RoundClass::Route => d.micro().len(),
-            RoundClass::Empty | RoundClass::Compare => d.cx().len(),
-        }
+        self.ops[ri].len()
     }
 
     /// Pure compare-exchange rounds.
@@ -826,22 +711,22 @@ impl KernelProgram {
         self.compare_rounds
     }
 
-    /// Rounds containing route micro-ops.
+    /// Rounds containing a `Move` or `Resolve`.
     #[must_use]
     pub fn route_rounds(&self) -> usize {
         self.route_rounds
     }
 
-    /// Total compare-exchange pairs across all compare rounds.
+    /// Total compare-exchanges across all compare rounds.
     #[must_use]
     pub fn cx_pair_count(&self) -> usize {
-        self.cx_pairs.len()
+        self.compare_ops
     }
 
-    /// Total packed micro-ops across all route rounds.
+    /// Total operations across all route rounds.
     #[must_use]
     pub fn micro_op_count(&self) -> usize {
-        self.micro.len()
+        self.route_ops
     }
 
     /// Compare-exchanges of the full clean network: the compare rounds'
@@ -870,7 +755,7 @@ impl KernelProgram {
     /// measure [`SORT_OBS_MIN_OPS`] gates sort-grain spans on.
     #[must_use]
     pub fn total_ops(&self) -> usize {
-        self.cx_pairs.len() + self.micro.len()
+        self.compare_ops + self.route_ops
     }
 
     /// Stage certificates, carried over from the source program (round
@@ -1068,22 +953,20 @@ pub(crate) fn exec_kernel<K: Ord + Clone>(keys: &mut [K], table: &RunTable) {
     exec_table::<K, Keys>(keys, table, 0..table.rounds(), 1);
 }
 
-/// One round's compare-exchanges with the decision phase split across
-/// threads: disjoint 64-pair-aligned chunks of the swap bitmask are
+/// One compare round's ops with the decision phase split across
+/// threads: disjoint 64-op-aligned chunks of the swap bitmask are
 /// filled by workers reading the immutable start-of-round keys, then
 /// the swaps commit serially. Validated rounds touch each key at most
 /// once, so start-of-round decisions equal in-order serial decisions —
 /// bit-identical to the round's runs.
 fn exec_round_chunked<K: Ord + Send + Sync>(
     keys: &mut [K],
-    kernel: &KernelProgram,
-    range: Range<usize>,
+    round: &[Op],
     words: &mut Vec<u64>,
     threads: usize,
 ) {
-    let start = range.start;
-    let n_pairs = range.len();
-    let n_words = n_pairs.div_ceil(64);
+    let n_ops = round.len();
+    let n_words = n_ops.div_ceil(64);
     words.clear();
     words.resize(n_words, 0);
     let words_per_chunk = n_words.div_ceil(threads.max(1)).max(1);
@@ -1094,14 +977,13 @@ fn exec_round_chunked<K: Ord + Send + Sync>(
                 let wbase = ci * words_per_chunk;
                 s.spawn(move || {
                     for (wi, w) in chunk.iter_mut().enumerate() {
-                        let pair_base = (wbase + wi) * 64;
-                        let in_word = 64.min(n_pairs - pair_base);
+                        let op_base = (wbase + wi) * 64;
                         let mut bits = 0u64;
-                        for j in 0..in_word {
-                            let gi = start + pair_base + j;
-                            let (a, b) = kernel.cx_pairs[gi];
-                            if keys_ref[a as usize] > keys_ref[b as usize] {
-                                bits |= 1u64 << j;
+                        for (j, op) in round[op_base..n_ops.min(op_base + 64)].iter().enumerate() {
+                            if let Op::CompareExchange { a, b, min_to_a } = *op {
+                                if swaps(&keys_ref[a as usize], &keys_ref[b as usize], min_to_a) {
+                                    bits |= 1u64 << j;
+                                }
                             }
                         }
                         *w = bits;
@@ -1115,8 +997,9 @@ fn exec_round_chunked<K: Ord + Send + Sync>(
         while bits != 0 {
             let j = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let (a, b) = kernel.cx_pairs[start + wi * 64 + j];
-            keys.swap(a as usize, b as usize);
+            if let Op::CompareExchange { a, b, .. } = round[wi * 64 + j] {
+                keys.swap(a as usize, b as usize);
+            }
         }
     }
 }
@@ -1186,7 +1069,7 @@ impl BspMachine {
         self.observed_passes(kernel, Tier::Kernel, |rounds| {
             exec_table::<K, Keys>(keys, kernel.clean(), rounds, 1);
         });
-        kernel.rounds.len() as u64
+        kernel.rounds() as u64
     }
 
     /// Run `kernel`'s rounds through `pass`, a clean pass over a range
@@ -1220,9 +1103,9 @@ impl BspMachine {
                 ops: ops as u64,
                 parallel: false,
             });
-            let round_span =
-                self.logger
-                    .span(tier, Stage::Round, kernel.rounds[ri].class.span_class());
+            let round_span = self
+                .logger
+                .span(tier, Stage::Round, kernel.class(ri).span_class());
             pass(ri..ri + 1);
             self.logger.log(|| Event::RoundEnd { round: ri as u64 });
             drop(round_span);
@@ -1233,7 +1116,7 @@ impl BspMachine {
 
     /// As [`BspMachine::run_kernel`], with compare rounds of at least
     /// [`KERNEL_PAR_THRESHOLD`] ops split across threads (chunked
-    /// bitmask decision phase over the per-op pair table, then a serial
+    /// bitmask decision phase over the round's ops, then a serial
     /// commit). Other rounds run their runs of the full table serially.
     /// Bit-identical to the serial kernel on every input.
     ///
@@ -1259,8 +1142,7 @@ impl BspMachine {
     }
 
     /// [`BspMachine::run_kernel_parallel`] with an explicit serial
-    /// fallback threshold (rounds with fewer clean compare-exchanges run
-    /// serially). Exposed so tests and benchmarks can force the chunked
+    /// fallback threshold (compare rounds of fewer ops run serially). Exposed so tests and benchmarks can force the chunked
     /// path on small rounds; the default threshold is tuned for threads
     /// spawned per round.
     ///
@@ -1291,8 +1173,10 @@ impl BspMachine {
             SpanClass::None,
         );
         let threads = rayon::current_num_threads();
-        for (ri, desc) in kernel.rounds.iter().enumerate() {
-            let par = desc.cx().len() >= threshold.max(1) && threads > 1;
+        for (ri, &class) in kernel.classes.iter().enumerate() {
+            let par = class == RoundClass::Compare
+                && kernel.round_len(ri) >= threshold.max(1)
+                && threads > 1;
             let observed = kernel.round_len(ri) >= ROUND_OBS_MIN_OPS;
             if observed {
                 self.logger.log(|| Event::RoundStart {
@@ -1301,14 +1185,11 @@ impl BspMachine {
                     parallel: par,
                 });
             }
-            let _round_span = self.logger.span_if(
-                observed,
-                Tier::Kernel,
-                Stage::Round,
-                desc.class.span_class(),
-            );
+            let _round_span =
+                self.logger
+                    .span_if(observed, Tier::Kernel, Stage::Round, class.span_class());
             if par {
-                exec_round_chunked(keys, kernel, desc.cx(), &mut scratch.swap_words, threads);
+                exec_round_chunked(keys, &kernel.ops[ri], &mut scratch.swap_words, threads);
             } else {
                 exec_table::<K, Keys>(keys, &kernel.full, ri..ri + 1, 1);
             }
@@ -1316,7 +1197,7 @@ impl BspMachine {
                 self.logger.log(|| Event::RoundEnd { round: ri as u64 });
             }
         }
-        kernel.rounds.len() as u64
+        kernel.rounds() as u64
     }
 
     /// Drive a batch of independent key vectors through one lowered
@@ -1368,7 +1249,7 @@ impl BspMachine {
                 .par_iter_mut()
                 .for_each(|keys| exec_kernel(keys, kernel.clean()));
         }
-        kernel.rounds.len() as u64
+        kernel.rounds() as u64
     }
 }
 
@@ -1553,32 +1434,13 @@ pub(crate) mod tests {
         assert_eq!(kernel.cert_points(), program.cert_points());
         assert!(kernel.compare_rounds() > 0, "CX rounds must lower");
         assert!(kernel.route_rounds() > 0, "relay rounds must lower");
-        let total: usize = (0..kernel.rounds()).map(|ri| kernel.round_len(ri)).sum();
-        assert_eq!(total, program.op_count(), "no op gained or lost");
-        assert_eq!(
-            kernel.cx_pair_count() + kernel.micro_op_count(),
-            program.op_count()
-        );
-        // Per-round op counts and in-round order are preserved.
-        for (ri, round) in program.round_ops().iter().enumerate() {
-            assert_eq!(kernel.round_len(ri), round.len(), "round {ri}");
-            if kernel.class(ri) == RoundClass::Route {
-                let d = kernel.rounds[ri];
-                for (oi, op) in round.iter().enumerate() {
-                    let m = kernel.micro[d.micro().start + oi];
-                    assert_eq!(&m.to_op(), op, "round {ri} op {oi} must round-trip");
-                }
-            }
-        }
         // The clean view: every round's runs cover its compare-exchanges
-        // plus one per pair of resolves; only compare rounds keep their
-        // ops in the per-op pair table.
+        // plus one per pair of resolves.
         let mut relays = 0;
         for (ri, round) in program.round_ops().iter().enumerate() {
             let count = |f: fn(&Op) -> bool| round.iter().filter(|op| f(op)).count();
             let cx = count(|op| matches!(op, Op::CompareExchange { .. }));
             let resolves = count(|op| matches!(op, Op::Resolve { .. }));
-            let d = kernel.rounds[ri];
             let run_pairs: usize = kernel
                 .full
                 .round(ri)
@@ -1586,12 +1448,6 @@ pub(crate) mod tests {
                 .map(|run| run.len as usize)
                 .sum();
             assert_eq!(run_pairs, cx + resolves / 2, "round {ri}");
-            let per_op = if kernel.class(ri) == RoundClass::Compare {
-                round.len()
-            } else {
-                0
-            };
-            assert_eq!(d.cx().len(), per_op, "round {ri}");
             relays += resolves / 2;
         }
         assert!(relays > 0, "the fixture must relay");
@@ -1708,43 +1564,61 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn micro_op_round_trips_every_variant() {
-        let ops = [
-            Op::CompareExchange {
-                a: 3,
-                b: 7,
-                min_to_a: true,
-            },
-            Op::CompareExchange {
-                a: 0,
-                b: 1,
-                min_to_a: false,
-            },
-            Op::Move {
-                from: 5,
-                to: 6,
-                slot: 1,
-                from_key: false,
-            },
-            Op::Move {
-                from: 2,
-                to: 9,
-                slot: 0,
-                from_key: true,
-            },
-            Op::Resolve {
-                node: 4,
-                slot: 1,
-                keep_min: false,
-            },
-            Op::Resolve {
-                node: 8,
-                slot: 0,
-                keep_min: true,
-            },
+    fn kernels_share_the_programs_ops_and_count_them() {
+        use crate::machine::Machine;
+        use crate::select::SorterChoice;
+        // Compare-exchanges in compare rounds and ops in route rounds,
+        // as the benchmark reads them, on its two relaying shapes.
+        let cases = [
+            (factories::complete_binary_tree(3), 3, 11_074, 143_738),
+            (factories::star(4), 3, 656, 5_952),
         ];
-        for op in &ops {
-            assert_eq!(&MicroOp::pack(op).to_op(), op, "{op:?}");
+        for (factor, r, cx_pairs, micro_ops) in cases {
+            let factor = Machine::prepare_factor(&factor);
+            let program = compile(&factor, r, SorterChoice::Auto.resolve(&factor));
+            let validated = BspMachine::new(&factor, r)
+                .lower(&program)
+                .expect("compiled programs validate");
+            for kernel in [KernelProgram::lower(&program), validated] {
+                let ctx = format!("{}^{r}", factor.name());
+                assert!(
+                    std::ptr::eq(&kernel.ops[..], program.round_ops()),
+                    "{ctx}: the kernel must share the program's rounds"
+                );
+                let (mut compare, mut route) = ((0, 0), (0, 0));
+                for (ri, round) in program.round_ops().iter().enumerate() {
+                    let relays = round
+                        .iter()
+                        .any(|op| !matches!(op, Op::CompareExchange { .. }));
+                    let (class, tally) = match (round.is_empty(), relays) {
+                        (true, _) => (RoundClass::Empty, None),
+                        (false, false) => (RoundClass::Compare, Some(&mut compare)),
+                        (false, true) => (RoundClass::Route, Some(&mut route)),
+                    };
+                    assert_eq!(kernel.class(ri), class, "{ctx}: round {ri}");
+                    assert_eq!(kernel.round_len(ri), round.len(), "{ctx}: round {ri}");
+                    if let Some((rounds, ops)) = tally {
+                        *rounds += 1;
+                        *ops += round.len();
+                    }
+                }
+                assert_eq!(
+                    (kernel.compare_rounds(), kernel.cx_pair_count()),
+                    compare,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    (kernel.route_rounds(), kernel.micro_op_count()),
+                    route,
+                    "{ctx}"
+                );
+                assert_eq!(kernel.total_ops(), program.op_count(), "{ctx}");
+                assert_eq!(
+                    (kernel.cx_pair_count(), kernel.micro_op_count()),
+                    (cx_pairs, micro_ops),
+                    "{ctx}"
+                );
+            }
         }
     }
 

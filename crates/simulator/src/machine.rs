@@ -189,23 +189,6 @@ impl Machine {
         Machine::with_program(factor, r, sorter, program, kernel, vertical)
     }
 
-    /// As [`Machine::compiled`], but the program is optimized
-    /// ([`CompiledProgram::optimized`]): empty rounds elided, idempotent
-    /// compare-exchanges dropped, disjoint adjacent rounds fused. The
-    /// reported step count is the optimized round count, generally
-    /// *below* the executed engine's.
-    #[must_use]
-    pub fn compiled_optimized(
-        factor: &Graph,
-        r: usize,
-        sorter: &dyn Pg2Sorter,
-        cache: &ProgramCache,
-    ) -> Self {
-        let (program, kernel, vertical) =
-            cache.get_or_compile_vertical_optimized(factor, r, sorter);
-        Machine::with_program(factor, r, sorter, program, kernel, vertical)
-    }
-
     /// As [`Machine::compiled`], with the sorter resolved from a
     /// [`SorterChoice`]. The resolved sorter's identity is part of the
     /// cache key, so machines built with different choices (or different
@@ -700,7 +683,6 @@ mod tests {
             .collect();
         let mut machines = [
             Machine::compiled(&factor, 3, &ShearSorter, &cache),
-            Machine::compiled_optimized(&factor, 3, &ShearSorter, &cache),
             Machine::executed(&factor, 3, &ShearSorter),
             Machine::charged(&factor, 3, CostModel::paper_grid(3)),
         ];
@@ -731,22 +713,6 @@ mod tests {
                 expected: 9,
                 got: 8
             }
-        );
-    }
-
-    #[test]
-    fn compiled_optimized_machine_reports_fewer_or_equal_steps() {
-        let cache = crate::cache::ProgramCache::new();
-        let factor = factories::k2();
-        let keys: Vec<u64> = (0..32).rev().collect();
-        let mut plain = Machine::compiled(&factor, 5, &Hypercube2Sorter, &cache);
-        let mut opt = Machine::compiled_optimized(&factor, 5, &Hypercube2Sorter, &cache);
-        let rp = plain.sort(keys.clone()).unwrap();
-        let ro = opt.sort_checked(keys).unwrap();
-        assert_eq!(rp.keys, ro.keys);
-        assert!(
-            ro.steps() < rp.steps(),
-            "optimizer must shrink the 5-cube program"
         );
     }
 

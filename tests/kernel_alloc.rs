@@ -8,21 +8,31 @@
 //! its report.
 //!
 //! The proof is a counting `#[global_allocator]` wrapping the system
-//! allocator. This must be the only test in the binary: the counter is
-//! process-global, and a concurrent test would pollute the deltas.
+//! allocator. It counts per thread: `run_kernel` and a warm
+//! `Machine::sort` both run on the calling thread, so the test thread's
+//! count is exactly theirs, and an allocation on another thread (the
+//! test harness's own, say) cannot enter it.
 
 use product_sort::graph::factories;
 use product_sort::sim::{compile, BspMachine, ExecScratch, Machine, ProgramCache, ShearSorter};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made on this thread. `const`-initialised and without
+    /// drop glue, so reading it never allocates and never fails.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,8 +49,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far on the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {

@@ -20,29 +20,22 @@ fn charged_counters(factor: &Graph, r: usize) -> product_sort::algo::Counters {
     network_sort(shape, &mut keys, &mut engine).counters
 }
 
-/// Both compiled constructors, plain and optimized, report the charged
-/// replay's counters on every sort.
+/// A compiled machine reports the charged replay's counters on every
+/// sort.
 fn assert_counters_match(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) {
     let cache = ProgramCache::new();
     let expected = charged_counters(factor, r);
     let keys: Vec<u64> = (0..Shape::new(factor.n(), r).len()).rev().collect();
-    for (name, mut machine) in [
-        ("compiled", Machine::compiled(factor, r, sorter, &cache)),
-        (
-            "compiled_optimized",
-            Machine::compiled_optimized(factor, r, sorter, &cache),
-        ),
-    ] {
-        let report = machine.sort(keys.clone()).expect("one key per node");
-        assert!(report.is_snake_sorted());
-        assert_eq!(
-            report.outcome.counters,
-            expected,
-            "{name} factor={} r={r} sorter={}",
-            factor.name(),
-            sorter.name()
-        );
-    }
+    let mut machine = Machine::compiled(factor, r, sorter, &cache);
+    let report = machine.sort(keys).expect("one key per node");
+    assert!(report.is_snake_sorted());
+    assert_eq!(
+        report.outcome.counters,
+        expected,
+        "factor={} r={r} sorter={}",
+        factor.name(),
+        sorter.name()
+    );
 }
 
 #[test]

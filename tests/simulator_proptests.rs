@@ -179,7 +179,7 @@ proptest! {
     #[test]
     fn machine_sort_batch_matches_the_interpreter_at_every_width(
         n in 3usize..7, seed in any::<u64>(), modulus in 1u64..50,
-        width in 1usize..81, malformed in any::<u64>(), optimized in any::<bool>(),
+        width in 1usize..81, malformed in any::<u64>(),
     ) {
         // Widths 1..=80 cross both tiers (the kernel batch below 4 valid
         // lanes, the column tier from 4) and the 64-lane block cap; one
@@ -188,13 +188,8 @@ proptest! {
         let r = 2;
         let shape = Shape::new(n, r);
         let program = compile(&factor, r, &OetSnakeSorter);
-        let program = if optimized { program.optimized() } else { program };
         let cache = ProgramCache::new();
-        let mut machine = if optimized {
-            Machine::compiled_optimized(&factor, r, &OetSnakeSorter, &cache)
-        } else {
-            Machine::compiled(&factor, r, &OetSnakeSorter, &cache)
-        };
+        let mut machine = Machine::compiled(&factor, r, &OetSnakeSorter, &cache);
         let bsp = BspMachine::new(&factor, r);
 
         let mut batch: Vec<Vec<u64>> = (0..width as u64)
