@@ -386,13 +386,9 @@ fn bench_cache(c: &mut Criterion) {
         b.iter(|| black_box(compile(&factor, r, &Hypercube2Sorter)));
     });
     let cache = ProgramCache::new();
-    let _warm = cache.get_or_compile(&factor, r, &Hypercube2Sorter);
+    let _warm = cache.get_or_compile_vertical(&factor, r, &Hypercube2Sorter);
     group.bench_function("cache_hit", |b| {
-        b.iter(|| black_box(cache.get_or_compile(&factor, r, &Hypercube2Sorter)));
-    });
-    let _warm_kernel = cache.get_or_compile_kernel(&factor, r, &Hypercube2Sorter);
-    group.bench_function("kernel_cache_hit", |b| {
-        b.iter(|| black_box(cache.get_or_compile_kernel(&factor, r, &Hypercube2Sorter)));
+        b.iter(|| black_box(cache.get_or_compile_vertical(&factor, r, &Hypercube2Sorter)));
     });
     group.finish();
 }

@@ -111,8 +111,8 @@ pub enum Event {
         compare_rounds: u64,
         /// Route rounds executed as column-block permutations.
         route_rounds: u64,
-        /// Word-level ops per full-width run (pairs + micro-ops) —
-        /// each carries up to 64 lanes.
+        /// Word-level ops per run: the compare-exchanges a fault-free
+        /// run executes — each carries up to 64 lanes.
         word_ops: u64,
         /// Lanes one machine word carries (64).
         lanes: u64,

@@ -42,7 +42,8 @@ use crate::stats::ServiceStats;
 use pns_fault::FaultPlan;
 use pns_graph::Graph;
 use pns_obs::Registry;
-use pns_simulator::bsp::{compile, BspMachine, CompiledProgram};
+use pns_simulator::bsp::BspMachine;
+use pns_simulator::cache::ProgramCache;
 use pns_simulator::kernel::{ExecScratch, KernelProgram, ScratchPool};
 use pns_simulator::select::SorterChoice;
 use pns_simulator::vertical::{VerticalPool, VerticalProgram, VERTICAL_MIN_LANES};
@@ -106,6 +107,7 @@ pub struct ServiceBuilder {
     plan: FaultPlan,
     sorter: SorterChoice,
     shapes: Vec<RegisteredShape>,
+    cache: Arc<ProgramCache>,
 }
 
 impl ServiceBuilder {
@@ -118,7 +120,19 @@ impl ServiceBuilder {
             plan: FaultPlan::disabled(),
             sorter: SorterChoice::Auto,
             shapes: Vec::new(),
+            cache: Arc::new(ProgramCache::new()),
         }
+    }
+
+    /// The store [`ServiceBuilder::register_shape`] compiles and lowers
+    /// through, fresh for each builder. Build a
+    /// [`Machine`](pns_simulator::Machine) over it to sort the same
+    /// shapes in-process without compiling them a second time: the
+    /// machine and the service then share one program and its kernel
+    /// and vertical forms, whichever is built first.
+    #[must_use]
+    pub fn program_cache(&self) -> &Arc<ProgramCache> {
+        &self.cache
     }
 
     /// Use `clock` for every time-dependent decision.
@@ -147,30 +161,43 @@ impl ServiceBuilder {
         self
     }
 
-    /// Register the product network `factor^r` and compile its tiered
-    /// programs once; requests reference the returned shape id.
+    /// Register the product network `factor^r`; requests reference the
+    /// returned shape id. The program and its kernel and vertical forms
+    /// come from [`ServiceBuilder::program_cache`], compiled and lowered
+    /// there on the first request for the shape, and the program is
+    /// validated against the machine model before the shape is
+    /// accepted.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Internal`] when the factor is unusable —
+    /// [`ServiceError::Internal`] when the shape is unusable —
     /// configuration errors are typed, not panics:
     /// `"factor graph must be connected"` for a disconnected factor,
-    /// `"shape compilation panicked"` if compiling or lowering panics,
-    /// and `"shape failed to lower"` if the compiled program fails
-    /// validation.
+    /// `"factor graph needs at least two nodes"` for a factor of fewer
+    /// than two nodes, `"product needs at least two dimensions"` for
+    /// `r < 2`, `"shape compilation panicked"` if compiling or lowering
+    /// panics, and `"shape failed to lower"` if the compiled program
+    /// fails validation.
     pub fn register_shape(mut self, factor: &Graph, r: usize) -> Result<Self, ServiceError> {
         if !pns_graph::is_connected(factor) {
             return Err(ServiceError::Internal("factor graph must be connected"));
         }
-        // Compilation is infallible for connected factors; the
+        if factor.n() < 2 {
+            return Err(ServiceError::Internal(
+                "factor graph needs at least two nodes",
+            ));
+        }
+        if r < 2 {
+            return Err(ServiceError::Internal(
+                "product needs at least two dimensions",
+            ));
+        }
+        // Compilation is infallible past the checks above; the
         // catch_unwind is the configuration-time never-panic backstop.
-        let choice = self.sorter;
         let artifacts = catch_unwind(AssertUnwindSafe(|| {
-            let sorter = choice.resolve(factor);
-            let program: CompiledProgram = compile(factor, r, sorter);
-            let machine = BspMachine::new(factor, r);
-            let kernel = Arc::new(machine.lower(&program)?);
-            let vertical = Arc::new(VerticalProgram::lower(Arc::clone(&kernel)));
+            let sorter = self.sorter.resolve(factor);
+            let (program, kernel, vertical) = self.cache.get_or_compile_vertical(factor, r, sorter);
+            BspMachine::new(factor, r).try_validate(&program)?;
             Ok::<_, pns_simulator::bsp::ProgramError>((sorter.name(), kernel, vertical))
         }))
         .map_err(|_| ServiceError::Internal("shape compilation panicked"))?;

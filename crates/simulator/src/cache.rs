@@ -6,7 +6,10 @@
 //! — far more expensive than executing the result once. Repeated sorts
 //! on the same topology (parameter sweeps, batched throughput runs)
 //! should compile once; this cache makes that automatic and observable
-//! (hit/miss counters).
+//! (hit/miss counters). Both entry points compile through it, so a
+//! `Machine` built over a service builder's cache
+//! (`ServiceBuilder::program_cache`) shares the service's program and
+//! lowerings instead of compiling the shape a second time.
 //!
 //! The key deliberately stores the factor's **full edge set**, not a
 //! hash of it: two factors with equal node and edge counts but
@@ -23,7 +26,7 @@ use pns_obs::{Event, EventLogger, SpanClass, Stage, Tier};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Structural identity of a compiled program: everything [`compile`]'s
 /// output depends on, with the edge set stored verbatim.
@@ -149,16 +152,17 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// Thread-safe cache of compiled programs with hit/miss accounting.
-/// Lowered kernels ([`KernelProgram`]) and their vertical commitments
-/// ([`VerticalProgram`]) are cached alongside, under the same keys,
-/// each with their own hit/miss counters — [`CacheStats`] and the
-/// program counters are untouched by kernel or vertical traffic.
+/// Thread-safe store of compiled programs with hit/miss accounting: the
+/// one code path that compiles a shape and lowers it, for
+/// [`Machine::compiled`](crate::machine::Machine::compiled) and the
+/// service's `register_shape` alike. An entry holds the program, its
+/// lowered kernel ([`KernelProgram`]) and the kernel's vertical
+/// commitment ([`VerticalProgram`]), built together on a miss and
+/// inserted only once all three exist. Each tier keeps its own hit/miss
+/// counters; [`CacheStats`] reads the program's.
 #[derive(Debug, Default)]
 pub struct ProgramCache {
-    programs: RwLock<HashMap<ProgramKey, Arc<CompiledProgram>>>,
-    kernels: RwLock<HashMap<ProgramKey, Arc<KernelProgram>>>,
-    verticals: RwLock<HashMap<ProgramKey, Arc<VerticalProgram>>>,
+    entries: RwLock<HashMap<ProgramKey, Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     kernel_hits: AtomicU64,
@@ -167,6 +171,12 @@ pub struct ProgramCache {
     vertical_misses: AtomicU64,
     logger: EventLogger,
 }
+
+type Entry = (
+    Arc<CompiledProgram>,
+    Arc<KernelProgram>,
+    Arc<VerticalProgram>,
+);
 
 impl ProgramCache {
     /// An empty cache.
@@ -181,46 +191,28 @@ impl ProgramCache {
         self.logger = logger;
     }
 
-    /// The compiled program for `(factor, r, sorter)`, compiling on the
-    /// first request and returning the shared compiled copy afterwards.
+    /// The compiled program, its lowered kernel, and the kernel's
+    /// vertical (bit-sliced) commitment for `(factor, r, sorter)`,
+    /// compiled and lowered on the first request and shared afterwards.
     ///
-    /// Robust to lock poisoning: a panic inside a previous compile never
-    /// wedges the cache (the map only ever holds fully built programs).
-    pub fn get_or_compile(
-        &self,
-        factor: &Graph,
-        r: usize,
-        sorter: &dyn Pg2Sorter,
-    ) -> Arc<CompiledProgram> {
-        self.lookup(ProgramKey::new(factor, r, sorter), || {
-            compile(factor, r, sorter)
-        })
-    }
-
-    /// The compiled program **and** its lowered kernel for
-    /// `(factor, r, sorter)`, compiling and lowering on the first
-    /// request. The program side behaves exactly like
-    /// [`ProgramCache::get_or_compile`] (one lookup, same counters); the
-    /// kernel side is cached under the same key with its own counters
-    /// and emits one `KernelLowered` event per lowering.
-    pub fn get_or_compile_kernel(
-        &self,
-        factor: &Graph,
-        r: usize,
-        sorter: &dyn Pg2Sorter,
-    ) -> (Arc<CompiledProgram>, Arc<KernelProgram>) {
-        let program = self.get_or_compile(factor, r, sorter);
-        let kernel = self.kernel_lookup(ProgramKey::new(factor, r, sorter), &program);
-        (program, kernel)
-    }
-
-    /// The compiled program, its lowered kernel, **and** the kernel's
-    /// vertical (bit-sliced) commitment for `(factor, r, sorter)`. The
-    /// program and kernel sides ride on
-    /// [`ProgramCache::get_or_compile_kernel`] — identical counter
-    /// deltas — while the vertical side is cached under the same key
-    /// with its own counters and emits one `VerticalLowered` event per
-    /// commitment.
+    /// A hit counts one hit on each tier and emits one `CacheLookup`
+    /// event. A miss compiles, lowers the kernel, then commits the
+    /// vertical layout, each under its own cache span; after each step
+    /// it counts that tier's miss and emits its event (`CacheLookup`,
+    /// `KernelLowered`, `VerticalLowered`). The store does not
+    /// validate: [`compile`]'s output satisfies the machine-model
+    /// invariants lowering assumes, and a caller that wants the typed
+    /// check runs [`BspMachine::try_validate`] on the program.
+    ///
+    /// Compiling and lowering run outside the lock, and the map only
+    /// ever holds complete entries, so a panic inside a miss leaves
+    /// no entry and never wedges the cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r < 2`, like [`compile`].
+    ///
+    /// [`BspMachine::try_validate`]: crate::bsp::BspMachine::try_validate
     pub fn get_or_compile_vertical(
         &self,
         factor: &Graph,
@@ -231,63 +223,40 @@ impl ProgramCache {
         Arc<KernelProgram>,
         Arc<VerticalProgram>,
     ) {
-        let (program, kernel) = self.get_or_compile_kernel(factor, r, sorter);
-        let vertical = self.vertical_lookup(ProgramKey::new(factor, r, sorter), &kernel);
-        (program, kernel, vertical)
-    }
-
-    fn vertical_lookup(
-        &self,
-        key: ProgramKey,
-        kernel: &Arc<KernelProgram>,
-    ) -> Arc<VerticalProgram> {
+        let key = ProgramKey::new(factor, r, sorter);
         if let Some(hit) = self
-            .verticals
+            .entries
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&key)
         {
-            self.vertical_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
+            for hits in [&self.hits, &self.kernel_hits, &self.vertical_hits] {
+                hits.fetch_add(1, Ordering::Relaxed);
+            }
+            self.logger.log(|| Event::CacheLookup {
+                hit: true,
+                key_fingerprint: key.fingerprint(),
+            });
+            return hit.clone();
         }
-        let lower_span = self
+        // A concurrent miss on the same key wastes work but stays
+        // correct (last insert wins, same program).
+        let span = self
             .logger
-            .span(Tier::Cache, Stage::LowerVertical, SpanClass::None);
-        let vertical = Arc::new(VerticalProgram::lower(Arc::clone(kernel)));
-        drop(lower_span);
-        self.vertical_misses.fetch_add(1, Ordering::Relaxed);
-        self.logger.log(|| Event::VerticalLowered {
-            rounds: vertical.rounds() as u64,
-            compare_rounds: kernel.compare_rounds() as u64,
-            route_rounds: kernel.route_rounds() as u64,
-            word_ops: vertical.word_ops() as u64,
-            lanes: WORD_LANES as u64,
+            .span(Tier::Cache, Stage::Compile, SpanClass::None);
+        let program = Arc::new(compile(factor, r, sorter));
+        drop(span);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.logger.log(|| Event::CacheLookup {
+            hit: false,
+            key_fingerprint: key.fingerprint(),
         });
-        self.verticals
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, Arc::clone(&vertical));
-        vertical
-    }
 
-    fn kernel_lookup(&self, key: ProgramKey, program: &CompiledProgram) -> Arc<KernelProgram> {
-        if let Some(hit) = self
-            .kernels
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-        {
-            self.kernel_hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        // Lower outside the lock, like `lookup` compiles outside it.
-        // Cached programs come from `compile`, whose output satisfies
-        // the machine-model invariants lowering assumes.
-        let lower_span = self
+        let span = self
             .logger
             .span(Tier::Cache, Stage::LowerKernel, SpanClass::None);
-        let kernel = Arc::new(KernelProgram::lower(program));
-        drop(lower_span);
+        let kernel = Arc::new(KernelProgram::lower(&program));
+        drop(span);
         self.kernel_misses.fetch_add(1, Ordering::Relaxed);
         self.logger.log(|| Event::KernelLowered {
             rounds: kernel.rounds() as u64,
@@ -296,48 +265,27 @@ impl ProgramCache {
             cx_pairs: kernel.cx_pair_count() as u64,
             micro_ops: kernel.micro_op_count() as u64,
         });
-        self.kernels
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, Arc::clone(&kernel));
-        kernel
-    }
 
-    fn lookup(
-        &self,
-        key: ProgramKey,
-        build: impl FnOnce() -> CompiledProgram,
-    ) -> Arc<CompiledProgram> {
-        if let Some(hit) = self
-            .programs
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.logger.log(|| Event::CacheLookup {
-                hit: true,
-                key_fingerprint: key.fingerprint(),
-            });
-            return Arc::clone(hit);
-        }
-        // Compile outside the lock; a concurrent compile of the same key
-        // wastes work but stays correct (last insert wins, same program).
-        let compile_span = self
+        let span = self
             .logger
-            .span(Tier::Cache, Stage::Compile, SpanClass::None);
-        let program = Arc::new(build());
-        drop(compile_span);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.logger.log(|| Event::CacheLookup {
-            hit: false,
-            key_fingerprint: key.fingerprint(),
+            .span(Tier::Cache, Stage::LowerVertical, SpanClass::None);
+        let vertical = Arc::new(VerticalProgram::lower(Arc::clone(&kernel)));
+        drop(span);
+        self.vertical_misses.fetch_add(1, Ordering::Relaxed);
+        self.logger.log(|| Event::VerticalLowered {
+            rounds: vertical.rounds() as u64,
+            compare_rounds: kernel.compare_rounds() as u64,
+            route_rounds: kernel.route_rounds() as u64,
+            word_ops: vertical.word_ops() as u64,
+            lanes: WORD_LANES as u64,
         });
-        self.programs
+
+        let entry = (program, kernel, vertical);
+        self.entries
             .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, Arc::clone(&program));
-        program
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, entry.clone());
+        entry
     }
 
     /// Requests served from the cache.
@@ -364,15 +312,6 @@ impl ProgramCache {
         self.kernel_misses.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct lowered kernels held.
-    #[must_use]
-    pub fn kernel_len(&self) -> usize {
-        self.kernels
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-
     /// Vertical requests served from the cache.
     #[must_use]
     pub fn vertical_hits(&self) -> u64 {
@@ -383,15 +322,6 @@ impl ProgramCache {
     #[must_use]
     pub fn vertical_misses(&self) -> u64 {
         self.vertical_misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct vertical programs held.
-    #[must_use]
-    pub fn vertical_len(&self) -> usize {
-        self.verticals
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
     }
 
     /// Consistent snapshot of the accounting, for tables and logs.
@@ -407,9 +337,9 @@ impl ProgramCache {
     /// Number of distinct programs held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.programs
+        self.entries
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .len()
     }
 
@@ -419,20 +349,12 @@ impl ProgramCache {
         self.len() == 0
     }
 
-    /// Drop all cached programs and kernels (counters keep their
-    /// totals).
+    /// Drop all cached programs and their lowerings (counters keep
+    /// their totals).
     pub fn clear(&self) {
-        self.programs
+        self.entries
             .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-        self.kernels
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-        self.verticals
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .clear();
     }
 }
@@ -447,9 +369,9 @@ mod tests {
     fn second_request_is_a_hit_and_shares_the_program() {
         let cache = ProgramCache::new();
         let factor = factories::path(3);
-        let first = cache.get_or_compile(&factor, 2, &ShearSorter);
+        let (first, ..) = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let second = cache.get_or_compile(&factor, 2, &ShearSorter);
+        let (second, ..) = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!(
             Arc::ptr_eq(&first, &second),
@@ -462,9 +384,9 @@ mod tests {
     fn distinct_parameters_get_distinct_entries() {
         let cache = ProgramCache::new();
         let factor = factories::path(3);
-        let _ = cache.get_or_compile(&factor, 2, &ShearSorter);
-        let _ = cache.get_or_compile(&factor, 3, &ShearSorter); // other r
-        let _ = cache.get_or_compile(&factor, 2, &OetSnakeSorter); // other sorter
+        let _ = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
+        let _ = cache.get_or_compile_vertical(&factor, 3, &ShearSorter); // other r
+        let _ = cache.get_or_compile_vertical(&factor, 2, &OetSnakeSorter); // other sorter
         assert_eq!(cache.misses(), 3);
         assert_eq!(cache.len(), 3);
     }
@@ -478,15 +400,15 @@ mod tests {
         use crate::sorters::MultiwayNSorter;
         let cache = ProgramCache::new();
         let factor = factories::complete(4);
-        let a1 = cache.get_or_compile(&factor, 2, &OetSnakeSorter);
-        let b1 = cache.get_or_compile(&factor, 2, &MultiwayNSorter);
+        let (a1, ..) = cache.get_or_compile_vertical(&factor, 2, &OetSnakeSorter);
+        let (b1, ..) = cache.get_or_compile_vertical(&factor, 2, &MultiwayNSorter);
         assert_eq!((cache.hits(), cache.misses()), (0, 2), "both compile");
         assert_eq!(cache.len(), 2);
         assert!(!Arc::ptr_eq(&a1, &b1));
         assert_ne!(a1.rounds(), b1.rounds(), "genuinely different programs");
         // Repeat requests hit their own entry, not each other's.
-        let a2 = cache.get_or_compile(&factor, 2, &OetSnakeSorter);
-        let b2 = cache.get_or_compile(&factor, 2, &MultiwayNSorter);
+        let (a2, ..) = cache.get_or_compile_vertical(&factor, 2, &OetSnakeSorter);
+        let (b2, ..) = cache.get_or_compile_vertical(&factor, 2, &MultiwayNSorter);
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
         assert!(Arc::ptr_eq(&a1, &a2));
         assert!(Arc::ptr_eq(&b1, &b2));
@@ -507,8 +429,8 @@ mod tests {
         assert_eq!(plain.name(), tuned.name());
         let cache = ProgramCache::new();
         let factor = factories::path(3);
-        let p = cache.get_or_compile(&factor, 2, &plain);
-        let t = cache.get_or_compile(&factor, 2, &tuned);
+        let (p, ..) = cache.get_or_compile_vertical(&factor, 2, &plain);
+        let (t, ..) = cache.get_or_compile_vertical(&factor, 2, &tuned);
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
         assert_eq!(cache.len(), 2);
         assert!(t.rounds() > p.rounds(), "extra blocks add rounds");
@@ -531,8 +453,8 @@ mod tests {
         assert_ne!(kp, ks, "wiring must be part of the key");
 
         let cache = ProgramCache::new();
-        let p_path = cache.get_or_compile(&path, 2, &OetSnakeSorter);
-        let p_star = cache.get_or_compile(&star, 2, &OetSnakeSorter);
+        let (p_path, ..) = cache.get_or_compile_vertical(&path, 2, &OetSnakeSorter);
+        let (p_star, ..) = cache.get_or_compile_vertical(&star, 2, &OetSnakeSorter);
         assert_eq!(cache.misses(), 2, "no collision: both compile");
         // The star program relays through the hub; the path program
         // does not — structurally different schedules.
@@ -558,9 +480,9 @@ mod tests {
     fn stats_snapshot_and_display() {
         let cache = ProgramCache::new();
         let factor = factories::path(3);
-        let _ = cache.get_or_compile(&factor, 2, &ShearSorter);
-        let _ = cache.get_or_compile(&factor, 2, &ShearSorter);
-        let _ = cache.get_or_compile(&factor, 3, &ShearSorter);
+        let _ = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
+        let _ = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
+        let _ = cache.get_or_compile_vertical(&factor, 3, &ShearSorter);
         let stats = cache.stats();
         assert_eq!(
             stats,
@@ -583,8 +505,8 @@ mod tests {
         let mut cache = ProgramCache::new();
         cache.attach_logger(pns_obs::EventLogger::new(Box::new(sink)));
         let factor = factories::path(3);
-        let _ = cache.get_or_compile(&factor, 2, &ShearSorter);
-        let _ = cache.get_or_compile(&factor, 2, &ShearSorter);
+        let _ = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
+        let _ = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
         // Cache lookups run on the caller's thread; drain its buffer.
         cache.logger.flush();
         let events: Vec<_> = reader.events().iter().map(|e| e.event).collect();
@@ -607,7 +529,8 @@ mod tests {
                 },
             ]
         );
-        // The miss compiled under a Cache/Compile span; the hit did not.
+        // The miss compiled and lowered under Cache spans; the hit
+        // opened none.
         let opens: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
@@ -621,71 +544,47 @@ mod tests {
             .count();
         assert_eq!(
             opens,
-            vec![(Tier::Cache.code(), Stage::Compile.code())],
-            "exactly one compile span, on the miss"
+            vec![
+                (Tier::Cache.code(), Stage::Compile.code()),
+                (Tier::Cache.code(), Stage::LowerKernel.code()),
+                (Tier::Cache.code(), Stage::LowerVertical.code()),
+            ],
+            "one compile and two lowering spans, all on the miss"
         );
-        assert_eq!(closes, 1);
+        assert_eq!(closes, 3);
     }
 
     #[test]
     fn clear_empties_but_keeps_counters() {
         let cache = ProgramCache::new();
         let factor = factories::path(3);
-        let _ = cache.get_or_compile(&factor, 2, &ShearSorter);
+        let _ = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.misses(), 1);
-        let _ = cache.get_or_compile(&factor, 2, &ShearSorter);
+        let _ = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
         assert_eq!(cache.misses(), 2, "cleared entries recompile");
     }
 
     #[test]
-    fn kernel_requests_share_one_lowering_and_leave_program_stats_alone() {
+    fn a_hit_shares_the_program_and_both_lowerings() {
         let cache = ProgramCache::new();
         let factor = factories::path(3);
-        let (p1, k1) = cache.get_or_compile_kernel(&factor, 2, &ShearSorter);
-        let (p2, k2) = cache.get_or_compile_kernel(&factor, 2, &ShearSorter);
+        let (p1, k1, v1) = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
+        let (p2, k2, v2) = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
         assert!(Arc::ptr_eq(&p1, &p2), "program comes from the same entry");
         assert!(Arc::ptr_eq(&k1, &k2), "kernel is lowered exactly once");
+        assert!(Arc::ptr_eq(&v1, &v2), "layout is committed exactly once");
         assert_eq!(k1.rounds(), p1.rounds());
         assert!(
             std::ptr::eq(&k1.ops[..], p1.round_ops()),
             "the kernel shares the cached program's rounds"
         );
-        assert_eq!((cache.kernel_hits(), cache.kernel_misses()), (1, 1));
-        assert_eq!(cache.kernel_len(), 1);
-        // Kernel traffic rides on the same program lookups — the
-        // program-side stats see exactly one miss then one hit, the
-        // same deltas plain `get_or_compile` would produce.
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 1,
-                misses: 1,
-                entries: 1
-            }
-        );
-        cache.clear();
-        assert_eq!(cache.kernel_len(), 0, "clear drops kernels too");
-    }
-
-    #[test]
-    fn vertical_requests_share_one_commitment_and_leave_other_stats_alone() {
-        let cache = ProgramCache::new();
-        let factor = factories::path(3);
-        let (p1, k1, v1) = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
-        let (p2, _k2, v2) = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
-        assert!(Arc::ptr_eq(&p1, &p2), "program comes from the same entry");
-        assert!(Arc::ptr_eq(&v1, &v2), "layout is committed exactly once");
         assert!(
             Arc::ptr_eq(v1.kernel(), &k1),
             "the vertical program wraps the cached kernel"
         );
-        assert_eq!((cache.vertical_hits(), cache.vertical_misses()), (1, 1));
-        assert_eq!(cache.vertical_len(), 1);
-        // Vertical traffic rides on the kernel (and thus program)
-        // lookups — both see exactly the plain one-miss-one-hit deltas.
-        assert_eq!((cache.kernel_hits(), cache.kernel_misses()), (1, 1));
+        // Every tier sees exactly one miss then one hit.
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -694,62 +593,70 @@ mod tests {
                 entries: 1
             }
         );
-        cache.clear();
-        assert_eq!(cache.vertical_len(), 0, "clear drops verticals too");
+        assert_eq!((cache.kernel_hits(), cache.kernel_misses()), (1, 1));
+        assert_eq!((cache.vertical_hits(), cache.vertical_misses()), (1, 1));
     }
 
     #[test]
-    fn vertical_misses_emit_one_lowered_event() {
+    fn a_panicking_compile_leaves_the_cache_usable() {
+        // `compile` asserts r >= 2: the miss panics before anything is
+        // counted or stored, and the next valid lookup runs as usual.
+        let cache = ProgramCache::new();
+        let factor = factories::path(3);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_compile_vertical(&factor, 1, &ShearSorter)
+        }));
+        assert!(panicked.is_err(), "r = 1 must not compile");
+        let counts = |c: &ProgramCache| {
+            [
+                (c.hits(), c.misses()),
+                (c.kernel_hits(), c.kernel_misses()),
+                (c.vertical_hits(), c.vertical_misses()),
+            ]
+        };
+        assert!(cache.is_empty(), "a panicking miss leaves no entry");
+        assert_eq!(counts(&cache), [(0, 0); 3], "and counts no miss");
+        let (p1, k1, v1) = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
+        assert_eq!(counts(&cache), [(0, 1); 3], "compiles and lowers");
+        let (p2, k2, v2) = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
+        assert_eq!(counts(&cache), [(1, 1); 3], "then hits");
+        assert!(Arc::ptr_eq(&p1, &p2) && Arc::ptr_eq(&k1, &k2) && Arc::ptr_eq(&v1, &v2));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_miss_emits_one_lowered_event_per_tier() {
         let (sink, reader) = pns_obs::MemorySink::with_capacity(16);
         let mut cache = ProgramCache::new();
         cache.attach_logger(pns_obs::EventLogger::new(Box::new(sink)));
         let factor = factories::path(3);
-        let (_program, kernel, vertical) = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
+        let (program, kernel, vertical) = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
         let _ = cache.get_or_compile_vertical(&factor, 2, &ShearSorter);
         cache.logger.flush();
         let lowered: Vec<_> = reader
             .events()
             .iter()
             .map(|e| e.event)
-            .filter(|e| e.kind() == "vertical_lowered")
+            .filter(|e| matches!(e.kind(), "kernel_lowered" | "vertical_lowered"))
             .collect();
         assert_eq!(
             lowered,
-            vec![pns_obs::Event::VerticalLowered {
-                rounds: vertical.rounds() as u64,
-                compare_rounds: kernel.compare_rounds() as u64,
-                route_rounds: kernel.route_rounds() as u64,
-                word_ops: vertical.word_ops() as u64,
-                lanes: WORD_LANES as u64,
-            }],
-            "the second request is a hit and stays silent"
-        );
-    }
-
-    #[test]
-    fn kernel_misses_emit_one_lowered_event() {
-        let (sink, reader) = pns_obs::MemorySink::with_capacity(16);
-        let mut cache = ProgramCache::new();
-        cache.attach_logger(pns_obs::EventLogger::new(Box::new(sink)));
-        let factor = factories::path(3);
-        let (program, kernel) = cache.get_or_compile_kernel(&factor, 2, &ShearSorter);
-        let _ = cache.get_or_compile_kernel(&factor, 2, &ShearSorter);
-        cache.logger.flush();
-        let lowered: Vec<_> = reader
-            .events()
-            .iter()
-            .map(|e| e.event)
-            .filter(|e| e.kind() == "kernel_lowered")
-            .collect();
-        assert_eq!(
-            lowered,
-            vec![pns_obs::Event::KernelLowered {
-                rounds: program.rounds() as u64,
-                compare_rounds: kernel.compare_rounds() as u64,
-                route_rounds: kernel.route_rounds() as u64,
-                cx_pairs: kernel.cx_pair_count() as u64,
-                micro_ops: kernel.micro_op_count() as u64,
-            }],
+            vec![
+                pns_obs::Event::KernelLowered {
+                    rounds: program.rounds() as u64,
+                    compare_rounds: kernel.compare_rounds() as u64,
+                    route_rounds: kernel.route_rounds() as u64,
+                    cx_pairs: kernel.cx_pair_count() as u64,
+                    micro_ops: kernel.micro_op_count() as u64,
+                },
+                pns_obs::Event::VerticalLowered {
+                    rounds: vertical.rounds() as u64,
+                    compare_rounds: kernel.compare_rounds() as u64,
+                    route_rounds: kernel.route_rounds() as u64,
+                    word_ops: vertical.word_ops() as u64,
+                    lanes: WORD_LANES as u64,
+                },
+            ],
             "the second request is a hit and stays silent"
         );
     }

@@ -130,13 +130,13 @@ impl VerticalProgram {
         &self.kernel
     }
 
-    /// Word-level operations of the full clean network, one word (or
-    /// one column pair) per compare-exchange regardless of how many
-    /// lanes ride in it ([`KernelProgram::clean_cx_count`]). A clean run
-    /// executes the kept ones ([`KernelProgram::kept`]).
+    /// Word-level operations of one run, one word (or one column pair)
+    /// per compare-exchange regardless of how many lanes ride in it:
+    /// the kept compare-exchanges ([`KernelProgram::kept`]), which both
+    /// vertical executors run.
     #[must_use]
     pub fn word_ops(&self) -> usize {
-        self.kernel.clean_cx_count()
+        self.kernel.kept().pairs
     }
 }
 
@@ -240,11 +240,13 @@ impl<K> VerticalScratch<K> {
         self.w
     }
 
-    /// Start a `w`-lane block: empty columns, capacity kept.
-    fn reset(&mut self, w: usize) {
+    /// Start a `w`-lane block of `n` nodes: empty columns with room for
+    /// all `n·w` keys, so filling them never reallocates.
+    fn reset(&mut self, w: usize, n: usize) {
         debug_assert!((1..=WORD_LANES).contains(&w), "block width fits one word");
         self.w = w;
         self.cols.clear();
+        self.cols.reserve(n * w);
     }
 }
 
@@ -299,7 +301,7 @@ fn exec_cols_block<K: Ord + Clone>(
 ) {
     let w = lanes.len();
     let n = lanes[0].len();
-    scratch.reset(w);
+    scratch.reset(w, n);
     for node in 0..n {
         for lane in lanes.iter() {
             scratch.cols.push(lane[node].clone());
@@ -361,7 +363,7 @@ impl BspMachine {
         // program finishes in microseconds, and batch callers get their
         // amortized span from `run_vertical_batch` regardless.
         let _sort_span = self.logger.span_if(
-            vertical.word_ops() >= SORT_OBS_MIN_OPS,
+            kernel.clean_cx_count() >= SORT_OBS_MIN_OPS,
             Tier::Vertical,
             Stage::Sort,
             SpanClass::None,
@@ -488,6 +490,36 @@ mod tests {
                     serial,
                     "mask={mask:#x}: vertical lane vs serial run"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn word_ops_count_the_compare_exchanges_a_run_executes() {
+        // K2^8's level analysis prunes idle pairs; the mesh-connected
+        // tree's prunes none, so both counts read 33,222 there.
+        let tree = crate::machine::Machine::prepare_factor(&factories::complete_binary_tree(3));
+        for (factor, r, pruned) in [(factories::k2(), 8, true), (tree, 3, false)] {
+            let sorter = crate::select::SorterChoice::Auto.resolve(&factor);
+            let machine = BspMachine::new(&factor, r);
+            let vertical = machine
+                .lower_vertical(&compile(&factor, r, sorter))
+                .expect("validates");
+            let kernel = vertical.kernel();
+            assert_eq!(
+                vertical.word_ops(),
+                kernel.kept().pairs,
+                "{}",
+                factor.name()
+            );
+            assert_eq!(
+                vertical.word_ops() < kernel.clean_cx_count(),
+                pruned,
+                "{}",
+                factor.name()
+            );
+            if !pruned {
+                assert_eq!(vertical.word_ops(), 33_222);
             }
         }
     }

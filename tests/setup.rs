@@ -1,6 +1,8 @@
 //! Cold set-up contracts of the two entry points: a compiled `Machine`
-//! reports the algorithm's logical unit counters, and a service turns an
-//! unusable factor away with a typed error instead of a panic.
+//! reports the algorithm's logical unit counters, a service turns an
+//! unusable shape away with a typed error instead of a panic, and a
+//! `Machine` built over a service builder's program cache shares the
+//! service's compiled program.
 
 use product_sort::graph::{factories, Graph};
 use product_sort::order::radix::Shape;
@@ -10,6 +12,7 @@ use product_sort::sim::{
     ChargedEngine, CostModel, Hypercube2Sorter, Machine, MultiwayNSorter, OetSnakeSorter,
     PeriodicMergeSorter, Pg2Sorter, ProgramCache, ShearSorter, SorterChoice,
 };
+use std::sync::Arc;
 
 /// The counters a unit-cost charged replay of the whole algorithm
 /// reports on `factor^r`.
@@ -96,15 +99,73 @@ fn compiled_machines_report_the_charged_replay_counters() {
 }
 
 #[test]
-fn registering_a_disconnected_factor_is_a_typed_error() {
+fn registering_an_unusable_shape_is_a_typed_error() {
     let split = Graph::from_edges(4, &[(0, 1), (2, 3)]);
-    let outcome = std::panic::catch_unwind(|| {
-        SortService::builder(ServiceConfig::default())
-            .register_shape(&split, 2)
-            .err()
-    });
-    assert_eq!(
-        outcome.expect("register_shape must not panic"),
-        Some(ServiceError::Internal("factor graph must be connected"))
-    );
+    let few_dims = "product needs at least two dimensions";
+    let cases = [
+        (split, 2, "factor graph must be connected"),
+        (factories::star(4), 1, few_dims),
+        (factories::star(4), 0, few_dims),
+        (
+            factories::path(1),
+            2,
+            "factor graph needs at least two nodes",
+        ),
+    ];
+    for (factor, r, message) in &cases {
+        let outcome = std::panic::catch_unwind(|| {
+            SortService::builder(ServiceConfig::default())
+                .register_shape(factor, *r)
+                .err()
+        });
+        assert_eq!(
+            outcome.expect("register_shape must not panic"),
+            Some(ServiceError::Internal(message)),
+            "factor={} r={r}",
+            factor.name()
+        );
+    }
+}
+
+#[test]
+fn a_machine_over_the_builders_program_cache_shares_the_services_program() {
+    let factor = Machine::prepare_factor(&factories::complete_binary_tree(3));
+    let r = 2;
+    let len = Shape::new(factor.n(), r).len();
+    let inputs: Vec<Vec<u64>> = (0..3u64)
+        .map(|seed| (0..len).map(|x| (x * 37 + seed * 11) % 41).collect())
+        .collect();
+    for machine_first in [true, false] {
+        let mut builder = SortService::builder(ServiceConfig::default());
+        let cache = Arc::clone(builder.program_cache());
+        let build = || Machine::compiled_with(&factor, r, SorterChoice::Auto, &cache);
+        let mut machine = if machine_first {
+            let machine = build();
+            builder = builder.register_shape(&factor, r).expect("usable shape");
+            machine
+        } else {
+            builder = builder.register_shape(&factor, r).expect("usable shape");
+            build()
+        };
+        assert_eq!(
+            [
+                (cache.hits(), cache.misses()),
+                (cache.kernel_hits(), cache.kernel_misses()),
+                (cache.vertical_hits(), cache.vertical_misses()),
+            ],
+            [(1, 1); 3],
+            "machine_first={machine_first}: every tier compiles once, then hits"
+        );
+        let service = builder.start();
+        for keys in &inputs {
+            let want = machine.sort(keys.clone()).expect("one key per node").keys;
+            let got = service
+                .submit(0, 0, keys.clone())
+                .expect("admitted")
+                .wait()
+                .expect("sorted")
+                .keys;
+            assert_eq!(got, want, "machine_first={machine_first}");
+        }
+    }
 }

@@ -3,7 +3,9 @@
 //! (`run_vertical_bits`, which keeps no state) and the full-key column
 //! path (`run_vertical_batch` with a warm `VerticalPool`, in one block
 //! or several) — must perform **zero** heap allocations per call, the
-//! same contract `kernel_alloc.rs` pins for the kernel tier.
+//! same contract `kernel_alloc.rs` pins for the kernel tier. The cold
+//! column run sizes each block's columns once: at most one allocation
+//! per block, plus [`COLD_EXTRA`].
 //!
 //! The proof is a counting `#[global_allocator]` wrapping the system
 //! allocator. This must be the only test in the binary: the counter is
@@ -44,6 +46,10 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Allocations a cold column run may make beside one per block: the
+/// pool's slot vector and the fan-out's work list.
+const COLD_EXTRA: u64 = 2;
+
 fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
     let mut state = seed | 1;
     (0..len)
@@ -67,6 +73,9 @@ fn warm_vertical_runs_do_not_allocate() {
             .lower_vertical(&program)
             .expect("compiled programs validate");
         let len = vertical.shape().len();
+        // The first batch call of the process reads the thread count,
+        // once; an empty batch reads it before anything is counted.
+        bsp.run_vertical_batch::<u64>(&mut [], &vertical, &mut VerticalPool::new());
 
         // --- Bit-sliced 0/1 path: one word per node, 64 lanes. ---
         let masks: Vec<u64> = (0..WORD_LANES as u64)
@@ -106,7 +115,15 @@ fn warm_vertical_runs_do_not_allocate() {
         let mut batch = inputs.clone();
         let mut pool = VerticalPool::new();
 
+        let before = allocations();
         bsp.run_vertical_batch(&mut batch, &vertical, &mut pool);
+        let delta = allocations() - before;
+        assert_eq!(pool.len(), 1, "64 small lanes run as one block");
+        assert!(
+            delta <= 1 + COLD_EXTRA,
+            "factor={} r={r}: {delta} allocations in a cold one-block run_vertical_batch call",
+            factor.name()
+        );
         let cols_reference = batch.clone();
 
         let before = allocations();
@@ -159,8 +176,14 @@ fn warm_vertical_runs_do_not_allocate() {
     let mut batch = inputs.clone();
     let mut pool = VerticalPool::new();
 
+    let before = allocations();
     bsp.run_vertical_batch(&mut batch, &vertical, &mut pool);
+    let delta = allocations() - before;
     assert_eq!(pool.len(), 2, "64 lanes of K2^12 run as two blocks");
+    assert!(
+        delta <= 2 + COLD_EXTRA,
+        "K2^12: {delta} allocations in a cold two-block run_vertical_batch call"
+    );
     let reference = batch.clone();
 
     // One measured call: a debug build takes ~1.5 s over this program.
