@@ -2,8 +2,8 @@
 //! against a committed baseline and flag metrics that moved the wrong
 //! way by more than a threshold.
 //!
-//! The benchmark artifacts (`BENCH_e19_kernel.json`,
-//! `BENCH_e20_vertical.json`, `BENCH_e21_profile.json`) are arrays of
+//! The benchmark artifacts (those of [`crate::all_artifacts`], e.g.
+//! `BENCH_e19_kernel.json` and `BENCH_e21_profile.json`) are arrays of
 //! flat row objects whose scalar fields mix identity columns (`factor`,
 //! `r`, `tier`), informational counts (`nodes`, `rounds`), and the
 //! actual metrics. Which fields are metrics — and which direction is
@@ -24,7 +24,7 @@
 //! shape the artifacts use: an array of flat objects with string,
 //! number, boolean, or null fields. Anything nested is a schema error.
 //!
-//! The `bench_compare` binary drives [`compare_json`] over a baseline
+//! `pns-bench compare` drives [`compare_json`] over a baseline
 //! directory and a current directory and exits non-zero when any
 //! regression beats the threshold — that exit code is the nightly
 //! gate. [`DEFAULT_THRESHOLD`] is deliberately loose (15%) because CI
@@ -436,7 +436,7 @@ fn utf8_width(first: u8) -> usize {
     }
 }
 
-/// The embedded fixtures behind `bench_compare --self-check`: prove
+/// The embedded fixtures behind `pns-bench compare --self-check`: prove
 /// the sentinel fires on a synthetic 20% regression in both metric
 /// directions, stays quiet on identical artifacts, and rejects
 /// malformed input. Returns the failures (empty = healthy).

@@ -7,15 +7,15 @@
 //! 2. Lowering is shape-preserving: round count matches the source
 //!    program, and every round classifies as compare or route (plus
 //!    empties), with the class totals adding up.
-//! 3. When an allocation probe is supplied (the `e19_kernel_speedup`
-//!    binary installs a counting global allocator), warm `run_kernel`
+//! 3. When the process counts allocations (`pns-bench` installs
+//!    [`crate::counting_alloc::CountingAlloc`]), warm `run_kernel`
 //!    calls perform **zero** heap allocations.
 //!
 //! Wall-clock columns (interpreter vs kernel, single and batched) are
 //! informational — they depend on the host — and are what the nightly
 //! `BENCH_e19_kernel.json` artifact tracks over time.
 
-use crate::Report;
+use crate::{counting_alloc, Measured, Report};
 use pns_graph::factories;
 use pns_simulator::bsp::BspMachine;
 use pns_simulator::{
@@ -27,10 +27,10 @@ use std::time::Instant;
 
 /// Vectors per batched timing pass.
 const BATCH: usize = 16;
-/// Timed repetitions per executor in the binary's run, which writes
-/// `BENCH_e19_kernel.json`: enough for release-mode timings to average
-/// over. The library's [`run`] times one repetition, since no timing
-/// column enters its `match`.
+/// Timed repetitions per executor in the [`artifact`] run, which
+/// writes `BENCH_e19_kernel.json`: enough for release-mode timings to
+/// average over. [`run`] times one repetition, since no timing column
+/// enters its `match`.
 pub const REPS: usize = 64;
 
 fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
@@ -83,11 +83,10 @@ pub struct E19Row {
 }
 
 /// Measure every configuration, timing `reps` repetitions of each
-/// executor. `probe`, when supplied, reads a process-global allocation
-/// counter (the binary installs one as `#[global_allocator]`); library
-/// callers pass `None` and the allocation columns stay empty.
-#[must_use]
-pub fn collect(probe: Option<fn() -> u64>, reps: usize) -> Vec<E19Row> {
+/// executor. `probe`, when supplied, reads the calling thread's
+/// allocation count ([`counting_alloc::allocations`]); without it the
+/// allocation columns stay empty.
+fn collect(probe: Option<fn() -> u64>, reps: usize) -> Vec<E19Row> {
     let cases: Vec<(pns_graph::Graph, usize, &dyn Pg2Sorter)> = vec![
         // The headline ISSUE-5 workload: the 3-ary 3-cube.
         (factories::path(3), 3, &ShearSorter),
@@ -209,10 +208,8 @@ pub fn collect(probe: Option<fn() -> u64>, reps: usize) -> Vec<E19Row> {
 }
 
 /// Build the experiment report from rows [`collect`] measured with
-/// `reps` repetitions (separated from it so the binary can serialize
-/// the same rows to JSON).
-#[must_use]
-pub fn report_from_rows(rows: &[E19Row], reps: usize) -> Report {
+/// `reps` repetitions.
+fn report_from_rows(rows: &[E19Row], reps: usize) -> Report {
     let mut report = Report::new(
         "e19_kernel_speedup",
         "Extension: flat SoA kernel tier — lowered kernels bit-identical \
@@ -259,7 +256,7 @@ pub fn report_from_rows(rows: &[E19Row], reps: usize) -> Report {
          deterministic): `speedup` is single-vector run (the serial \
          interpreter, which checks every op) vs warm run_kernel, `batch \
          speedup` is one run per vector vs run_kernel_batch. The \
-         allocation column (binary runs only) counts heap \
+         allocation column (artifact runs only) counts heap \
          allocations across all {reps} timed calls; the kernel side \
          must be exactly 0 after its one warm-up run."
     ));
@@ -267,11 +264,19 @@ pub fn report_from_rows(rows: &[E19Row], reps: usize) -> Report {
 }
 
 /// Regenerate the kernel-speedup table with one timed repetition and
-/// no allocation probe (the `e19_kernel_speedup` binary times
-/// [`REPS`] and adds one).
+/// no allocation probe ([`artifact`] times [`REPS`] and adds one).
 #[must_use]
 pub fn run() -> Report {
     report_from_rows(&collect(None, 1), 1)
+}
+
+/// The artifact run behind `BENCH_e19_kernel.json`: [`REPS`]
+/// repetitions, and the allocation columns, which count only in a
+/// process that installs [`counting_alloc::CountingAlloc`].
+#[must_use]
+pub fn artifact() -> Measured {
+    let rows = collect(Some(counting_alloc::allocations), REPS);
+    Measured::new(report_from_rows(&rows, REPS), &rows, Vec::new())
 }
 
 #[cfg(test)]

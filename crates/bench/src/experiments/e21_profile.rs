@@ -22,10 +22,10 @@
 //!
 //! The wall/span millisecond columns are host-dependent and are what
 //! the nightly `BENCH_e21_profile.json` artifact tracks over time (the
-//! `bench_compare` sentinel diffs them against `BENCH_baseline/`);
+//! `pns-bench compare` sentinel diffs them against `BENCH_baseline/`);
 //! everything in `ok` is deterministic.
 
-use crate::Report;
+use crate::{Measured, Report};
 use pns_graph::factories;
 use pns_obs::{
     EventLogger, MemorySink, Profile, SpanClass, Stage, Tier, ROUND_OBS_MIN_OPS, SORT_OBS_MIN_OPS,
@@ -118,9 +118,8 @@ fn span_count(profile: &Profile, tier: Tier, stage: Stage) -> u64 {
 ///
 /// Panics if the compiled program fails validation (it cannot: it
 /// comes from [`compile`]).
-#[must_use]
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
-pub fn collect() -> Vec<E21Row> {
+fn collect() -> Vec<E21Row> {
     let factor = factories::k2();
     let sorter = Hypercube2Sorter;
     let program = compile(&factor, R, &sorter);
@@ -384,10 +383,8 @@ pub fn collect() -> Vec<E21Row> {
     rows
 }
 
-/// Build the experiment report from measured rows (separated from
-/// [`collect`] so the binary can serialize the same rows to JSON).
-#[must_use]
-pub fn report_from_rows(rows: &[E21Row]) -> Report {
+/// Build the experiment report from measured rows.
+fn report_from_rows(rows: &[E21Row]) -> Report {
     let mut report = Report::new(
         "e21_profile",
         "Extension: hierarchical timing spans — every execution tier \
@@ -429,7 +426,7 @@ pub fn report_from_rows(rows: &[E21Row]) -> Report {
          reconcile aggregated S2Unit/RouteUnit event sums against \
          pns_core::Counters exactly, and pin the cache's \
          compile/lower spans to exactly one miss. The ms columns feed \
-         BENCH_e21_profile.json for the bench_compare sentinel."
+         BENCH_e21_profile.json for the pns-bench compare sentinel."
     ));
     report
 }
@@ -438,6 +435,14 @@ pub fn report_from_rows(rows: &[E21Row]) -> Report {
 #[must_use]
 pub fn run() -> Report {
     report_from_rows(&collect())
+}
+
+/// The artifact run behind `BENCH_e21_profile.json`: the same
+/// measurement as [`run`], with its rows.
+#[must_use]
+pub fn artifact() -> Measured {
+    let rows = collect();
+    Measured::new(report_from_rows(&rows), &rows, Vec::new())
 }
 
 #[cfg(test)]

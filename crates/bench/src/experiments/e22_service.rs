@@ -17,11 +17,11 @@
 //!   every response is still correctly snake-sorted, degradations are
 //!   counted, terminal failures are zero.
 //!
-//! The same driver powers the `loadtest` binary at nightly scale
-//! (millions of requests); [`collect`] runs bounded counts so the
-//! experiment stays in benchmark range.
+//! The same driver powers `pns-bench loadtest` at nightly scale
+//! (millions of requests); [`run`] and [`artifact`] run bounded counts
+//! so the experiment stays in benchmark range.
 
-use crate::Report;
+use crate::{Measured, Report};
 use pns_fault::FaultPlan;
 use pns_graph::factories;
 use pns_obs::{Histogram, Registry};
@@ -466,8 +466,7 @@ fn row_from(
 }
 
 /// Run the scenario matrix at `scale` and build the artifact rows.
-#[must_use]
-pub fn collect_at(scale: u64) -> Vec<E22Row> {
+fn collect(scale: u64) -> Vec<E22Row> {
     let mut rows = Vec::new();
     for scenario in scenarios(scale) {
         let outcome = drive(&scenario);
@@ -508,15 +507,8 @@ pub fn collect_at(scale: u64) -> Vec<E22Row> {
     rows
 }
 
-/// Benchmark-scale collection for the nightly artifact.
-#[must_use]
-pub fn collect() -> Vec<E22Row> {
-    collect_at(200_000)
-}
-
 /// Build the printable report from collected rows.
-#[must_use]
-pub fn report_from_rows(rows: &[E22Row]) -> Report {
+fn report_from_rows(rows: &[E22Row]) -> Report {
     let mut report = Report::new(
         "e22_service",
         "Extension: sorting-as-a-service under load — steady-state \
@@ -582,7 +574,15 @@ pub fn report_from_rows(rows: &[E22Row]) -> Report {
 /// Run the experiment end to end (test-scale counts).
 #[must_use]
 pub fn run() -> Report {
-    report_from_rows(&collect_at(20_000))
+    report_from_rows(&collect(20_000))
+}
+
+/// The artifact run behind `BENCH_e22_service.json`: the scenario
+/// matrix at benchmark scale.
+#[must_use]
+pub fn artifact() -> Measured {
+    let rows = collect(200_000);
+    Measured::new(report_from_rows(&rows), &rows, Vec::new())
 }
 
 #[cfg(test)]

@@ -2,11 +2,13 @@
 //! theorem, or Section 5 instantiation), each regenerating the artifact
 //! and reporting paper-vs-measured rows.
 //!
-//! Run any experiment with `cargo run -p pns-bench --bin <id>` (e.g.
-//! `e05_cost_model`), or all of them with `--bin all_experiments`.
-//! `EXPERIMENTS.md` at the workspace root records the outputs.
+//! The `pns-bench` binary runs them: `cargo run -p pns-bench -- <id>`
+//! runs one (e.g. `e05_cost_model`), `-- all` runs every one, and
+//! `--` alone lists the ids and the other subcommands. `EXPERIMENTS.md`
+//! at the workspace root records the outputs.
 
 pub mod compare;
+pub mod counting_alloc;
 pub mod report;
 
 pub mod experiments {
@@ -40,6 +42,7 @@ pub mod experiments {
 }
 
 pub use report::Report;
+use serde::Serialize;
 
 /// An experiment entry: stable id plus the function regenerating it.
 pub type Experiment = (&'static str, fn() -> Report);
@@ -76,4 +79,78 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("a02_pg2_sorter", a02_pg2_sorter::run),
         ("a03_sorting_network", a03_sorting_network::run),
     ]
+}
+
+/// What an artifact run measured: the report, its rows as the
+/// `BENCH_*.json` file holds them, and every release bar they missed.
+pub struct Measured {
+    /// The experiment's report at artifact scale.
+    pub report: Report,
+    /// The measured rows, serialized as a JSON array.
+    pub rows_json: String,
+    /// One message per release bar the rows missed.
+    pub missed_bars: Vec<String>,
+}
+
+impl Measured {
+    /// Serialize `rows` beside their report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows do not serialize (they hold only numbers,
+    /// strings, booleans and options).
+    #[must_use]
+    pub fn new<R: Serialize>(report: Report, rows: &[R], missed_bars: Vec<String>) -> Self {
+        Measured {
+            report,
+            rows_json: serde_json::to_string_pretty(&rows).expect("rows serialize"),
+            missed_bars,
+        }
+    }
+}
+
+/// An artifact experiment: its id in [`all_experiments`], the
+/// `BENCH_*.json` file it writes, and its artifact run, which measures at
+/// artifact scale for the nightly gate (DESIGN.md §13). Its entry in
+/// [`all_experiments`] keeps the quick run.
+pub type Artifact = (&'static str, &'static str, fn() -> Measured);
+
+/// Every experiment that writes a `BENCH_*.json` artifact, in index
+/// order.
+#[must_use]
+pub fn all_artifacts() -> Vec<Artifact> {
+    use experiments::*;
+    vec![
+        (
+            "e19_kernel_speedup",
+            "BENCH_e19_kernel.json",
+            e19_kernel_speedup::artifact as fn() -> Measured,
+        ),
+        (
+            "e20_vertical_speedup",
+            "BENCH_e20_vertical.json",
+            e20_vertical_speedup::artifact,
+        ),
+        (
+            "e21_profile",
+            "BENCH_e21_profile.json",
+            e21_profile::artifact,
+        ),
+        (
+            "e22_service",
+            "BENCH_e22_service.json",
+            e22_service::artifact,
+        ),
+        (
+            "e24_s2_sorters",
+            "BENCH_e24_s2.json",
+            e24_s2_sorters::artifact,
+        ),
+    ]
+}
+
+/// The artifact experiment `id` writes, if it writes one.
+#[must_use]
+pub fn artifact(id: &str) -> Option<Artifact> {
+    all_artifacts().into_iter().find(|(a, ..)| *a == id)
 }

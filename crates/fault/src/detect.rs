@@ -65,8 +65,8 @@ pub fn sampled_subgraph_certificate<K: Ord>(
 /// every subgraph over dimensions `0 … k-1`, exhaustively. Subgraph
 /// `g`'s nodes are the ranks `g·N^k + local`, so no node is rebuilt
 /// from digits. The fault executors check it, and `pns-simulator`'s
-/// `subgraphs_snake_sorted` is this; with `k = shape.r()` it is global
-/// snake-sortedness.
+/// `network_sort_checked` asserts it after every stage; with
+/// `k = shape.r()` it is global snake-sortedness.
 ///
 /// # Panics
 ///

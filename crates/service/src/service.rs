@@ -12,9 +12,12 @@
 //!
 //! # Degradation ladder
 //!
-//! A batch walks down, never up:
+//! A batch walks down, never up. Rungs 1 and 2 for clean batches are
+//! [`BspMachine::run_clean_batch`]'s choice, the one
+//! [`Machine::sort_batch`](pns_simulator::Machine::sort_batch) makes:
 //!
-//! 1. **Vertical tier** — batches of ≥ [`VERTICAL_MIN_LANES`] (4)
+//! 1. **Vertical tier** — batches of ≥
+//!    [`VERTICAL_MIN_LANES`](pns_simulator::VERTICAL_MIN_LANES) (4)
 //!    clean lanes run the column tier
 //!    ([`BspMachine::run_vertical_batch`]) in even blocks sized to
 //!    stay in L2, on the worker's own thread.
@@ -41,13 +44,13 @@ use crate::error::{RejectReason, ServiceError};
 use crate::stats::ServiceStats;
 use pns_fault::FaultPlan;
 use pns_graph::Graph;
-use pns_obs::Registry;
+use pns_obs::{Registry, Tier};
 use pns_simulator::bsp::BspMachine;
 use pns_simulator::cache::ProgramCache;
-use pns_simulator::kernel::{ExecScratch, KernelProgram, ScratchPool};
+use pns_simulator::kernel::{ExecScratch, KernelProgram};
 use pns_simulator::select::SorterChoice;
-use pns_simulator::vertical::{VerticalPool, VerticalProgram, VERTICAL_MIN_LANES};
-use pns_simulator::FaultError;
+use pns_simulator::vertical::{VerticalPool, VerticalProgram};
+use pns_simulator::{check_shape, FaultError};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -171,27 +174,13 @@ impl ServiceBuilder {
     /// # Errors
     ///
     /// [`ServiceError::Internal`] when the shape is unusable —
-    /// configuration errors are typed, not panics:
-    /// `"factor graph must be connected"` for a disconnected factor,
-    /// `"factor graph needs at least two nodes"` for a factor of fewer
-    /// than two nodes, `"product needs at least two dimensions"` for
-    /// `r < 2`, `"shape compilation panicked"` if compiling or lowering
-    /// panics, and `"shape failed to lower"` if the compiled program
-    /// fails validation.
+    /// configuration errors are typed, not panics: the message of
+    /// [`check_shape`] when the algorithm cannot sort on `factor^r`,
+    /// `"shape compilation panicked"` if compiling or lowering panics,
+    /// and `"shape failed to lower"` if the compiled program fails
+    /// validation.
     pub fn register_shape(mut self, factor: &Graph, r: usize) -> Result<Self, ServiceError> {
-        if !pns_graph::is_connected(factor) {
-            return Err(ServiceError::Internal("factor graph must be connected"));
-        }
-        if factor.n() < 2 {
-            return Err(ServiceError::Internal(
-                "factor graph needs at least two nodes",
-            ));
-        }
-        if r < 2 {
-            return Err(ServiceError::Internal(
-                "product needs at least two dimensions",
-            ));
-        }
+        check_shape(factor, r).map_err(ServiceError::Internal)?;
         // Compilation is infallible past the checks above; the
         // catch_unwind is the configuration-time never-panic backstop.
         let artifacts = catch_unwind(AssertUnwindSafe(|| {
@@ -365,11 +354,10 @@ impl Drop for SortService {
 }
 
 /// Per-worker scratch: one machine per shape (the `EventLogger` inside
-/// is thread-local, so machines are per-thread), plus reusable pools.
+/// is thread-local, so machines are per-thread), plus reusable scratch.
 /// The machines are serial: the workers are the service's parallelism.
 struct WorkerCtx {
     machines: Vec<BspMachine>,
-    scratch_pool: ScratchPool<u64>,
     vertical_pool: VerticalPool<u64>,
     exec_scratch: ExecScratch<u64>,
 }
@@ -381,7 +369,6 @@ fn worker_loop(shared: &Shared) {
             .iter()
             .map(|s| BspMachine::new(&s.factor, s.r).serial())
             .collect(),
-        scratch_pool: ScratchPool::new(),
         vertical_pool: VerticalPool::new(),
         exec_scratch: ExecScratch::new(),
     };
@@ -430,11 +417,11 @@ fn worker_loop(shared: &Shared) {
             CorePoll::Ready(batch) => {
                 let shape = batch.shape;
                 drop(state);
-                let (outcomes, vertical) = execute_batch(shared, &mut ctx, shape, batch.entries);
+                let (outcomes, tier) = execute_batch(shared, &mut ctx, shape, batch.entries);
                 let done = shared.clock.now_ns();
                 let mut state = shared.lock();
-                if let Some(vertical) = vertical {
-                    state.core.note_batch(vertical);
+                if let Some(tier) = tier {
+                    state.core.note_batch(tier == Tier::Vertical);
                 }
                 let mut replies = Vec::with_capacity(outcomes.len());
                 for (lane, verdict, reply) in outcomes {
@@ -474,9 +461,9 @@ type LaneOutcome = (Pending, LaneVerdict, Result<SortResponse, ServiceError>);
 
 /// Run one coalesced batch down the degradation ladder, without the
 /// state lock. Returns the lanes' outcomes and the tier the batch ran
-/// on (`Some(true)` for the column tier, `Some(false)` for the kernel,
-/// `None` when it ran on none), which the worker records under its
-/// completion lock. Never panics a caller: compute runs behind
+/// on ([`Tier::Vertical`] or [`Tier::Kernel`], which fault-plan lanes
+/// run on; `None` when it ran on none), which the worker records under
+/// its completion lock. Never panics a caller: compute runs behind
 /// `catch_unwind` with the request identities held *outside* the
 /// closure, so a contained panic still answers every lane with a typed
 /// internal error (counted as a failure by the breaker) instead of
@@ -486,7 +473,7 @@ fn execute_batch(
     ctx: &mut WorkerCtx,
     shape: usize,
     mut entries: Vec<Pending>,
-) -> (Vec<LaneOutcome>, Option<bool>) {
+) -> (Vec<LaneOutcome>, Option<Tier>) {
     let Some((registered, machine)) = shared.shapes.get(shape).zip(ctx.machines.get(shape)) else {
         // Unknown shape past admission: answer every lane, typed.
         let outcomes = entries
@@ -503,29 +490,21 @@ fn execute_batch(
     };
 
     if !shared.plan.is_enabled() {
-        // Clean fast path: rungs 1–2 (the column tier from
-        // VERTICAL_MIN_LANES lanes, the kernel below). Keys move into
-        // the closure; identities stay out.
+        // Clean fast path: rungs 1–2, whichever the batch's width calls
+        // for. Keys move into the closure; identities stay out.
         let mut batch: Vec<Vec<u64>> = entries
             .iter_mut()
             .map(|p| std::mem::take(&mut p.keys))
             .collect();
-        let vertical = batch.len() >= VERTICAL_MIN_LANES;
         let sorted = catch_unwind(AssertUnwindSafe(|| {
-            if vertical {
-                machine.run_vertical_batch(
-                    &mut batch,
-                    &registered.vertical,
-                    &mut ctx.vertical_pool,
-                );
-            } else {
-                machine.run_kernel_batch(&mut batch, &registered.kernel, &mut ctx.scratch_pool);
-            }
-            batch
+            let tier =
+                machine.run_clean_batch(&mut batch, &registered.vertical, &mut ctx.vertical_pool);
+            (batch, tier)
         }))
         .ok();
+        let tier = sorted.as_ref().map(|&(_, tier)| tier);
         let outcomes = match sorted {
-            Some(batch) => entries
+            Some((batch, _)) => entries
                 .into_iter()
                 .zip(batch)
                 .map(|(p, keys)| {
@@ -554,7 +533,7 @@ fn execute_batch(
                 })
                 .collect(),
         };
-        return (outcomes, Some(vertical));
+        return (outcomes, tier);
     }
 
     // Fault-enabled path: rung 2 per lane with in-run retries, then the
@@ -573,7 +552,7 @@ fn execute_batch(
             (p, verdict, reply)
         })
         .collect();
-    (outcomes, Some(false))
+    (outcomes, Some(Tier::Kernel))
 }
 
 /// One lane down rungs 2–4 of the ladder.

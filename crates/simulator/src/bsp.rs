@@ -1485,6 +1485,7 @@ mod tests {
     use crate::netsort::network_sort;
     use crate::sorters::{Hypercube2Sorter, OetSnakeSorter, ShearSorter};
     use crate::{ExecutedEngine, Machine};
+    use pns_fault::detect::full_subgraph_certificate;
     use pns_graph::factories;
 
     fn snake_sorted<K: Ord>(shape: Shape, keys: &[K]) -> bool {
@@ -2060,7 +2061,7 @@ mod tests {
             for (ri, round) in program.round_ops().iter().enumerate() {
                 while next_cert < certs.len() && certs[next_cert].round as usize == ri {
                     assert!(
-                        crate::verify::subgraphs_snake_sorted(
+                        full_subgraph_certificate(
                             machine.shape(),
                             &keys,
                             certs[next_cert].dims as usize
@@ -2073,7 +2074,7 @@ mod tests {
             }
             for c in &certs[next_cert..] {
                 assert_eq!(c.round as usize, program.rounds());
-                assert!(crate::verify::subgraphs_snake_sorted(
+                assert!(full_subgraph_certificate(
                     machine.shape(),
                     &keys,
                     c.dims as usize
@@ -2106,7 +2107,7 @@ mod tests {
             for (ri, round) in opt.round_ops().iter().enumerate() {
                 while next_cert < certs.len() && certs[next_cert].round as usize == ri {
                     assert!(
-                        crate::verify::subgraphs_snake_sorted(
+                        full_subgraph_certificate(
                             machine.shape(),
                             &keys,
                             certs[next_cert].dims as usize

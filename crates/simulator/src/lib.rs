@@ -56,7 +56,7 @@ pub use kernel::{
 };
 // The fault plan/policy vocabulary is re-exported so executor callers
 // need not depend on `pns-fault` directly.
-pub use machine::{Machine, SortError, SortReport};
+pub use machine::{check_shape, Machine, SortError, SortReport};
 pub use netsort::{network_sort, NetSortOutcome};
 pub use pns_fault::{FaultKind, FaultPlan, FaultSite, OpClass, RetryPolicy};
 pub use sample::{sample_sort, try_sample_sort, SampleSortOutcome};
@@ -66,7 +66,7 @@ pub use select::{
 pub use sorters::{
     Hypercube2Sorter, MultiwayNSorter, OetSnakeSorter, PeriodicMergeSorter, Pg2Sorter, ShearSorter,
 };
-pub use verify::{network_sort_checked, subgraphs_snake_sorted, LoggingEngine, RoundRecord};
+pub use verify::{network_sort_checked, LoggingEngine, RoundRecord};
 pub use vertical::{
     pack_zero_one_masks, pack_zero_one_masks_into, unpack_zero_one_lane, unpack_zero_one_lane_into,
     VerticalPool, VerticalProgram, VerticalScratch, VERTICAL_MIN_LANES, WORD_LANES,

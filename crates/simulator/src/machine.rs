@@ -5,11 +5,11 @@ use crate::bsp::{BspMachine, CompiledProgram};
 use crate::cache::ProgramCache;
 use crate::cost::CostModel;
 use crate::engine::{ChargedEngine, ExecutedEngine};
-use crate::kernel::{ExecScratch, KernelProgram, ScratchPool};
+use crate::kernel::{ExecScratch, KernelProgram};
 use crate::netsort::{is_snake_sorted, network_sort, read_snake_order, NetSortOutcome};
 use crate::select::SorterChoice;
 use crate::sorters::Pg2Sorter;
-use crate::vertical::{VerticalPool, VerticalProgram, VERTICAL_MIN_LANES};
+use crate::vertical::{VerticalPool, VerticalProgram};
 use pns_graph::{Graph, LinearEmbedding};
 use pns_obs::{Event, EventLogger};
 use pns_order::radix::Shape;
@@ -71,6 +71,36 @@ impl fmt::Display for SortError {
 }
 
 impl std::error::Error for SortError {}
+
+/// Check that the algorithm can sort on `factor^r`: a connected factor
+/// of at least two nodes, and `r ≥ 2`. Every [`Machine`] constructor
+/// panics with the message, and the service's shape registration
+/// returns it as a typed error.
+///
+/// # Errors
+///
+/// `"factor graph must be connected"` for a disconnected factor,
+/// `"factor graph needs at least two nodes"` for a factor of fewer than
+/// two nodes, and `"product needs at least two dimensions"` for
+/// `r < 2`, checked in that order.
+pub fn check_shape(factor: &Graph, r: usize) -> Result<(), &'static str> {
+    if !pns_graph::is_connected(factor) {
+        Err("factor graph must be connected")
+    } else if factor.n() < 2 {
+        Err("factor graph needs at least two nodes")
+    } else if r < 2 {
+        Err("product needs at least two dimensions")
+    } else {
+        Ok(())
+    }
+}
+
+/// [`check_shape`], panicking with its message.
+fn assert_shape(factor: &Graph, r: usize) {
+    if let Err(message) = check_shape(factor, r) {
+        panic!("{message}");
+    }
+}
 
 enum EngineKind {
     Charged(ChargedEngine),
@@ -143,9 +173,14 @@ pub struct Machine {
 
 impl Machine {
     /// A machine with the paper's charged cost accounting.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`check_shape`]'s message if the algorithm cannot
+    /// sort on `factor^r`.
     #[must_use]
     pub fn charged(factor: &Graph, r: usize, cost: CostModel) -> Self {
-        assert!(pns_graph::is_connected(factor), "factor must be connected");
+        assert_shape(factor, r);
         Machine {
             shape: Shape::new(factor.n(), r),
             factor_name: factor.name().into(),
@@ -155,9 +190,14 @@ impl Machine {
 
     /// A machine that executes real comparator programs and real factor
     /// routing, counting actual steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`check_shape`]'s message if the algorithm cannot
+    /// sort on `factor^r`.
     #[must_use]
     pub fn executed(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) -> Self {
-        assert!(pns_graph::is_connected(factor), "factor must be connected");
+        assert_shape(factor, r);
         let shape = Shape::new(factor.n(), r);
         Machine {
             shape,
@@ -174,10 +214,15 @@ impl Machine {
     ///
     /// Sorts run through the serial kernel ([`BspMachine::run_kernel`])
     /// on the calling thread; batches ([`Machine::sort_batch`]) of
-    /// fewer than [`VERTICAL_MIN_LANES`] (4) lanes run through
-    /// [`BspMachine::run_kernel_batch`], and wider ones through the
-    /// column tier ([`BspMachine::run_vertical_batch`]). All are
-    /// bit-identical to serial BSP execution.
+    /// fewer than [`VERTICAL_MIN_LANES`](crate::VERTICAL_MIN_LANES) (4)
+    /// lanes run through [`BspMachine::run_kernel_batch`], and wider
+    /// ones through the column tier ([`BspMachine::run_vertical_batch`]).
+    /// All are bit-identical to serial BSP execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`check_shape`]'s message if the algorithm cannot
+    /// sort on `factor^r`, before anything is compiled.
     #[must_use]
     pub fn compiled(
         factor: &Graph,
@@ -185,6 +230,7 @@ impl Machine {
         sorter: &dyn Pg2Sorter,
         cache: &ProgramCache,
     ) -> Self {
+        assert_shape(factor, r);
         let (program, kernel, vertical) = cache.get_or_compile_vertical(factor, r, sorter);
         Machine::with_program(factor, r, sorter, program, kernel, vertical)
     }
@@ -193,6 +239,11 @@ impl Machine {
     /// [`SorterChoice`]. The resolved sorter's identity is part of the
     /// cache key, so machines built with different choices (or different
     /// auto-selected winners) never share programs.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`check_shape`]'s message if the algorithm cannot
+    /// sort on `factor^r`, before the sorter is resolved.
     #[must_use]
     pub fn compiled_with(
         factor: &Graph,
@@ -200,6 +251,7 @@ impl Machine {
         choice: SorterChoice,
         cache: &ProgramCache,
     ) -> Self {
+        assert_shape(factor, r);
         Machine::compiled(factor, r, choice.resolve(factor), cache)
     }
 
@@ -211,7 +263,6 @@ impl Machine {
         kernel: Arc<KernelProgram>,
         vertical: Arc<VerticalProgram>,
     ) -> Self {
-        assert!(pns_graph::is_connected(factor), "factor must be connected");
         let shape = Shape::new(factor.n(), r);
         assert_eq!(program.shape(), shape, "cached program shape mismatch");
         assert_eq!(kernel.shape(), shape, "cached kernel shape mismatch");
@@ -391,12 +442,14 @@ impl Machine {
     /// Sort many independent key vectors through this machine, returning
     /// one `Result` per lane in input order.
     ///
-    /// On a compiled machine ([`Machine::compiled`]) batches of at
-    /// least [`VERTICAL_MIN_LANES`] (4) valid lanes run the column tier
-    /// ([`BspMachine::run_vertical_batch`]): lanes are cut into even
-    /// blocks of at most 64, narrow enough for a block's keys to stay
-    /// in L2, and the blocks fan out one per core (a batch of one block
-    /// runs on the calling thread). Narrower batches run one lowered
+    /// On a compiled machine ([`Machine::compiled`]),
+    /// [`BspMachine::run_clean_batch`] picks the tier: batches of at
+    /// least [`VERTICAL_MIN_LANES`](crate::VERTICAL_MIN_LANES) (4) valid
+    /// lanes run the column tier ([`BspMachine::run_vertical_batch`]):
+    /// lanes are cut into even blocks of at most 64, narrow enough for
+    /// a block's keys to stay in L2, and the blocks fan out one per
+    /// core (a batch of one block runs on the calling thread).
+    /// Narrower batches run one lowered
     /// kernel per lane ([`BspMachine::run_kernel_batch`]), split into
     /// one contiguous chunk of lanes per core; the calling thread runs
     /// one chunk and a scoped thread each other. Other engine kinds
@@ -429,13 +482,8 @@ impl Machine {
                     }
                 }
                 if !good.is_empty() {
-                    if good.len() >= VERTICAL_MIN_LANES {
-                        let mut pool = VerticalPool::new();
-                        c.bsp.run_vertical_batch(&mut good, &c.vertical, &mut pool);
-                    } else {
-                        let mut pool = ScratchPool::new();
-                        c.bsp.run_kernel_batch(&mut good, &c.kernel, &mut pool);
-                    }
+                    c.bsp
+                        .run_clean_batch(&mut good, &c.vertical, &mut VerticalPool::new());
                     // Every vector is charged the full logical unit cost,
                     // so the aggregated events cover the whole batch (=
                     // the sum of the returned reports' counters).

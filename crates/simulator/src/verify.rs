@@ -9,29 +9,15 @@
 //! instruments that never perturb the algorithm itself.
 
 use crate::engine::{Engine, Pg2Instance};
-use crate::enumerate::base_nodes;
-use crate::netsort::{network_merge, NetSortOutcome};
+use crate::netsort::{network_stage, NetSortOutcome};
 use pns_fault::detect::full_subgraph_certificate;
 use pns_order::radix::Shape;
 use pns_order::snake::snake_pos_of_node;
-use pns_order::Direction;
-
-/// `true` iff every subgraph spanned by dimensions `0 … k-1` (for each
-/// assignment of the remaining digits) is sorted in its own forward snake
-/// order: [`full_subgraph_certificate`], which the fault executors check.
-///
-/// # Panics
-///
-/// Panics if `k` is 0 or exceeds `shape.r()`, or if `keys` is not one
-/// key per node.
-#[must_use]
-pub fn subgraphs_snake_sorted<K: Ord>(shape: Shape, keys: &[K], k: usize) -> bool {
-    full_subgraph_certificate(shape, keys, k)
-}
 
 /// [`crate::netsort::network_sort`] with the inter-stage invariant
 /// asserted: after the initial stage and after every merge stage `k`, all
-/// `k`-dimensional subgraphs must be snake-sorted.
+/// `k`-dimensional subgraphs must be snake-sorted
+/// ([`full_subgraph_certificate`], which the fault executors check).
 ///
 /// # Panics
 ///
@@ -44,46 +30,17 @@ where
 {
     assert_eq!(keys.len() as u64, shape.len(), "one key per node");
     let r = shape.r();
-    assert!(r >= 2);
+    assert!(r >= 2, "the algorithm needs at least two dimensions");
     let mut out = NetSortOutcome::default();
     let dims: Vec<usize> = (0..r).collect();
-
-    // Stage 2 (initial PG_2 sorts) is itself a 2-dimensional merge.
-    stage2(shape, keys, engine, &mut out);
-    assert!(
-        subgraphs_snake_sorted(shape, keys, 2),
-        "invariant violated after stage 2"
-    );
-    for k in 3..=r {
-        network_merge(shape, keys, engine, &dims[..k], &mut out);
+    for k in 2..=r {
+        network_stage(shape, keys, engine, &dims[..k], &mut out);
         assert!(
-            subgraphs_snake_sorted(shape, keys, k),
+            full_subgraph_certificate(shape, keys, k),
             "invariant violated after stage {k}"
         );
     }
     out
-}
-
-fn stage2<K, E>(shape: Shape, keys: &mut [K], engine: &mut E, out: &mut NetSortOutcome)
-where
-    K: Ord + Clone,
-    E: Engine<K>,
-{
-    // One parallel ascending sort round over PG_2(dims 0,1) — identical
-    // to what network_sort does internally.
-    let offsets = crate::enumerate::pg2_offsets(shape, 0, 1);
-    let subgraphs: Vec<Pg2Instance> = base_nodes(shape, &[0, 1])
-        .into_iter()
-        .map(|base| Pg2Instance {
-            nodes: offsets.iter().map(|&o| base + o).collect(),
-            dir: Direction::Ascending,
-        })
-        .collect();
-    let steps = engine.sort_round(keys, &subgraphs);
-    out.counters.s2_units += 1;
-    out.counters.base_sorts += subgraphs.len() as u64;
-    out.sort_steps += steps;
-    out.steps += steps;
 }
 
 /// What one engine round did — captured by [`LoggingEngine`].
@@ -191,10 +148,10 @@ mod tests {
             keys
         };
         // Globally sorted ⇒ the full 3-dimensional invariant holds …
-        assert!(subgraphs_snake_sorted(shape, &global_sorted, 3));
+        assert!(full_subgraph_certificate(shape, &global_sorted, 3));
         // … but NOT the 2-dimensional one: odd dim-3 slices run backwards
         // in their own forward frame (that is what snake order means).
-        assert!(!subgraphs_snake_sorted(shape, &global_sorted, 2));
+        assert!(!full_subgraph_certificate(shape, &global_sorted, 2));
 
         // A stage-2-like configuration: every PG_2 subgraph ascending in
         // its own forward snake order.
@@ -207,10 +164,10 @@ mod tests {
                 stage2[node as usize] = u * 9 + pos;
             }
         }
-        assert!(subgraphs_snake_sorted(shape, &stage2, 2));
+        assert!(full_subgraph_certificate(shape, &stage2, 2));
         let mut broken = stage2;
         broken.swap(0, 1);
-        assert!(!subgraphs_snake_sorted(shape, &broken, 2));
+        assert!(!full_subgraph_certificate(shape, &broken, 2));
     }
 
     #[test]

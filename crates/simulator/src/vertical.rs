@@ -40,7 +40,7 @@ use pns_obs::{Event, SpanClass, Stage, Tier, SORT_OBS_MIN_OPS};
 use pns_order::radix::Shape;
 
 use crate::bsp::BspMachine;
-use crate::kernel::{exec_table, Bits, KernelProgram, Keys};
+use crate::kernel::{exec_table, Bits, KernelProgram, Keys, ScratchPool};
 
 /// Lanes per machine word: the widest block the vertical layout packs
 /// into one `u64` of data bits. For the column tier it is an upper
@@ -48,9 +48,10 @@ use crate::kernel::{exec_table, Bits, KernelProgram, Keys};
 /// key columns would not fit its cache budget.
 pub const WORD_LANES: usize = 64;
 
-/// Batch size at which [`crate::machine::Machine::sort_batch`] and the
-/// service's clean rung switch from the per-lane kernel tier to the
-/// column tier: the measured crossover. Per lane on one thread, the
+/// Batch size at which [`BspMachine::run_clean_batch`], behind
+/// [`crate::machine::Machine::sort_batch`] and the service's clean
+/// rung, switches from the per-lane kernel tier to the column tier:
+/// the measured crossover. Per lane on one thread, the
 /// column loop costs 91–93 µs at 1 lane and 65–68 µs at 2 on
 /// `complete_binary_tree(3)^3`, against 54–60 µs for the kernel; it
 /// ties or wins at 3 lanes, and from 4 lanes on the column tier is
@@ -447,6 +448,35 @@ impl BspMachine {
                 .for_each(|b| exec_cols_block(b.lanes, kernel, b.scratch));
         }
         kernel.rounds() as u64
+    }
+
+    /// Sort a clean batch on the tier its width calls for: the column
+    /// tier ([`BspMachine::run_vertical_batch`]) from
+    /// [`VERTICAL_MIN_LANES`] lanes, and below that the kernel batch
+    /// ([`BspMachine::run_kernel_batch`]) on `vertical`'s kernel. Both
+    /// are bit-identical to per-lane [`BspMachine::run`]. Returns the
+    /// tier that ran, [`Tier::Vertical`] or [`Tier::Kernel`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program was lowered for another shape or any
+    /// vector is not one key per node.
+    pub fn run_clean_batch<K>(
+        &self,
+        batch: &mut [Vec<K>],
+        vertical: &VerticalProgram,
+        pool: &mut VerticalPool<K>,
+    ) -> Tier
+    where
+        K: Ord + Clone + Send + Sync,
+    {
+        if batch.len() >= VERTICAL_MIN_LANES {
+            self.run_vertical_batch(batch, vertical, pool);
+            Tier::Vertical
+        } else {
+            self.run_kernel_batch(batch, vertical.kernel(), &mut ScratchPool::new());
+            Tier::Kernel
+        }
     }
 }
 

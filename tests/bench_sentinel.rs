@@ -1,5 +1,5 @@
 //! The perf-regression sentinel's embedded fixtures (what
-//! `bench_compare --self-check` runs): it must flag a synthetic 20%
+//! `pns-bench compare --self-check` runs): it must flag a synthetic 20%
 //! regression in both metric directions, stay quiet on identical
 //! artifacts, and reject malformed input, or the nightly gate could
 //! rot without anyone seeing it.

@@ -1,11 +1,13 @@
 //! Cross-crate integration: the simulator machines, the sequence-level
 //! algorithm, and plain sorting must all agree, on every Section 5
-//! network family.
+//! network family; the charged and executed machines' checked sorts,
+//! which assert the inter-stage invariant, agree with their plain
+//! ones.
 
 use product_sort::algo::{multiway_merge_sort, StdBaseSorter};
 use product_sort::graph::{factories, Graph};
 use product_sort::sim::{
-    CostModel, Hypercube2Sorter, Machine, OetSnakeSorter, Pg2Sorter, ShearSorter,
+    CostModel, Hypercube2Sorter, Machine, OetSnakeSorter, Pg2Sorter, ShearSorter, SortReport,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,13 +17,27 @@ fn random_keys(len: u64, seed: u64) -> Vec<u64> {
     (0..len).map(|_| rng.random_range(0..10_000)).collect()
 }
 
+/// Sort `keys` through `sort` and through `sort_checked`, which asserts
+/// the inter-stage invariant: both must land the same keys with the
+/// same outcome.
+fn sort_both_ways(machine: &mut Machine, keys: Vec<u64>) -> SortReport<u64> {
+    let checked = machine.sort_checked(keys.clone()).expect("key count");
+    let report = machine.sort(keys).expect("key count");
+    assert_eq!(checked.keys, report.keys, "sort_checked lands other keys");
+    assert_eq!(
+        checked.outcome, report.outcome,
+        "sort_checked reports another outcome"
+    );
+    report
+}
+
 fn check_charged(factor: &Graph, r: usize, model: CostModel, seed: u64) {
     let mut machine = Machine::charged(factor, r, model.clone());
     let len = (factor.n() as u64).pow(r as u32);
     let keys = random_keys(len, seed);
     let mut expect = keys.clone();
     expect.sort_unstable();
-    let report = machine.sort(keys).expect("key count");
+    let report = sort_both_ways(&mut machine, keys);
     assert!(report.is_snake_sorted(), "{factor:?} r={r}");
     assert_eq!(
         report.steps(),
@@ -63,7 +79,7 @@ fn check_executed(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter, seed: u64) {
     let keys = random_keys(len, seed);
     let mut expect = keys.clone();
     expect.sort_unstable();
-    let report = machine.sort(keys).expect("key count");
+    let report = sort_both_ways(&mut machine, keys);
     assert!(report.is_snake_sorted(), "{factor:?} r={r}");
     assert_eq!(report.into_sorted_vec(), expect, "{factor:?} r={r}");
 }

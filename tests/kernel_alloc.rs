@@ -7,52 +7,19 @@
 //! sorts the caller's vector in place and shares the factor name with
 //! its report.
 //!
-//! The proof is a counting `#[global_allocator]` wrapping the system
-//! allocator. It counts per thread: `run_kernel` and a warm
-//! `Machine::sort` both run on the calling thread, so the test thread's
-//! count is exactly theirs, and an allocation on another thread (the
-//! test harness's own, say) cannot enter it.
+//! The proof is the counting `#[global_allocator]` that `pns-bench`
+//! installs too ([`pns_bench::counting_alloc`]). It counts per thread:
+//! `run_kernel` and a warm `Machine::sort` both run on the calling
+//! thread, so the test thread's count is exactly theirs, and an
+//! allocation on another thread (the test harness's own, say) cannot
+//! enter it.
 
+use pns_bench::counting_alloc::{allocations, CountingAlloc};
 use product_sort::graph::factories;
 use product_sort::sim::{compile, BspMachine, ExecScratch, Machine, ProgramCache, ShearSorter};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAlloc;
-
-thread_local! {
-    /// Allocations made on this thread. `const`-initialised and without
-    /// drop glue, so reading it never allocates and never fails.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    ALLOCATIONS.with(|n| n.set(n.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations made so far on the calling thread.
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
 
 fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
     let mut state = seed | 1;

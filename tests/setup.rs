@@ -1,8 +1,9 @@
 //! Cold set-up contracts of the two entry points: a compiled `Machine`
 //! reports the algorithm's logical unit counters, a service turns an
-//! unusable shape away with a typed error instead of a panic, and a
-//! `Machine` built over a service builder's program cache shares the
-//! service's compiled program.
+//! unusable shape away with a typed error instead of a panic, every
+//! `Machine` constructor refuses the same shapes with the same message,
+//! and a `Machine` built over a service builder's program cache shares
+//! the service's compiled program.
 
 use product_sort::graph::{factories, Graph};
 use product_sort::order::radix::Shape;
@@ -124,6 +125,64 @@ fn registering_an_unusable_shape_is_a_typed_error() {
             "factor={} r={r}",
             factor.name()
         );
+    }
+}
+
+#[test]
+fn every_machine_constructor_refuses_an_unusable_shape() {
+    let split = Graph::from_edges(4, &[(0, 1), (2, 3)]);
+    let few_dims = "product needs at least two dimensions";
+    let cases = [
+        (split, 2, "factor graph must be connected"),
+        (
+            factories::path(1),
+            2,
+            "factor graph needs at least two nodes",
+        ),
+        (factories::path(3), 0, few_dims),
+        (factories::path(3), 1, few_dims),
+    ];
+    type Build = fn(&Graph, usize);
+    let constructors: [(&str, Build); 4] = [
+        ("charged", |factor, r| {
+            drop(Machine::charged(factor, r, CostModel::paper_grid(3)));
+        }),
+        ("executed", |factor, r| {
+            drop(Machine::executed(factor, r, &ShearSorter));
+        }),
+        ("compiled", |factor, r| {
+            drop(Machine::compiled(
+                factor,
+                r,
+                &ShearSorter,
+                &ProgramCache::new(),
+            ));
+        }),
+        ("compiled_with", |factor, r| {
+            let cache = ProgramCache::new();
+            drop(Machine::compiled_with(
+                factor,
+                r,
+                SorterChoice::Auto,
+                &cache,
+            ));
+        }),
+    ];
+    for (constructor, build) in constructors {
+        for (factor, r, message) in &cases {
+            let payload = std::panic::catch_unwind(|| build(factor, *r))
+                .expect_err("an unusable shape must not build a machine");
+            let got = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied());
+            assert_eq!(
+                got,
+                Some(*message),
+                "{constructor} factor={} r={r}",
+                factor.name()
+            );
+        }
     }
 }
 
