@@ -19,9 +19,9 @@
 //! `tier`, `factor`, `r` — whichever are present, joined in that
 //! order), so reordering rows in a regenerated artifact is harmless.
 //!
-//! The vendored `serde_json` deliberately keeps its `Value` tree
-//! private, so this module carries its own parser for the one JSON
-//! shape the artifacts use: an array of flat objects with string,
+//! Artifacts are read through the vendored `serde_json`, whose
+//! `serde::Value` tree [`parse_rows`] maps to [`Row`]s: the one JSON
+//! shape the artifacts use is an array of flat objects with string,
 //! number, boolean, or null fields. Anything nested is a schema error.
 //!
 //! `pns-bench compare` drives [`compare_json`] over a baseline
@@ -31,6 +31,7 @@
 //! hosts are noisy; deterministic metrics like allocation counts
 //! regress through the same gate.
 
+use serde::Value;
 use std::fmt;
 
 /// Relative worsening above which a metric counts as a regression.
@@ -244,196 +245,58 @@ fn compare_row(id: &str, base: &Row, cur: &Row, threshold: f64, out: &mut Compar
 }
 
 // ---------------------------------------------------------------------
-// Minimal parser: an array of flat objects with scalar fields.
+// Reading artifacts: an array of flat objects with scalar fields.
 // ---------------------------------------------------------------------
+
+impl serde::Deserialize for Field {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(match v {
+            Value::Null => Field::Null,
+            Value::Bool(b) => Field::Bool(*b),
+            Value::U64(x) => Field::Num(*x as f64),
+            Value::I64(x) => Field::Num(*x as f64),
+            Value::F64(x) => Field::Num(*x),
+            Value::Str(s) => Field::Text(s.clone()),
+            Value::Seq(_) | Value::Map(_) => {
+                return Err(serde::Error::msg(
+                    "nested values are not a flat benchmark row",
+                ))
+            }
+        })
+    }
+}
+
+/// An artifact's rows: a sequence of maps, each field a [`Field`].
+struct Rows(Vec<Row>);
+
+impl serde::Deserialize for Rows {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let Value::Seq(rows) = v else {
+            return Err(serde::Error::msg("an artifact is an array of rows"));
+        };
+        let row = |row: &Value| match row {
+            Value::Map(fields) => fields
+                .iter()
+                .map(|(name, v)| Ok((name.clone(), Field::from_value(v)?)))
+                .collect(),
+            _ => Err(serde::Error::msg("a benchmark row is an object")),
+        };
+        rows.iter().map(row).collect::<Result<_, _>>().map(Rows)
+    }
+}
 
 /// Parse an artifact: a JSON array of flat objects whose values are
 /// strings, numbers, booleans, or null.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first offending byte offset on any
-/// deviation from that shape (including nested arrays or objects).
+/// Returns a message on malformed JSON (naming the byte offset), on
+/// trailing data, and on any deviation from that shape (including
+/// nested arrays or objects).
 pub fn parse_rows(src: &str) -> Result<Vec<Row>, String> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'[')?;
-    let mut rows = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b']') {
-        p.pos += 1;
-    } else {
-        loop {
-            rows.push(p.object()?);
-            p.skip_ws();
-            match p.next_byte()? {
-                b',' => p.skip_ws(),
-                b']' => break,
-                c => return Err(p.fail(&format!("expected ',' or ']', got '{}'", c as char))),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.fail("trailing data after the array"));
-    }
-    Ok(rows)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn fail(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next_byte(&mut self) -> Result<u8, String> {
-        let b = self.peek().ok_or_else(|| self.fail("unexpected end"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next_byte()? {
-            b if b == want => Ok(()),
-            b => {
-                self.pos -= 1;
-                Err(self.fail(&format!("expected '{}', got '{}'", want as char, b as char)))
-            }
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn object(&mut self) -> Result<Row, String> {
-        self.expect(b'{')?;
-        let mut row = Row::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(row);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.scalar()?;
-            row.push((key, value));
-            self.skip_ws();
-            match self.next_byte()? {
-                b',' => {}
-                b'}' => break,
-                c => return Err(self.fail(&format!("expected ',' or '}}', got '{}'", c as char))),
-            }
-        }
-        Ok(row)
-    }
-
-    fn scalar(&mut self) -> Result<Field, String> {
-        match self.peek().ok_or_else(|| self.fail("unexpected end"))? {
-            b'"' => Ok(Field::Text(self.string()?)),
-            b't' => self.literal("true", Field::Bool(true)),
-            b'f' => self.literal("false", Field::Bool(false)),
-            b'n' => self.literal("null", Field::Null),
-            b'{' | b'[' => Err(self.fail("nested values are not a flat benchmark row")),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Field) -> Result<Field, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.fail(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Field, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        text.parse::<f64>()
-            .map(Field::Num)
-            .map_err(|_| self.fail(&format!("bad number '{text}'")))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next_byte()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.next_byte()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = self
-                            .bytes
-                            .get(self.pos..self.pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| self.fail("truncated \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| self.fail("bad \\u escape"))?;
-                        self.pos += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    c => return Err(self.fail(&format!("bad escape '\\{}'", c as char))),
-                },
-                c => {
-                    // Multi-byte UTF-8: copy the raw bytes through.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let width = utf8_width(c);
-                        let chunk = self
-                            .bytes
-                            .get(start..start + width)
-                            .and_then(|s| std::str::from_utf8(s).ok())
-                            .ok_or_else(|| self.fail("invalid UTF-8"))?;
-                        out.push_str(chunk);
-                        self.pos = start + width;
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
+    serde_json::from_str::<Rows>(src)
+        .map(|rows| rows.0)
+        .map_err(|e| e.to_string())
 }
 
 /// The embedded fixtures behind `pns-bench compare --self-check`: prove

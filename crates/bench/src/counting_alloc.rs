@@ -64,3 +64,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 pub fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
+
+/// The missed bar an allocation audit reports when [`allocations`] does
+/// not count on this thread: a known allocation must move it, or every
+/// zero delta the audit reads proves nothing.
+#[must_use]
+pub fn probe_miss() -> Option<String> {
+    let before = allocations();
+    drop(std::hint::black_box(Vec::<u64>::with_capacity(1)));
+    (allocations() == before)
+        .then(|| "allocation probe: a known allocation left the count unmoved".to_owned())
+}

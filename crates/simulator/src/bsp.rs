@@ -11,7 +11,8 @@
 //!   factors where compare partners are up to three hops apart);
 //! * every operation in a round moves data across **one edge** of the
 //!   product network or is node-local; the machine *verifies* adjacency
-//!   and slot discipline at execution time and panics on violations.
+//!   and slot discipline before it executes a program, with the check
+//!   [`BspMachine::try_validate`] runs, and panics on violations.
 //!
 //! Because the sorting algorithm is oblivious, its schedule can be
 //! compiled once ([`compile`]) — by replaying the round-level algorithm
@@ -23,6 +24,7 @@ use crate::engine::{Engine, Pg2Instance};
 use crate::netsort::{network_stage, NetSortOutcome};
 use crate::sorters::Pg2Sorter;
 use pns_core::Counters;
+use pns_fault::FaultKind;
 use pns_graph::Graph;
 use pns_obs::{Event, EventLogger, SpanClass, Stage, Tier, ROUND_OBS_MIN_OPS};
 use pns_order::radix::Shape;
@@ -457,9 +459,8 @@ fn fuse_disjoint_rounds(
 
 /// A machine-model violation found by static validation
 /// ([`BspMachine::try_validate`]): which round broke which rule, as
-/// typed data. `Display` renders the exact diagnostic the panicking
-/// paths use, so wrapping an error in `panic!("{e}")` is
-/// message-compatible with the historical asserts.
+/// typed data. `Display` renders the diagnostic [`BspMachine::run`]
+/// panics with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProgramError {
     /// The program was compiled for a different [`Shape`].
@@ -805,36 +806,28 @@ impl BspMachine {
         self.logger = logger;
     }
 
-    /// Execute a compiled program on `keys` (one per node, by rank).
-    /// Returns the number of rounds executed (= `program.rounds()`).
+    /// Execute a compiled program on `keys` (one per node, by rank): the
+    /// oracle every other tier is held to. It runs
+    /// [`BspMachine::try_validate`]'s check, then replays the program
+    /// round by round through the one op replay the fault executors
+    /// share. Returns the number of rounds executed
+    /// (= `program.rounds()`).
     ///
     /// # Panics
     ///
-    /// Panics on any machine-model violation: non-adjacent operation,
-    /// edge used twice in one direction in a round, node key or transit
-    /// slot accessed twice in a round, move into an occupied slot,
-    /// resolve of an empty slot, or leftover transit values at the end.
+    /// Panics with the [`ProgramError`]'s message on any machine-model
+    /// violation [`BspMachine::try_validate`] reports (a non-adjacent
+    /// operation, an edge, key or transit slot used twice in a round, a
+    /// key read and written in one round, a move into an occupied slot,
+    /// a take from an empty one, values left in transit, a bad
+    /// certificate point), and if `keys` is not one per node.
     pub fn run<K: Ord + Clone>(&self, keys: &mut [K], program: &CompiledProgram) -> u64 {
-        assert_eq!(
-            program.shape, self.shape,
-            "program compiled for another shape"
-        );
-        assert_eq!(keys.len() as u64, self.shape.len(), "one key per node");
         let _sort_span = self.logger.span(Tier::Serial, Stage::Sort, SpanClass::None);
-        let n_nodes = keys.len();
-        let mut transit: Vec<[Option<K>; 2]> = vec![[None, None]; n_nodes];
-        // Per-round discipline tracking, allocated once: as in
-        // `try_validate`, an entry is in the round's set iff it holds the
-        // round's epoch. Slots are indexed `2·node + slot`, edges by
-        // their directed-edge ids.
-        let mut key_touched = vec![0u32; n_nodes];
-        let mut slot_written = vec![0u32; 2 * n_nodes];
-        let mut edge_used = vec![0u32; self.network.edge_id_count()];
-        let mut epoch = 0u32;
-        // Reads of transit slots happen against the *previous* round's
-        // state: buffer incoming values and commit after the round.
-        let mut incoming: Vec<(u64, u8, K)> = Vec::new();
-
+        if let Err(e) = self.check(program) {
+            panic!("{e}");
+        }
+        assert_eq!(keys.len() as u64, self.shape.len(), "one key per node");
+        let mut transit = Transit::new(keys.len());
         for (ri, round) in program.round_ops().iter().enumerate() {
             self.logger.log(|| Event::RoundStart {
                 round: ri as u64,
@@ -847,127 +840,27 @@ impl BspMachine {
                 Stage::Round,
                 SpanClass::None,
             );
-            epoch = epoch.checked_add(1).unwrap_or_else(|| {
-                for set in [&mut key_touched, &mut slot_written, &mut edge_used] {
-                    set.fill(0);
-                }
-                1
-            });
-
-            let touch_key = |v: u64, key_touched: &mut [u32]| {
-                assert!(
-                    stamp(key_touched, v as usize, epoch),
-                    "round {ri}: node {v} key accessed twice"
-                );
-            };
-
-            for op in round {
-                match *op {
-                    Op::CompareExchange { a, b, min_to_a } => {
-                        let Some((ab, ba)) = self.network.edge_ids(a, b) else {
-                            panic!("round {ri}: compare-exchange ({a},{b}) is not an edge");
-                        };
-                        for (x, y, edge) in [(a, b, ab), (b, a, ba)] {
-                            assert!(
-                                stamp(&mut edge_used, edge, epoch),
-                                "round {ri}: edge ({x}->{y}) used twice"
-                            );
-                        }
-                        touch_key(a, &mut key_touched);
-                        touch_key(b, &mut key_touched);
-                        let (ai, bi) = (a as usize, b as usize);
-                        if swaps(&keys[ai], &keys[bi], min_to_a) {
-                            keys.swap(ai, bi);
-                        }
-                    }
-                    Op::Move {
-                        from,
-                        to,
-                        slot,
-                        from_key,
-                    } => {
-                        assert!(slot < 2, "round {ri}: bad slot {slot}");
-                        let Some((edge, _)) = self.network.edge_ids(from, to) else {
-                            panic!("round {ri}: move ({from}->{to}) is not an edge");
-                        };
-                        assert!(
-                            stamp(&mut edge_used, edge, epoch),
-                            "round {ri}: edge ({from}->{to}) used twice"
-                        );
-                        let payload = if from_key {
-                            keys[from as usize].clone()
-                        } else {
-                            transit[from as usize][slot as usize]
-                                .take()
-                                .unwrap_or_else(|| {
-                                    panic!("round {ri}: node {from} slot {slot} empty")
-                                })
-                        };
-                        assert!(
-                            stamp(&mut slot_written, 2 * to as usize + slot as usize, epoch),
-                            "round {ri}: node {to} slot {slot} written twice"
-                        );
-                        incoming.push((to, slot, payload));
-                    }
-                    Op::Resolve {
-                        node,
-                        slot,
-                        keep_min,
-                    } => {
-                        assert!(slot < 2, "round {ri}: bad slot {slot}");
-                        touch_key(node, &mut key_touched);
-                        let arrived =
-                            transit[node as usize][slot as usize]
-                                .take()
-                                .unwrap_or_else(|| {
-                                    panic!("round {ri}: resolve of empty slot {slot} at {node}")
-                                });
-                        let resident = &mut keys[node as usize];
-                        let keep_arrived = if keep_min {
-                            arrived < *resident
-                        } else {
-                            arrived > *resident
-                        };
-                        if keep_arrived {
-                            *resident = arrived;
-                        }
-                    }
-                }
-            }
-            // Commit moves.
-            for (to, slot, payload) in incoming.drain(..) {
-                let dst = &mut transit[to as usize][slot as usize];
-                assert!(
-                    dst.is_none(),
-                    "round {ri}: node {to} slot {slot} still occupied"
-                );
-                *dst = Some(payload);
-            }
+            transit.round(keys, round, |_, _| None);
             self.logger.log(|| Event::RoundEnd { round: ri as u64 });
         }
-        assert!(
-            transit.iter().all(|t| t[0].is_none() && t[1].is_none()),
-            "transit values left in flight after the program ended"
-        );
         program.rounds() as u64
     }
 
     /// Statically validate a program against this machine — without any
-    /// keys. The schedule is input-independent, so **everything**
-    /// [`BspMachine::run`] checks during execution can be checked here
-    /// once: adjacency, per-round edge/key/slot discipline, and transit
+    /// keys: adjacency, per-round edge/key/slot discipline, and transit
     /// occupancy across rounds (every take finds a value, every write
     /// finds a free slot, nothing is left in flight at the end). `Ok`
     /// carries a [`ValidationReport`], `Err` the first violation found
     /// as a [`ProgramError`] naming the round and the resource. Emits
-    /// the `Validate` event on success only.
+    /// the `Validate` event on success only. [`BspMachine::run`] runs
+    /// the same check before it executes and panics where this returns
+    /// `Err`.
     ///
-    /// This also enforces one condition `run` does not need: within a
-    /// round, no resident key may be both read (by a [`Op::Move`] first
-    /// hop) and written (by a compare-exchange or resolve). Rounds with
-    /// that property execute identically whether ops run in order or
-    /// all read the start-of-round state: the relay pairing of
-    /// [`BspMachine::lower`] relies on it. [`compile`] and
+    /// Within a round, no resident key may be both read (by a
+    /// [`Op::Move`] first hop) and written (by a compare-exchange or
+    /// resolve). Rounds with that property execute identically whether
+    /// ops run in order or all read the start-of-round state: the relay
+    /// pairing of [`BspMachine::lower`] relies on it. [`compile`] and
     /// [`CompiledProgram::optimized`] never produce such rounds.
     ///
     /// Linear in the program's op count: each op's edge test costs a few
@@ -992,6 +885,24 @@ impl BspMachine {
         &self,
         program: &CompiledProgram,
     ) -> Result<ValidationReport, ProgramError> {
+        self.check(program)?;
+        self.logger.log(|| {
+            let stats = program.stats();
+            Event::Validate {
+                rounds: program.rounds() as u64,
+                elided_cx: stats.compare_exchanges_elided,
+                fused: stats.rounds_fused,
+            }
+        });
+        Ok(ValidationReport {
+            rounds: program.rounds(),
+            ops: program.op_count(),
+            cert_points: program.cert_points.len(),
+        })
+    }
+
+    /// [`BspMachine::try_validate`]'s check, which logs nothing.
+    fn check(&self, program: &CompiledProgram) -> Result<(), ProgramError> {
         if program.shape != self.shape {
             return Err(ProgramError::ShapeMismatch);
         }
@@ -1180,19 +1091,7 @@ impl BspMachine {
         if in_flight > 0 {
             return Err(ProgramError::TransitLeftover);
         }
-        self.logger.log(|| {
-            let stats = program.stats();
-            Event::Validate {
-                rounds: program.rounds() as u64,
-                elided_cx: stats.compare_exchanges_elided,
-                fused: stats.rounds_fused,
-            }
-        });
-        Ok(ValidationReport {
-            rounds: program.rounds(),
-            ops: program.op_count(),
-            cert_points: program.cert_points.len(),
-        })
+        Ok(())
     }
 }
 
@@ -1205,6 +1104,113 @@ pub(crate) fn swaps<K: Ord>(x: &K, y: &K, min_to_a: bool) -> bool {
         x > y
     } else {
         x < y
+    }
+}
+
+/// Apply one op, under `fault` if one fired at it: the machine's op
+/// semantics. A fault inverts a compare-exchange's swap decision
+/// ([`FaultKind::FlipCompare`]), makes a move deliver a stale copy of
+/// the receiver's own key ([`FaultKind::DropRoute`]), or makes a resolve
+/// keep the resident key ([`FaultKind::StallResolve`]); the transit
+/// occupancy schedule is the same either way.
+fn apply_op<K: Ord + Clone>(
+    op: &Op,
+    fault: Option<FaultKind>,
+    keys: &mut [K],
+    transit: &mut [[Option<K>; 2]],
+    incoming: &mut Vec<(usize, usize, K)>,
+) {
+    match *op {
+        Op::CompareExchange { a, b, min_to_a } => {
+            let (ai, bi) = (a as usize, b as usize);
+            if swaps(&keys[ai], &keys[bi], min_to_a) != fault.is_some() {
+                keys.swap(ai, bi);
+            }
+        }
+        Op::Move {
+            from,
+            to,
+            slot,
+            from_key,
+        } => {
+            let (fi, si) = (from as usize, slot as usize);
+            // The source slot is consumed even when the payload is
+            // dropped — the wire fired, the message was lost.
+            let payload = if from_key {
+                keys[fi].clone()
+            } else {
+                transit[fi][si].take().expect("validated: slot occupied")
+            };
+            let payload = if fault.is_some() {
+                keys[to as usize].clone()
+            } else {
+                payload
+            };
+            incoming.push((to as usize, si, payload));
+        }
+        Op::Resolve {
+            node,
+            slot,
+            keep_min,
+        } => {
+            let (ni, si) = (node as usize, slot as usize);
+            // The slot is cleared on schedule, stalled or not.
+            let arrived = transit[ni][si].take().expect("validated: slot occupied");
+            if fault.is_none() {
+                let resident = &mut keys[ni];
+                let keep_arrived = if keep_min {
+                    arrived < *resident
+                } else {
+                    arrived > *resident
+                };
+                if keep_arrived {
+                    *resident = arrived;
+                }
+            }
+        }
+    }
+}
+
+/// The transit slots and deferred-move buffer of an op-by-op replay:
+/// the state the machine model keeps beside the keys.
+pub(crate) struct Transit<K> {
+    slots: Vec<[Option<K>; 2]>,
+    incoming: Vec<(usize, usize, K)>,
+}
+
+impl<K: Ord + Clone> Transit<K> {
+    /// Empty slots for `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        Transit {
+            slots: vec![[None, None]; nodes],
+            incoming: Vec::new(),
+        }
+    }
+
+    /// Apply `round`'s ops in order through [`apply_op`], op `oi` under
+    /// the fault `fault(oi, op)` returns, then commit the round's moves,
+    /// so that moves read start-of-round transit state. Unchecked: the
+    /// program must pass [`BspMachine::try_validate`]. The crate's only
+    /// op-by-op replay: [`BspMachine::run`], the fault executors'
+    /// interpreted rounds (faulted, under a disabled plan, or in a
+    /// quarantine re-run) and the kernel's route replays all run here.
+    pub(crate) fn round(
+        &mut self,
+        keys: &mut [K],
+        round: &[Op],
+        mut fault: impl FnMut(usize, &Op) -> Option<FaultKind>,
+    ) {
+        for (oi, op) in round.iter().enumerate() {
+            apply_op(op, fault(oi, op), keys, &mut self.slots, &mut self.incoming);
+        }
+        for (to, slot, payload) in self.incoming.drain(..) {
+            self.slots[to][slot] = Some(payload);
+        }
+    }
+
+    /// Whether every slot is empty, as at every certificate boundary.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.iter().all(|t| t[0].is_none() && t[1].is_none())
     }
 }
 
@@ -1481,7 +1487,6 @@ fn emit_wave(wave: &[(Vec<u64>, bool)], rounds: &mut Vec<BspRound>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::Transit;
     use crate::netsort::network_sort;
     use crate::sorters::{Hypercube2Sorter, OetSnakeSorter, ShearSorter};
     use crate::{ExecutedEngine, Machine};
@@ -2235,9 +2240,18 @@ mod tests {
         machine.try_validate(&CompiledProgram::from_rounds(machine.shape(), rounds))
     }
 
+    /// The message `run` panics with on `program`, or `None` if it runs.
+    fn run_panic(machine: &BspMachine, program: &CompiledProgram) -> Option<String> {
+        let mut keys: Vec<u64> = (0..machine.shape().len()).collect();
+        let run = std::panic::AssertUnwindSafe(|| machine.run(&mut keys, program));
+        let payload = std::panic::catch_unwind(run).err()?;
+        payload.downcast_ref::<String>().cloned()
+    }
+
     #[test]
     fn try_validate_names_every_single_violation() {
         // Each program breaks exactly one rule; the rest of it is valid.
+        // `run` panics with the same diagnostic.
         let cases: Vec<(Vec<BspRound>, ProgramError)> = vec![
             (
                 vec![vec![mv(0, 2, 0, true)], vec![resolve(2, 0)]],
@@ -2319,11 +2333,18 @@ mod tests {
                 },
             ),
         ];
+        let machine = BspMachine::new(&factories::path(3), 2);
         for (rounds, expected) in cases {
             let context = format!("{rounds:?}");
+            let program = CompiledProgram::from_rounds(machine.shape(), rounds);
             assert_eq!(
-                validate_on_path3_squared(rounds),
-                Err(expected),
+                machine.try_validate(&program),
+                Err(expected.clone()),
+                "{context}"
+            );
+            assert_eq!(
+                run_panic(&machine, &program),
+                Some(expected.to_string()),
                 "{context}"
             );
         }

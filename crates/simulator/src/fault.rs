@@ -49,9 +49,11 @@
 //! round's flipped compare-exchanges; a list holding a
 //! [`FaultKind::DropRoute`] or [`FaultKind::StallResolve`] replays the
 //! segment's route rounds through transit slots; retries run clean, one
-//! pass per segment. Every op-by-op replay (the interpreter's rounds,
-//! clean or faulted, and the kernel's route replays) is one function,
-//! `Transit::round`.
+//! pass per segment. Every op-by-op replay (the oracle
+//! [`BspMachine::run`], the interpreter's rounds, clean or faulted, and
+//! the kernel's route replays) is one function, `Transit::round`, which
+//! `bsp.rs` defines beside the ops it applies; this module decides
+//! faults, checkpoints and retries.
 //!
 //! [`BspMachine::run_batch_with_faults`] runs the interpreter's loop
 //! lane by lane and adds graceful degradation: a lane that exhausts its
@@ -77,7 +79,7 @@ use pns_fault::{FaultKind, FaultPlan, FaultSite, OpClass, RetryPolicy};
 use pns_obs::{Event, SpanClass, Stage, Tier};
 use pns_order::radix::Shape;
 
-use crate::bsp::{swaps, BspMachine, CertPoint, CompiledProgram, Op, ProgramError};
+use crate::bsp::{BspMachine, CertPoint, CompiledProgram, Op, ProgramError, Transit};
 use crate::kernel::{exec_kernel, exec_table, ExecScratch, KernelProgram, Keys, RoundClass};
 use pns_core::RetryCounters;
 
@@ -278,73 +280,6 @@ fn multiset_fingerprint<K: Hash>(keys: &[K]) -> u64 {
     })
 }
 
-/// Apply one op under an (optional) fired fault. Semantics match
-/// [`BspMachine::run`]'s except at fired sites; the transit occupancy
-/// schedule is identical either way. Every op-by-op replay applies its
-/// ops here ([`Transit::round`]), so the interpreter's and the kernel's
-/// fault semantics cannot drift apart.
-fn apply_op_faulty<K: Ord + Clone>(
-    op: &Op,
-    fault: Option<FaultKind>,
-    keys: &mut [K],
-    transit: &mut [[Option<K>; 2]],
-    incoming: &mut Vec<(usize, usize, K)>,
-) {
-    match *op {
-        Op::CompareExchange { a, b, min_to_a } => {
-            // A flip inverts the swap decision.
-            let (ai, bi) = (a as usize, b as usize);
-            if swaps(&keys[ai], &keys[bi], min_to_a) != fault.is_some() {
-                keys.swap(ai, bi);
-            }
-        }
-        Op::Move {
-            from,
-            to,
-            slot,
-            from_key,
-        } => {
-            let (fi, si) = (from as usize, slot as usize);
-            // The source slot is consumed even when the payload is
-            // dropped — the wire fired, the message was lost.
-            let payload = if from_key {
-                keys[fi].clone()
-            } else {
-                transit[fi][si].take().expect("validated: slot occupied")
-            };
-            let payload = if fault.is_some() {
-                // Dropped in flight: the receiver's slot latches a
-                // stale copy of its own resident key.
-                keys[to as usize].clone()
-            } else {
-                payload
-            };
-            incoming.push((to as usize, si, payload));
-        }
-        Op::Resolve {
-            node,
-            slot,
-            keep_min,
-        } => {
-            let (ni, si) = (node as usize, slot as usize);
-            let arrived = transit[ni][si].take().expect("validated: slot occupied");
-            if fault.is_none() {
-                let resident = &mut keys[ni];
-                let keep_arrived = if keep_min {
-                    arrived < *resident
-                } else {
-                    arrived > *resident
-                };
-                if keep_arrived {
-                    *resident = arrived;
-                }
-            }
-            // Stalled: the arrived value is discarded, the resident
-            // key survives; the slot is still cleared on schedule.
-        }
-    }
-}
-
 /// The class of sites `op` is: what [`FaultPlan::decide`] is asked
 /// about it, on every path.
 fn op_class(op: &Op) -> OpClass {
@@ -355,51 +290,8 @@ fn op_class(op: &Op) -> OpClass {
     }
 }
 
-/// The transit slots and deferred-move buffer of an op-by-op replay:
-/// the state the machine model keeps beside the keys.
-pub(crate) struct Transit<K> {
-    slots: Vec<[Option<K>; 2]>,
-    incoming: Vec<(usize, usize, K)>,
-}
-
-impl<K: Ord + Clone> Transit<K> {
-    /// Empty slots for `nodes` nodes.
-    pub(crate) fn new(nodes: usize) -> Self {
-        Transit {
-            slots: vec![[None, None]; nodes],
-            incoming: Vec::new(),
-        }
-    }
-
-    /// Apply `round`'s ops in order through [`apply_op_faulty`], op `oi`
-    /// under the fault `fault(oi, op)` returns, then commit the round's
-    /// moves: moves read start-of-round transit state, as in
-    /// [`BspMachine::run`], unchecked. The crate's only op-by-op replay:
-    /// the interpreter's fault rounds, every clean interpreted run of
-    /// the fault executors (a disabled plan, a quarantine re-run) and
-    /// the kernel's route replays.
-    pub(crate) fn round(
-        &mut self,
-        keys: &mut [K],
-        round: &[Op],
-        mut fault: impl FnMut(usize, &Op) -> Option<FaultKind>,
-    ) {
-        for (oi, op) in round.iter().enumerate() {
-            apply_op_faulty(op, fault(oi, op), keys, &mut self.slots, &mut self.incoming);
-        }
-        for (to, slot, payload) in self.incoming.drain(..) {
-            self.slots[to][slot] = Some(payload);
-        }
-    }
-
-    /// Whether every slot is empty, as at every certificate boundary.
-    fn is_empty(&self) -> bool {
-        self.slots.iter().all(|t| t[0].is_none() && t[1].is_none())
-    }
-}
-
-/// Run a whole validated program on one key vector, fault-free and
-/// unchecked, one round after another.
+/// Run a whole validated program on one key vector, fault-free: the
+/// replay of [`BspMachine::run`], without its check and its events.
 fn exec_program<K: Ord + Clone>(keys: &mut [K], program: &CompiledProgram) {
     let mut transit = Transit::new(keys.len());
     for round in program.round_ops() {

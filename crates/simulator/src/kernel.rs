@@ -42,9 +42,10 @@
 //!   faults and to find the keys a flip strikes, and replays a route
 //!   round's ops only in a segment where a route drops or a resolve
 //!   stalls; the chunked parallel path splits compare rounds' ops.
-//!   Relays, and the transit slots they travel through, stay with those
-//!   replays and with the oracle [`BspMachine::run`], which keeps the
-//!   paper's step counts.
+//!   Relays, and the transit slots they travel through, stay with the
+//!   one op replay in `bsp.rs`, which those replays share with the
+//!   oracle [`BspMachine::run`], the tier that keeps the paper's step
+//!   counts.
 //! * **Empty rounds**, and rounds the pruning empties, keep their class
 //!   and an empty run-table span, so kernel round indices map 1:1 to
 //!   `CompiledProgram` round indices; `CertPoint` boundaries, reported

@@ -2,7 +2,8 @@
 //! list is out of order, runs past the program's end, names a
 //! dimensionality outside `1..=r`, or sits at a boundary with values in
 //! transit gets a typed `BadCertPoint` from `try_validate`, `lower` and
-//! `run_with_faults`, and no executor segments it or panics.
+//! `run_with_faults`, and no executor segments it. The oracle `run`
+//! panics with the same diagnostic.
 
 use product_sort::graph::{factories, Graph};
 use product_sort::sim::{
@@ -23,7 +24,8 @@ fn with_certs(program: &CompiledProgram, certs: &[(u64, u32)]) -> CompiledProgra
     serde_json::from_str(&edited).expect("deserialize")
 }
 
-/// Every entry point that validates reports `want` for `bad`.
+/// Every entry point that validates reports `want` for `bad`, and `run`
+/// panics with its message.
 fn assert_rejected(machine: &BspMachine, bad: &CompiledProgram, want: &ProgramError, ctx: &str) {
     assert_eq!(
         machine.try_validate(bad).err().as_ref(),
@@ -51,6 +53,13 @@ fn assert_rejected(machine: &BspMachine, bad: &CompiledProgram, want: &ProgramEr
         got.err(),
         Some(FaultError::Invalid(want.clone())),
         "{ctx}: run_with_faults"
+    );
+    let run = std::panic::AssertUnwindSafe(|| machine.run(&mut keys, bad));
+    let payload = std::panic::catch_unwind(run).expect_err("run must refuse the program");
+    assert_eq!(
+        payload.downcast_ref::<String>(),
+        Some(&want.to_string()),
+        "{ctx}: run"
     );
 }
 

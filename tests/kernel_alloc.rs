@@ -14,7 +14,7 @@
 //! allocation on another thread (the test harness's own, say) cannot
 //! enter it.
 
-use pns_bench::counting_alloc::{allocations, CountingAlloc};
+use pns_bench::counting_alloc::{allocations, probe_miss, CountingAlloc};
 use product_sort::graph::factories;
 use product_sort::sim::{compile, BspMachine, ExecScratch, Machine, ProgramCache, ShearSorter};
 
@@ -33,6 +33,8 @@ fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
 
 #[test]
 fn kernel_runs_do_not_allocate() {
+    // A zero delta proves something only if the counter counts.
+    assert_eq!(probe_miss(), None);
     // Two shapes with different round mixes: the 3-ary 3-cube (pure
     // grid routing) and a star factor square (relays, whose route
     // rounds lower to paired compare-exchanges).

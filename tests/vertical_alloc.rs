@@ -62,6 +62,13 @@ fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
 
 #[test]
 fn warm_vertical_runs_do_not_allocate() {
+    // A zero delta proves something only if the counter counts.
+    let before = allocations();
+    drop(std::hint::black_box(Vec::<u64>::with_capacity(1)));
+    assert!(
+        allocations() > before,
+        "a known allocation left the count unmoved"
+    );
     // Two shapes with different round mixes: the 3-ary 3-cube (pure
     // grid routing) and a star factor square (relays, whose route
     // rounds lower to paired compare-exchanges).
