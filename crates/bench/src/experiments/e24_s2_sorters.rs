@@ -9,9 +9,12 @@
 //! 2. Theorem 1 linearity holds per sorter: against the OET-snake row
 //!    on the same fixture, measured total steps move by exactly
 //!    `(r-1)²·ΔS2` — the a02 reconciliation, now across the whole
-//!    suite.
-//! 3. The auto-selector's pick minimizes executed `s2_steps` on every
-//!    fixture (ties broken by depth, then size).
+//!    suite. Beside it, the clean compare-exchanges the compiled program
+//!    hands the fast tiers move by exactly `(r-1)²·N^(r-2)·Δsize`: the
+//!    base sorter runs on `N^(r-2)` subgraphs at a time, and nothing
+//!    else in the program depends on it.
+//! 3. The auto-selector's pick has the fewest clean compare-exchanges on
+//!    every fixture.
 //! 4. On the dense `K(r,N)` fixtures at least one *new* sorter
 //!    (multiway n-sorter or periodic merge) strictly improves both
 //!    program depth and compiled rounds over the OET snake.
@@ -80,6 +83,11 @@ pub struct E24Row {
     pub total_steps: u64,
     /// Rounds in the compiled `PG_r` program.
     pub rounds: usize,
+    /// Clean compare-exchanges of the compiled `PG_r` program, adjacent
+    /// and relayed ([`pns_simulator::KernelProgram::clean_cx_count`]):
+    /// what the fault-free tiers execute, less what the level analysis
+    /// prunes.
+    pub clean_pairs: usize,
     /// Wall-time for `REPS` kernel-tier batch sorts of 64 lanes, ms.
     pub kernel_ms: f64,
     /// Wall-time for `REPS` vertical-tier column-batch sorts of the
@@ -114,7 +122,7 @@ fn collect() -> Vec<E24Row> {
         (Machine::prepare_factor(&factories::path(8)), 2),
         (Machine::prepare_factor(&factories::k2()), 6),
     ];
-    let mut rows = Vec::new();
+    let mut rows: Vec<E24Row> = Vec::new();
     let mut radix = LsbRadixSorter::new();
     for (factor, r) in fixtures {
         let bsp = BspMachine::new(&factor, r);
@@ -133,7 +141,6 @@ fn collect() -> Vec<E24Row> {
             .expect("oet-snake supports every n >= 2")
             .clone();
         let auto_id = select_sorter(&factor).id();
-        let min_s2 = scores.iter().map(|s| s.s2_steps).min().unwrap();
         let oet_program = compile(&factor, r, &pns_simulator::OetSnakeSorter);
         let oracle: Vec<Vec<u64>> = batch
             .iter()
@@ -144,6 +151,11 @@ fn collect() -> Vec<E24Row> {
             })
             .collect();
         let oet_rounds = oet_program.rounds();
+        let oet_pairs = bsp
+            .lower(&oet_program)
+            .expect("compiled programs validate")
+            .clean_cx_count();
+        let subgraphs = (factor.n() as i64).pow(r as u32 - 2);
 
         // Theorem 1 baseline for claim 2: the OET row's (S2, total).
         let (oet_s2, oet_total) = executed_steps(&factor, r, "oet-snake");
@@ -162,6 +174,7 @@ fn collect() -> Vec<E24Row> {
         }
         let radix_ms = t.elapsed().as_secs_f64() * 1e3;
 
+        let fixture_start = rows.len();
         for score in &scores {
             let sorter = pns_simulator::candidates()
                 .into_iter()
@@ -188,10 +201,10 @@ fn collect() -> Vec<E24Row> {
             let predicted_delta = rr * rr * (oet_s2 as i64 - s2 as i64);
             let measured_delta = oet_total as i64 - total as i64;
             let linear = predicted_delta == measured_delta && s2 == score.s2_steps;
-
-            // Claim 3: the auto pick is a routing-aware minimum.
-            let auto_pick = score.id == auto_id;
-            let auto_ok = !auto_pick || score.s2_steps == min_s2;
+            // ... and clean pairs by exactly (r-1)²·N^(r-2)·Δsize.
+            let clean_pairs = kernel.clean_cx_count();
+            let predicted_pairs = rr * rr * subgraphs * (oet.size as i64 - score.size as i64);
+            let pairs_linear = predicted_pairs == oet_pairs as i64 - clean_pairs as i64;
 
             // Timed passes: the kernel batch and the vertical column
             // batch over the same 64 lanes. Inputs are restored with
@@ -220,18 +233,25 @@ fn collect() -> Vec<E24Row> {
                 r,
                 nodes: len,
                 sorter: score.name.to_owned(),
-                auto_pick,
+                auto_pick: score.id == auto_id,
                 depth: score.depth,
                 size: score.size,
                 s2_steps: score.s2_steps,
                 total_steps: total,
                 rounds: program.rounds(),
+                clean_pairs,
                 kernel_ms,
                 vertical_ms,
                 radix_ms,
                 beats_oet_rounds: score.depth < oet.depth && program.rounds() < oet_rounds,
-                ok: identical && linear && auto_ok,
+                ok: identical && linear && pairs_linear,
             });
+        }
+        // Claim 3: the auto pick executes the fewest clean pairs.
+        let fixture = &mut rows[fixture_start..];
+        let fewest = fixture.iter().map(|row| row.clean_pairs).min();
+        for row in fixture.iter_mut().filter(|row| row.auto_pick) {
+            row.ok &= Some(row.clean_pairs) == fewest;
         }
     }
     rows
@@ -260,9 +280,9 @@ fn report_from_rows(rows: &[E24Row]) -> Report {
         "e24_s2_sorters",
         "Extension: pluggable S2 sorter suite — every candidate \
          bit-identical through kernel and vertical tiers, totals move \
-         by exactly (r-1)²·ΔS2, the auto-selector picks the \
-         routing-aware minimum, and a new sorter strictly beats the \
-         OET snake on dense fixtures",
+         by exactly (r-1)²·ΔS2 and clean pairs by (r-1)²·N^(r-2)·Δsize, \
+         the auto-selector picks the fewest clean pairs, and a new \
+         sorter strictly beats the OET snake on dense fixtures",
         &[
             "factor",
             "r",
@@ -273,6 +293,7 @@ fn report_from_rows(rows: &[E24Row]) -> Report {
             "S2 steps",
             "total",
             "rounds",
+            "clean pairs",
             "kernel ms",
             "vertical ms",
             "radix ms",
@@ -295,6 +316,7 @@ fn report_from_rows(rows: &[E24Row]) -> Report {
             row.s2_steps.to_string(),
             row.total_steps.to_string(),
             row.rounds.to_string(),
+            row.clean_pairs.to_string(),
             format!("{:.2}", row.kernel_ms),
             format!("{:.2}", row.vertical_ms),
             format!("{:.2}", row.radix_ms),
@@ -309,13 +331,14 @@ fn report_from_rows(rows: &[E24Row]) -> Report {
     report.check(dense_improved);
     report.note(&format!(
         "{REPS} reps per timed pass, batches of {BATCH} lanes. \
-         `*` marks the auto-selector's per-fixture pick (minimum \
-         routing-aware S2 steps). Wall-clock columns are \
+         `*` marks the auto-selector's per-fixture pick (fewest clean \
+         pairs, ties broken by routing-aware S2 steps). Wall-clock columns are \
          host-dependent (everything in `match` is deterministic): \
          kernel/vertical are the two accelerated tiers over the same \
          64-lane batch, radix is the sequential LSB-radix sequence \
-         baseline on identical lanes. Totals reconcile against the \
-         OET row as (r-1)²·ΔS2, exactly."
+         baseline on identical lanes. Against the OET row, totals \
+         reconcile as (r-1)²·ΔS2 and clean pairs as (r-1)²·N^(r-2)·Δsize, \
+         exactly."
     ));
     report
 }

@@ -154,10 +154,12 @@ impl ServiceBuilder {
     }
 
     /// Pick the `PG_2` base sorter for shapes registered **after** this
-    /// call. The default, [`SorterChoice::Auto`], scores every candidate
-    /// per shape with routing-aware executed steps and compiles the
-    /// winner — dense factors get the shallow multiway n-sorter, sparse
-    /// ones keep adjacent-comparator schedules.
+    /// call. The default, [`SorterChoice::Auto`], compiles per shape the
+    /// candidate with the fewest compare-exchanges, which is what the
+    /// clean rungs execute (relays cost them nothing), ties broken by
+    /// routing-aware executed steps. The count depends on the node count
+    /// alone: the 3-step sorter wins on `K_2`, the OET snake at 3 and 5
+    /// nodes, and the multiway n-sorter at every other size up to 16.
     #[must_use]
     pub fn sorter(mut self, choice: SorterChoice) -> Self {
         self.sorter = choice;

@@ -1529,20 +1529,32 @@ pub(crate) mod tests {
     #[test]
     fn runs_cover_each_rounds_clean_list_and_are_maximal() {
         use crate::machine::Machine;
-        use crate::select::SorterChoice;
-        let cases = [
-            (factories::star(4), 3, 913),
-            (factories::complete_binary_tree(3), 3, 25_878),
-            (factories::petersen(), 2, 2_430),
-            (factories::k2(), 8, 7_577),
-            (factories::path(3), 4, 1_996),
+        use crate::sorters::MultiwayNSorter;
+        let cases: [(pns_graph::Graph, usize, &dyn Pg2Sorter, usize); 7] = [
+            (factories::star(4), 3, &MultiwayNSorter, 913),
+            (
+                factories::complete_binary_tree(3),
+                3,
+                &OetSnakeSorter,
+                25_878,
+            ),
+            (
+                factories::complete_binary_tree(3),
+                3,
+                &MultiwayNSorter,
+                10_918,
+            ),
+            (factories::petersen(), 2, &ShearSorter, 2_430),
+            (factories::petersen(), 2, &MultiwayNSorter, 1_728),
+            (factories::k2(), 8, &Hypercube2Sorter, 7_577),
+            (factories::path(3), 4, &OetSnakeSorter, 1_996),
         ];
-        for (factor, r, raw_runs) in cases {
+        for (factor, r, sorter, raw_runs) in cases {
             let factor = Machine::prepare_factor(&factor);
-            let program = compile(&factor, r, SorterChoice::Auto.resolve(&factor));
+            let program = compile(&factor, r, sorter);
             let optimized = program.optimized();
             for (name, prog) in [("raw", &program), ("optimized", &optimized)] {
-                let ctx = format!("{}^{r} {name}", factor.name());
+                let ctx = format!("{}^{r} {} {name}", factor.name(), sorter.name());
                 let kernel = KernelProgram::lower(prog);
                 assert_eq!(kernel.rounds(), prog.rounds(), "{ctx}");
                 for (ri, want) in clean_lists(prog).into_iter().enumerate() {
@@ -1567,21 +1579,36 @@ pub(crate) mod tests {
     #[test]
     fn kernels_share_the_programs_ops_and_count_them() {
         use crate::machine::Machine;
-        use crate::select::SorterChoice;
+        use crate::sorters::MultiwayNSorter;
         // Compare-exchanges in compare rounds and ops in route rounds,
-        // as the benchmark reads them, on its two relaying shapes.
-        let cases = [
-            (factories::complete_binary_tree(3), 3, 11_074, 143_738),
-            (factories::star(4), 3, 656, 5_952),
+        // as the benchmark reads them, on its two relaying shapes: the
+        // mesh-connected tree under the OET snake and under the multiway
+        // n-sorter, and the star cube under the multiway n-sorter.
+        let cases: [(pns_graph::Graph, usize, &dyn Pg2Sorter, usize, usize); 3] = [
+            (
+                factories::complete_binary_tree(3),
+                3,
+                &OetSnakeSorter,
+                11_074,
+                143_738,
+            ),
+            (
+                factories::complete_binary_tree(3),
+                3,
+                &MultiwayNSorter,
+                6_622,
+                113_050,
+            ),
+            (factories::star(4), 3, &MultiwayNSorter, 656, 5_952),
         ];
-        for (factor, r, cx_pairs, micro_ops) in cases {
+        for (factor, r, sorter, cx_pairs, micro_ops) in cases {
             let factor = Machine::prepare_factor(&factor);
-            let program = compile(&factor, r, SorterChoice::Auto.resolve(&factor));
+            let program = compile(&factor, r, sorter);
             let validated = BspMachine::new(&factor, r)
                 .lower(&program)
                 .expect("compiled programs validate");
             for kernel in [KernelProgram::lower(&program), validated] {
-                let ctx = format!("{}^{r}", factor.name());
+                let ctx = format!("{}^{r} {}", factor.name(), sorter.name());
                 assert!(
                     std::ptr::eq(&kernel.ops[..], program.round_ops()),
                     "{ctx}: the kernel must share the program's rounds"

@@ -1,14 +1,17 @@
 //! Auto-selection of the `PG_2` base sorter, per factor shape.
 //!
-//! The a02 ablation proved the total sort cost moves by exactly
-//! `(r-1)²·ΔS2`, so picking the cheapest base program per topology
-//! multiplies through the whole stack. No single sorter dominates:
-//! the multiway n-sorter's long row/column comparators are free on
-//! dense factors (15 vs 16 rounds already at `N = 4` on `K_4`) but
-//! routing makes them ruinous on a path, where the OET snake's
-//! adjacent-only comparators win. The selector scores every candidate
-//! with the *executed* engine's routing-aware step count and caches the
-//! winner per `(n, wiring)`.
+//! Theorem 1 runs the base sorter `(r-1)²` times, so the cheapest base
+//! program multiplies through the whole stack. The clean tiers (kernel,
+//! vertical, the service's clean rung) pay per compare-exchange: a
+//! relayed pair lowers to one paired compare-exchange like an adjacent
+//! one, so routing costs them nothing. A compiled `PG_r` program runs
+//! `(r-1)²·N^(r-2)·size + c` clean compare-exchanges, where `size` is
+//! the base program's comparator count and `c` (the merge's
+//! transposition steps) is the same for every candidate. The selector
+//! therefore picks the fewest comparators, and breaks ties with the
+//! *executed* engine's routing-aware step count, the paper's cost: on
+//! `K_2` every candidate has 6 comparators and the 3-step sorter's 3
+//! steps win. The winner is cached per `(n, wiring)`.
 //!
 //! Scoring is deliberately cheap — it builds each candidate's program
 //! and prices every round against the factor's edge set (the same
@@ -40,8 +43,9 @@ pub fn candidates() -> [&'static dyn Pg2Sorter; 5] {
     [&HYPERCUBE2, &MULTIWAY, &PERIODIC, &SHEAR, &OET]
 }
 
-/// One candidate's score for a factor: network shape metrics plus the
-/// routing-aware executed step count that actually decides selection.
+/// One candidate's score for a factor: network shape metrics, of which
+/// [`size`](Self::size) decides selection, plus the routing-aware
+/// executed step count that breaks its ties.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SorterScore {
     /// Display name ([`Pg2Sorter::name`]).
@@ -50,11 +54,14 @@ pub struct SorterScore {
     pub id: String,
     /// Program depth (rounds) on this factor size.
     pub depth: usize,
-    /// Program size (comparators).
+    /// Program size (comparators): the clean compare-exchanges of one
+    /// `PG_2` sort, adjacent or relayed. It depends on the factor size
+    /// alone.
     pub size: usize,
     /// Executed `S2` steps on this factor: each round costs 1 if all its
     /// comparator label pairs are edges, else the routed-exchange round
-    /// count. This is the quantity Theorem 1 multiplies by `(r-1)²`.
+    /// count. This is the quantity Theorem 1 multiplies by `(r-1)²`;
+    /// selection reads it only on ties in [`size`](Self::size).
     pub s2_steps: u64,
 }
 
@@ -91,10 +98,13 @@ fn winner_cache() -> &'static WinnerCache {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Pick the best sorter for a (prepared) factor: minimum executed
-/// `s2_steps`, ties broken by depth, then size, then candidate order.
-/// The winner is memoized per `(n, wiring)`, so repeated construction of
-/// machines over the same topology scores once.
+/// Pick the best sorter for a (prepared) factor: the fewest clean
+/// compare-exchanges, that is minimum [`SorterScore::size`], ties broken
+/// by executed `s2_steps`, then depth, then candidate order. `size`
+/// depends on `n` alone, so the wiring decides only ties (at `n = 2`,
+/// where every candidate has 6 comparators, `s2_steps` does); that is
+/// why the winner is memoized per `(n, wiring)`, and repeated
+/// construction of machines over the same topology scores once.
 #[must_use]
 pub fn select_sorter(factor: &Graph) -> &'static dyn Pg2Sorter {
     let key = (factor.n(), normalized_edges(factor));
@@ -110,7 +120,7 @@ pub fn select_sorter(factor: &Graph) -> &'static dyn Pg2Sorter {
         .enumerate()
         .filter(|(_, s)| s.supports(factor.n()))
         .map(|(i, s)| (i, score_sorter(factor, s)))
-        .min_by_key(|(_, sc)| (sc.s2_steps, sc.depth, sc.size))
+        .min_by_key(|(_, sc)| (sc.size, sc.s2_steps, sc.depth))
         .expect("at least one candidate supports every n ≥ 2");
     winner_cache()
         .lock()
@@ -197,8 +207,8 @@ mod tests {
 
     #[test]
     fn dense_factors_pick_the_multiway_nsorter() {
-        // On K_4 and K_8 every comparator is an edge, so the shallowest
-        // program wins outright.
+        // On K_4 and K_8 the multiway n-sorter has the fewest
+        // comparators (100 and 1,064), and the fewest rounds too.
         for n in [4usize, 8] {
             let factor = Machine::prepare_factor(&factories::complete(n));
             let winner = select_sorter(&factor);
@@ -207,14 +217,16 @@ mod tests {
     }
 
     #[test]
-    fn sparse_factors_fall_back_to_adjacent_comparators() {
-        // On a path, the multiway n-sorter's long comparators route and
-        // lose; the winner must be one of the adjacent-only schedules
+    fn sparse_factors_pick_the_fewest_comparators_though_they_route() {
+        // On a path, the multiway n-sorter's long comparators route, so
+        // its executed steps lose to the adjacent-only schedules
         // (shearsort's rows and columns are both path-adjacent, and its
-        // 56 rounds beat the OET snake's 64).
+        // 56 rounds beat the OET snake's 64). The clean tiers pay per
+        // compare-exchange, relayed or not, so its 1,064 comparators
+        // still win: shearsort has 1,568 and the snake 2,016.
         let factor = Machine::prepare_factor(&factories::path(8));
         let winner = select_sorter(&factor);
-        assert_eq!(winner.name(), "shearsort");
+        assert_eq!(winner.name(), "multiway-nsorter");
         let scores = score_sorters(&factor);
         let oet = scores.iter().find(|s| s.name == "oet-snake").unwrap();
         let shear = scores.iter().find(|s| s.name == "shearsort").unwrap();
@@ -225,14 +237,21 @@ mod tests {
         assert!(oet.s2_steps < multi.s2_steps, "routing must be priced in");
         assert!(shear.s2_steps < oet.s2_steps);
         assert_eq!(oet.s2_steps, 64, "adjacent-only rounds cost 1 each");
+        assert_eq!((multi.size, shear.size, oet.size), (1_064, 1_568, 2_016));
+        assert!(scores
+            .iter()
+            .all(|s| s.name == multi.name || s.size > multi.size));
     }
 
     #[test]
     fn k2_picks_the_3_step_hypercube_sorter() {
+        // Every candidate has 6 comparators at N = 2, so executed steps
+        // decide, and the 3-step sorter comes first among those with 3.
         let factor = Machine::prepare_factor(&factories::k2());
         let winner = select_sorter(&factor);
         assert_eq!(winner.name(), "hypercube-3step");
         assert_eq!(score_sorter(&factor, winner).s2_steps, 3);
+        assert!(score_sorters(&factor).iter().all(|s| s.size == 6));
     }
 
     #[test]
@@ -242,9 +261,18 @@ mod tests {
         let b = select_sorter(&factor);
         assert!(std::ptr::eq(a, b), "same static instance both times");
         // A different wiring on the same node count is its own entry.
+        // Sizes depend on `n` alone, so the cycle keeps K_4's pick,
+        // though routing its long pairs costs it more steps.
         let cycle = Machine::prepare_factor(&factories::cycle(4));
         let c = select_sorter(&cycle);
-        assert_ne!(c.name(), "multiway-nsorter", "cycle routes long pairs");
+        assert!(std::ptr::eq(a, c), "fewest comparators on both wirings");
+        assert!(score_sorter(&cycle, c).s2_steps > score_sorter(&factor, a).s2_steps);
+        let cache = winner_cache()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        for wiring in [&factor, &cycle] {
+            assert!(cache.contains_key(&(4, normalized_edges(wiring))));
+        }
     }
 
     #[test]

@@ -486,7 +486,9 @@ mod tests {
     use crate::bsp::compile;
     use crate::kernel::tests::Tagged;
     use crate::netsort::is_snake_sorted;
-    use crate::sorters::{OetSnakeSorter, ShearSorter};
+    use crate::sorters::{
+        Hypercube2Sorter, MultiwayNSorter, OetSnakeSorter, Pg2Sorter, ShearSorter,
+    };
     use pns_graph::factories;
 
     fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
@@ -527,29 +529,29 @@ mod tests {
     #[test]
     fn word_ops_count_the_compare_exchanges_a_run_executes() {
         // K2^8's level analysis prunes idle pairs; the mesh-connected
-        // tree's prunes none, so both counts read 33,222 there.
+        // tree's prunes none, so both counts read the clean pairs there:
+        // 33,222 under the OET snake and 22,246 under the multiway
+        // n-sorter.
         let tree = crate::machine::Machine::prepare_factor(&factories::complete_binary_tree(3));
-        for (factor, r, pruned) in [(factories::k2(), 8, true), (tree, 3, false)] {
-            let sorter = crate::select::SorterChoice::Auto.resolve(&factor);
+        let cases: [(pns_graph::Graph, usize, &dyn Pg2Sorter, Option<usize>); 3] = [
+            (factories::k2(), 8, &Hypercube2Sorter, None),
+            (tree.clone(), 3, &OetSnakeSorter, Some(33_222)),
+            (tree, 3, &MultiwayNSorter, Some(22_246)),
+        ];
+        for (factor, r, sorter, unpruned) in cases {
+            let ctx = format!("{}^{r} {}", factor.name(), sorter.name());
             let machine = BspMachine::new(&factor, r);
             let vertical = machine
                 .lower_vertical(&compile(&factor, r, sorter))
                 .expect("validates");
             let kernel = vertical.kernel();
-            assert_eq!(
-                vertical.word_ops(),
-                kernel.kept().pairs,
-                "{}",
-                factor.name()
-            );
-            assert_eq!(
-                vertical.word_ops() < kernel.clean_cx_count(),
-                pruned,
-                "{}",
-                factor.name()
-            );
-            if !pruned {
-                assert_eq!(vertical.word_ops(), 33_222);
+            assert_eq!(vertical.word_ops(), kernel.kept().pairs, "{ctx}");
+            match unpruned {
+                None => assert!(vertical.word_ops() < kernel.clean_cx_count(), "{ctx}"),
+                Some(pairs) => {
+                    assert_eq!(vertical.word_ops(), kernel.clean_cx_count(), "{ctx}");
+                    assert_eq!(vertical.word_ops(), pairs, "{ctx}");
+                }
             }
         }
     }

@@ -76,26 +76,37 @@ fn single_request_round_trips_sorted() {
 #[test]
 fn sorter_choice_threads_through_the_builder_per_shape() {
     use product_sort::sim::SorterChoice;
-    // Auto selection is per shape: dense K_4 compiles the multiway
-    // n-sorter, sparse path(3) keeps an adjacent-comparator schedule —
-    // and both answer correctly through the full batch path.
+    // Auto selection is per shape and picks the fewest compare-exchanges:
+    // K_4 and the 7-node tree compile the multiway n-sorter (its relays
+    // cost the clean tiers nothing), path(3) the OET snake's 36
+    // comparators — and all answer correctly through the full batch
+    // path.
     let service = SortService::builder(quick_config())
         .register_shape(&factories::complete(4), 2)
         .expect("K_4 is connected")
         .register_shape(&factories::path(3), 2)
         .expect("path(3) is connected")
+        .register_shape(&factories::complete_binary_tree(3), 2)
+        .expect("the tree is connected")
         .start();
     assert_eq!(service.shape_sorter(0), Some("multiway-nsorter"));
-    assert_ne!(service.shape_sorter(1), Some("multiway-nsorter"));
-    assert_eq!(service.shape_sorter(2), None);
+    assert_eq!(service.shape_sorter(1), Some("oet-snake"));
+    assert_eq!(service.shape_sorter(2), Some("multiway-nsorter"));
+    assert_eq!(service.shape_sorter(3), None);
     let k4_keys: Vec<u64> = (0..16u64).map(|x| (x * 13) % 17).collect();
     let t0 = service.submit(0, 0, k4_keys).expect("admitted");
     let t1 = service.submit(0, 1, keys_desc()).expect("admitted");
+    let t2 = service
+        .submit(0, 2, (0..49u64).rev().collect())
+        .expect("admitted");
     let r0 = t0.wait().expect("sorted");
     let r1 = t1.wait().expect("sorted");
+    let r2 = t2.wait().expect("sorted");
     let machine = BspMachine::new(&factories::complete(4), 2);
     assert!(is_snake_sorted(machine.shape(), &r0.keys));
     assert_sorted(&r1.keys);
+    let tree = BspMachine::new(&factories::complete_binary_tree(3), 2);
+    assert!(is_snake_sorted(tree.shape(), &r2.keys));
     drop(service);
 
     // A fixed choice is honored verbatim.

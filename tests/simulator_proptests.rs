@@ -8,9 +8,10 @@ use product_sort::order::Direction;
 use product_sort::sim::netsort::{is_snake_sorted, network_sort, read_snake_order};
 use product_sort::sim::sorters::{run_program, validate_program};
 use product_sort::sim::{
-    block_sort, compile, sample_sort, BspMachine, ChargedEngine, CostModel, ExecScratch,
-    ExecutedEngine, Machine, MultiwayNSorter, OetSnakeSorter, PeriodicMergeSorter, Pg2Sorter,
-    ProgramCache, ScratchPool, ShearSorter, SortError, SorterChoice,
+    block_sort, candidates, compile, sample_sort, score_sorters, BspMachine, ChargedEngine,
+    CostModel, ExecScratch, ExecutedEngine, Machine, MultiwayNSorter, OetSnakeSorter,
+    PeriodicMergeSorter, Pg2Sorter, ProgramCache, ScratchPool, ShearSorter, SortError,
+    SorterChoice,
 };
 use proptest::prelude::*;
 
@@ -88,13 +89,22 @@ proptest! {
         n in 3usize..6, extra in 0usize..4, seed in any::<u64>(), modulus in 1u64..100,
     ) {
         // Whatever the selector picks on a random wiring must sort, and
-        // its executed step count can never exceed the OET snake's (the
-        // snake is always a candidate).
+        // its compiled program can never run more clean compare-exchanges
+        // than another candidate's.
         let factor = Machine::prepare_factor(&factories::random_connected(n, extra, seed));
         let shape = Shape::new(n, 2);
-        let mut auto = Machine::executed(&factor, 2, SorterChoice::Auto.resolve(&factor));
-        let oet = Machine::executed(&factor, 2, &OetSnakeSorter);
-        prop_assert!(auto.s2_steps() <= oet.s2_steps());
+        let pick = SorterChoice::Auto.resolve(&factor);
+        let bsp = BspMachine::new(&factor, 2);
+        let pairs = |sorter: &dyn Pg2Sorter| {
+            bsp.lower(&compile(&factor, 2, sorter))
+                .expect("compiled programs validate")
+                .clean_cx_count()
+        };
+        let fewest = pairs(pick);
+        for sorter in candidates().into_iter().filter(|s| s.supports(n)) {
+            prop_assert!(fewest <= pairs(sorter), "{} beats {}", sorter.name(), pick.name());
+        }
+        let mut auto = Machine::executed(&factor, 2, pick);
         let mut keys = keys_for(shape.len(), seed ^ 0xBEEF, modulus);
         let mut expect = keys.clone();
         expect.sort_unstable();
@@ -274,5 +284,38 @@ proptest! {
         // Every key lands somewhere: the fullest bucket holds at least
         // the average load.
         prop_assert!(outcome.max_load >= b);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn clean_pairs_follow_the_base_sorters_size(
+        n in 3usize..7, r in 2usize..4, extra in 0usize..4, seed in any::<u64>(),
+    ) {
+        // Theorem 1 runs the base sorter (r-1)² times, on N^(r-2)
+        // subgraphs at a time, and relayed pairs lower to one clean
+        // compare-exchange each: every candidate's compiled program runs
+        // (r-1)²·N^(r-2)·size + c of them, with one c per (factor, r).
+        let factor = Machine::prepare_factor(&factories::random_connected(n, extra, seed));
+        let bsp = BspMachine::new(&factor, r);
+        let runs = ((r - 1) * (r - 1) * n.pow(r as u32 - 2)) as i64;
+        let constants: Vec<i64> = score_sorters(&factor)
+            .iter()
+            .map(|score| {
+                let sorter = candidates()
+                    .into_iter()
+                    .find(|c| c.id() == score.id)
+                    .expect("scores come from the candidate list");
+                let pairs = bsp
+                    .lower(&compile(&factor, r, sorter))
+                    .expect("compiled programs validate")
+                    .clean_cx_count();
+                pairs as i64 - runs * score.size as i64
+            })
+            .collect();
+        prop_assert!(constants.len() >= 4);
+        prop_assert!(constants.iter().all(|&c| c == constants[0] && c >= 0), "{:?}", constants);
     }
 }

@@ -7,48 +7,26 @@
 //! column run sizes each block's columns once: at most one allocation
 //! per block, plus [`COLD_EXTRA`].
 //!
-//! The proof is a counting `#[global_allocator]` wrapping the system
-//! allocator. This must be the only test in the binary: the counter is
-//! process-global, and a concurrent test would pollute the deltas.
+//! The proof is the counting `#[global_allocator]` that `pns-bench`
+//! installs too ([`pns_bench::counting_alloc`]). It counts per thread,
+//! so every machine here is built with `.serial()`: every executor call
+//! then runs on the test thread, the test thread's count is exactly
+//! theirs, and an allocation on another thread (the test harness's own,
+//! say) cannot enter it.
 
+use pns_bench::counting_alloc::{allocations, probe_miss, CountingAlloc};
 use product_sort::graph::factories;
 use product_sort::sim::{
     compile, pack_zero_one_masks, unpack_zero_one_lane, BspMachine, Hypercube2Sorter, ShearSorter,
     VerticalPool, WORD_LANES,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
 /// Allocations a cold column run may make beside one per block: the
-/// pool's slot vector and the fan-out's work list.
-const COLD_EXTRA: u64 = 2;
+/// pool's slot vector (a serial machine builds no fan-out work list).
+const COLD_EXTRA: u64 = 1;
 
 fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
     let mut state = seed | 1;
@@ -63,26 +41,18 @@ fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
 #[test]
 fn warm_vertical_runs_do_not_allocate() {
     // A zero delta proves something only if the counter counts.
-    let before = allocations();
-    drop(std::hint::black_box(Vec::<u64>::with_capacity(1)));
-    assert!(
-        allocations() > before,
-        "a known allocation left the count unmoved"
-    );
+    assert_eq!(probe_miss(), None);
     // Two shapes with different round mixes: the 3-ary 3-cube (pure
     // grid routing) and a star factor square (relays, whose route
     // rounds lower to paired compare-exchanges).
     let cases = [(factories::path(3), 3usize), (factories::star(4), 2usize)];
     for (factor, r) in cases {
         let program = compile(&factor, r, &ShearSorter);
-        let bsp = BspMachine::new(&factor, r);
+        let bsp = BspMachine::new(&factor, r).serial();
         let vertical = bsp
             .lower_vertical(&program)
             .expect("compiled programs validate");
         let len = vertical.shape().len();
-        // The first batch call of the process reads the thread count,
-        // once; an empty batch reads it before anything is counted.
-        bsp.run_vertical_batch::<u64>(&mut [], &vertical, &mut VerticalPool::new());
 
         // --- Bit-sliced 0/1 path: one word per node, 64 lanes. ---
         let masks: Vec<u64> = (0..WORD_LANES as u64)
@@ -170,8 +140,8 @@ fn warm_vertical_runs_do_not_allocate() {
 
     // --- Full-key column path in several blocks: a K2^12 lane is
     // 32 KiB of keys, so the 1 MiB block budget caps blocks at 32 lanes
-    // and 64 lanes run as 32 + 32, one after the other on a serial
-    // machine, each from its own pooled scratch. ---
+    // and 64 lanes run as 32 + 32, one after the other, each from its
+    // own pooled scratch. ---
     let factor = factories::k2();
     let program = compile(&factor, 12, &Hypercube2Sorter);
     let bsp = BspMachine::new(&factor, 12).serial();
