@@ -189,10 +189,6 @@ pub struct ObsSummary {
     lane_util_sum: f64,
     /// Programs validated.
     pub validated: u64,
-    /// Compare-exchanges removed by the optimizer, summed.
-    pub elided_cx: u64,
-    /// Rounds merged by fusion, summed.
-    pub fused: u64,
     /// Transient faults fired by injecting executors.
     pub faults_injected: u64,
     /// Certificate checks that failed.
@@ -272,15 +268,7 @@ impl ObsSummary {
                     }
                 }
             }
-            Event::Validate {
-                rounds: _,
-                elided_cx,
-                fused,
-            } => {
-                self.validated += 1;
-                self.elided_cx += elided_cx;
-                self.fused += fused;
-            }
+            Event::Validate { .. } => self.validated += 1,
             Event::FaultInjected { .. } => self.faults_injected += 1,
             Event::FaultDetected { .. } => self.faults_detected += 1,
             Event::RetryRound { .. } => self.retries += 1,
@@ -376,11 +364,7 @@ impl fmt::Display for ObsSummary {
             self.batch_vectors,
             self.lane_utilization()
         )?;
-        writeln!(
-            f,
-            "  {:<22} {:>12}  ({} cx elided, {} rounds fused)",
-            "programs validated", self.validated, self.elided_cx, self.fused
-        )?;
+        writeln!(f, "  {:<22} {:>12}", "programs validated", self.validated)?;
         writeln!(
             f,
             "  {:<22} {:>12}  ({} detected, {} retries, {} quarantined)",
@@ -562,14 +546,7 @@ mod tests {
                 },
             ),
             at(470, Event::BatchScheduled { batch: 6, lanes: 4 }),
-            at(
-                480,
-                Event::Validate {
-                    rounds: 12,
-                    elided_cx: 3,
-                    fused: 2,
-                },
-            ),
+            at(480, Event::Validate { rounds: 12 }),
         ];
         let s = ObsSummary::from_events(&events);
         assert_eq!(s.events, 12);
@@ -590,8 +567,6 @@ mod tests {
         // 6 vectors over 4 lanes: 2 waves of 4 slots, 6/8 used.
         assert!((s.lane_utilization() - 0.75).abs() < 1e-9);
         assert_eq!(s.validated, 1);
-        assert_eq!(s.elided_cx, 3);
-        assert_eq!(s.fused, 2);
         assert_eq!(s.unmatched_rounds(), 0);
         let table = s.to_string();
         assert!(table.contains("s2 units"), "{table}");

@@ -124,19 +124,6 @@ impl CacheStats {
             }
         }
     }
-
-    /// Publish this snapshot into a metrics [`Registry`] under the
-    /// `pns_` namespace, labeled by which cache tier it came from
-    /// (`program`, `kernel`, or `vertical`).
-    ///
-    /// [`Registry`]: pns_obs::Registry
-    pub fn export_to(&self, registry: &mut pns_obs::Registry, tier: &str) {
-        let labels = &[("cache", tier)][..];
-        registry.set_counter_with("pns_program_cache_hits_total", labels, self.hits);
-        registry.set_counter_with("pns_program_cache_misses_total", labels, self.misses);
-        registry.set_counter_with("pns_program_cache_entries", labels, self.entries as u64);
-        registry.set_gauge_with("pns_program_cache_hit_ratio", labels, self.hit_ratio());
-    }
 }
 
 impl fmt::Display for CacheStats {

@@ -102,7 +102,9 @@ pub const KERNEL_PAR_THRESHOLD: usize = 8192;
 /// of the run table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundClass {
-    /// No operations (padding the optimizer did not elide).
+    /// No operations: an empty parity class of a transposition round,
+    /// which [`compile`](crate::bsp::compile) keeps so that its rounds
+    /// equal the executed engine's steps.
     Empty,
     /// Only compare-exchanges.
     Compare,
@@ -582,8 +584,8 @@ impl KernelProgram {
     /// rejects those programs anyway), or if a relay does not pair — a
     /// resolve without a partner resolve in its round, one whose copy
     /// went stale in flight, or a pair whose ends both keep the minimum
-    /// or both the maximum. `compile` output always pairs, raw or
-    /// optimized; [`BspMachine::lower`] reports the others as
+    /// or both the maximum. `compile` output always pairs;
+    /// [`BspMachine::lower`] reports the others as
     /// [`ProgramError::UnpairedRelay`].
     #[must_use]
     pub fn lower(program: &CompiledProgram) -> KernelProgram {
@@ -1395,31 +1397,29 @@ pub(crate) mod tests {
             let program = compile(&factor, r, SorterChoice::Auto.resolve(&factor));
             let mut bsp = BspMachine::new(&factor, r);
             let n = bsp.shape().len() as usize;
-            for (name, prog) in [("raw", program.clone()), ("optimized", program.optimized())] {
-                let kernel = bsp.lower(&prog).expect("compiled programs validate");
-                let units: usize = kernel
-                    .full
-                    .spans()
-                    .iter()
-                    .map(|s| s.unit_runs().len())
-                    .sum();
-                unit_runs += units;
-                long_runs += kernel.full.runs.len() - units;
-                pruned += kernel.clean_cx_count() - kernel.kept().pairs;
-                let ctx = format!("{}^{r} {name}", factor.name());
-                let ties: Vec<u64> = (0..n).map(|_| big[(next() >> 33) as usize % 7]).collect();
-                let wide: Vec<u64> = (0..n).map(|_| next()).collect();
-                let tagged: Vec<Tagged> = (0..n as u32)
-                    .map(|payload| Tagged {
-                        key: (next() >> 61) as u8 % 3,
-                        payload,
-                    })
-                    .collect();
-                check_clean_paths(&ctx, &mut bsp, &prog, &kernel, &ties, |&k| k);
-                check_clean_paths(&ctx, &mut bsp, &prog, &kernel, &wide, |&k| k);
-                let fields = |t: &Tagged| (t.key, t.payload);
-                check_clean_paths(&ctx, &mut bsp, &prog, &kernel, &tagged, fields);
-            }
+            let kernel = bsp.lower(&program).expect("compiled programs validate");
+            let units: usize = kernel
+                .full
+                .spans()
+                .iter()
+                .map(|s| s.unit_runs().len())
+                .sum();
+            unit_runs += units;
+            long_runs += kernel.full.runs.len() - units;
+            pruned += kernel.clean_cx_count() - kernel.kept().pairs;
+            let ctx = format!("{}^{r}", factor.name());
+            let ties: Vec<u64> = (0..n).map(|_| big[(next() >> 33) as usize % 7]).collect();
+            let wide: Vec<u64> = (0..n).map(|_| next()).collect();
+            let tagged: Vec<Tagged> = (0..n as u32)
+                .map(|payload| Tagged {
+                    key: (next() >> 61) as u8 % 3,
+                    payload,
+                })
+                .collect();
+            check_clean_paths(&ctx, &mut bsp, &program, &kernel, &ties, |&k| k);
+            check_clean_paths(&ctx, &mut bsp, &program, &kernel, &wide, |&k| k);
+            let fields = |t: &Tagged| (t.key, t.payload);
+            check_clean_paths(&ctx, &mut bsp, &program, &kernel, &tagged, fields);
         }
         assert!(long_runs > 0 && unit_runs > 0, "both kinds of run must run");
         assert!(pruned > 0, "some pair must be pruned");
@@ -1549,30 +1549,25 @@ pub(crate) mod tests {
             (factories::k2(), 8, &Hypercube2Sorter, 7_577),
             (factories::path(3), 4, &OetSnakeSorter, 1_996),
         ];
-        for (factor, r, sorter, raw_runs) in cases {
+        for (factor, r, sorter, runs) in cases {
             let factor = Machine::prepare_factor(&factor);
             let program = compile(&factor, r, sorter);
-            let optimized = program.optimized();
-            for (name, prog) in [("raw", &program), ("optimized", &optimized)] {
-                let ctx = format!("{}^{r} {} {name}", factor.name(), sorter.name());
-                let kernel = KernelProgram::lower(prog);
-                assert_eq!(kernel.rounds(), prog.rounds(), "{ctx}");
-                for (ri, want) in clean_lists(prog).into_iter().enumerate() {
-                    let full = maximal_round_pairs(&ctx, &kernel.full, ri);
-                    assert_eq!(full, want, "{ctx}: round {ri}");
-                    // The pruned table keeps a subset of each round.
-                    let kept = maximal_round_pairs(&ctx, kernel.clean(), ri);
-                    assert!(
-                        kept.iter().all(|p| full.binary_search(p).is_ok()),
-                        "{ctx}: round {ri} keeps a pair it does not have"
-                    );
-                }
-                assert_eq!(kernel.full.pairs(), kernel.clean_cx_count(), "{ctx}");
-                assert_eq!(kernel.clean().pairs(), kernel.kept().pairs, "{ctx}");
-                if name == "raw" {
-                    assert_eq!(kernel.full.runs.len(), raw_runs, "{ctx}: run count");
-                }
+            let ctx = format!("{}^{r} {}", factor.name(), sorter.name());
+            let kernel = KernelProgram::lower(&program);
+            assert_eq!(kernel.rounds(), program.rounds(), "{ctx}");
+            for (ri, want) in clean_lists(&program).into_iter().enumerate() {
+                let full = maximal_round_pairs(&ctx, &kernel.full, ri);
+                assert_eq!(full, want, "{ctx}: round {ri}");
+                // The pruned table keeps a subset of each round.
+                let kept = maximal_round_pairs(&ctx, kernel.clean(), ri);
+                assert!(
+                    kept.iter().all(|p| full.binary_search(p).is_ok()),
+                    "{ctx}: round {ri} keeps a pair it does not have"
+                );
             }
+            assert_eq!(kernel.full.pairs(), kernel.clean_cx_count(), "{ctx}");
+            assert_eq!(kernel.clean().pairs(), kernel.kept().pairs, "{ctx}");
+            assert_eq!(kernel.full.runs.len(), runs, "{ctx}: run count");
         }
     }
 

@@ -44,8 +44,7 @@ pub mod vertical;
 
 pub use block::{block_sort, BlockEngine, SortedBlock};
 pub use bsp::{
-    compile, BspMachine, CertPoint, CompiledProgram, Op, ProgramError, ProgramStats,
-    ValidationReport,
+    compile, BspMachine, CertPoint, CompiledProgram, Op, ProgramError, ValidationReport,
 };
 pub use cache::{fingerprint, CacheStats, ProgramCache, ProgramKey};
 pub use cost::CostModel;
@@ -66,7 +65,7 @@ pub use select::{
 pub use sorters::{
     Hypercube2Sorter, MultiwayNSorter, OetSnakeSorter, PeriodicMergeSorter, Pg2Sorter, ShearSorter,
 };
-pub use verify::{network_sort_checked, LoggingEngine, RoundRecord};
+pub use verify::network_sort_checked;
 pub use vertical::{
     pack_zero_one_masks, pack_zero_one_masks_into, unpack_zero_one_lane, unpack_zero_one_lane_into,
     VerticalPool, VerticalProgram, VerticalScratch, VERTICAL_MIN_LANES, WORD_LANES,

@@ -421,7 +421,11 @@ mod tests {
 
     #[test]
     fn new_sorters_sort_random_permutations_for_larger_n() {
-        for n in [5usize, 8, 9, 16] {
+        // N = 7 and 10 are the factor sizes of the mesh-connected tree
+        // and the Petersen square. Without its last round the multiway
+        // program leaves 6 of these 128 trials unsorted at N = 10, the
+        // first at trial 19, and 47 at N = 7.
+        for n in [5usize, 7, 8, 9, 10, 16] {
             for sorter in [
                 &MultiwayNSorter as &dyn Pg2Sorter,
                 &PeriodicMergeSorter { extra_blocks: 0 },
@@ -431,7 +435,7 @@ mod tests {
                 validate_program(n, &prog);
                 let len = n * n;
                 let mut state: u64 = 0x243F6A8885A308D3;
-                for _ in 0..10 {
+                for _ in 0..128 {
                     let mut keys: Vec<u64> = (0..len as u64)
                         .map(|i| {
                             state = state.wrapping_mul(6364136223846793005).wrapping_add(i);

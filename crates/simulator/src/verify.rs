@@ -1,18 +1,16 @@
-//! Deep verification utilities: stage invariants and round logging.
+//! Deep verification: the stage invariant.
 //!
 //! The sorting algorithm maintains a strong invariant between stages:
 //! after stage `k`, *every* `k`-dimensional subgraph over dimensions
 //! `1 … k` holds its keys sorted in its own snake order
 //! (that is exactly the precondition the stage-`k+1` merge needs).
-//! [`network_sort_checked`] asserts the invariant after every stage, and
-//! [`LoggingEngine`] records what every round did — both are test/debug
-//! instruments that never perturb the algorithm itself.
+//! [`network_sort_checked`] asserts the invariant after every stage — a
+//! test/debug instrument that never perturbs the algorithm itself.
 
-use crate::engine::{Engine, Pg2Instance};
+use crate::engine::Engine;
 use crate::netsort::{network_stage, NetSortOutcome};
 use pns_fault::detect::full_subgraph_certificate;
 use pns_order::radix::Shape;
-use pns_order::snake::snake_pos_of_node;
 
 /// [`crate::netsort::network_sort`] with the inter-stage invariant
 /// asserted: after the initial stage and after every merge stage `k`, all
@@ -41,77 +39,6 @@ where
         );
     }
     out
-}
-
-/// What one engine round did — captured by [`LoggingEngine`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RoundRecord {
-    /// A parallel `PG_2`-sort round.
-    Sort {
-        /// Number of subgraphs sorted.
-        subgraphs: usize,
-        /// Steps charged/measured.
-        steps: u64,
-    },
-    /// An odd-even transposition round.
-    Oet {
-        /// Number of node pairs compared.
-        pairs: usize,
-        /// Steps charged/measured.
-        steps: u64,
-    },
-}
-
-/// Engine wrapper that records a [`RoundRecord`] per round, delegating
-/// all semantics to the inner engine.
-pub struct LoggingEngine<E> {
-    inner: E,
-    /// The recorded rounds, in execution order.
-    pub log: Vec<RoundRecord>,
-}
-
-impl<E> LoggingEngine<E> {
-    /// Wrap an engine.
-    pub fn new(inner: E) -> Self {
-        LoggingEngine {
-            inner,
-            log: Vec::new(),
-        }
-    }
-}
-
-impl<K, E> Engine<K> for LoggingEngine<E>
-where
-    K: Ord + Clone,
-    E: Engine<K>,
-{
-    fn sort_round(&mut self, keys: &mut [K], subgraphs: &[Pg2Instance]) -> u64 {
-        let steps = self.inner.sort_round(keys, subgraphs);
-        self.log.push(RoundRecord::Sort {
-            subgraphs: subgraphs.len(),
-            steps,
-        });
-        steps
-    }
-
-    fn oet_round(&mut self, keys: &mut [K], pairs: &[(u64, u64)]) -> u64 {
-        let steps = self.inner.oet_round(keys, pairs);
-        self.log.push(RoundRecord::Oet {
-            pairs: pairs.len(),
-            steps,
-        });
-        steps
-    }
-}
-
-/// Snake position of every key's node, useful when debugging a
-/// configuration: `positions[i]` is where `keys[i]`'s node sits in snake
-/// order.
-#[must_use]
-pub fn snake_positions(shape: Shape) -> Vec<u64> {
-    (0..shape.len())
-        .map(|v| snake_pos_of_node(shape, v))
-        .collect()
 }
 
 #[cfg(test)]
@@ -171,28 +98,25 @@ mod tests {
     }
 
     #[test]
-    fn logging_engine_records_the_round_structure() {
+    fn every_sort_round_covers_all_the_subgraphs() {
         let shape = Shape::new(3, 3);
         let mut keys: Vec<u64> = (0..27).rev().collect();
-        let mut engine = LoggingEngine::new(ChargedEngine::new(CostModel::custom("unit", 1, 1)));
+        let (sink, reader) = pns_obs::MemorySink::with_capacity(64);
+        let logger = pns_obs::EventLogger::new(Box::new(sink));
+        let mut engine = ChargedEngine::new(CostModel::custom("unit", 1, 1));
+        engine.attach_logger(logger.clone());
         let out = crate::netsort::network_sort(shape, &mut keys, &mut engine);
-        let sorts = engine
-            .log
+        logger.flush();
+        let widths: Vec<u64> = reader
+            .events()
             .iter()
-            .filter(|r| matches!(r, RoundRecord::Sort { .. }))
-            .count() as u64;
-        let oets = engine
-            .log
-            .iter()
-            .filter(|r| matches!(r, RoundRecord::Oet { .. }))
-            .count() as u64;
-        assert_eq!(sorts, out.counters.s2_units);
-        assert_eq!(oets, out.counters.route_units);
+            .filter_map(|e| match e.event {
+                pns_obs::Event::S2Unit { width, .. } => Some(width),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(widths.len() as u64, out.counters.s2_units);
         // Every sort round covers all N^{r-2} = 3 subgraphs.
-        for rec in &engine.log {
-            if let RoundRecord::Sort { subgraphs, .. } = rec {
-                assert_eq!(*subgraphs, 3);
-            }
-        }
+        assert!(widths.iter().all(|&w| w == 3), "{widths:?}");
     }
 }

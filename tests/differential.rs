@@ -6,13 +6,12 @@
 //!
 //! * the charged engine (`network_sort` + `ChargedEngine`),
 //! * the executed engine (`network_sort` + `ExecutedEngine`),
-//! * the serial BSP machine (`BspMachine::run`), the oracle, on both
-//!   the raw and the *optimized* program,
+//! * the serial BSP machine (`BspMachine::run`), the oracle,
 //! * the flat kernel tier (`run_kernel`, the chunked-parallel
 //!   `run_kernel_parallel` forced past its threshold, and
-//!   `run_kernel_batch`), on both the raw and optimized lowerings,
+//!   `run_kernel_batch`),
 //! * the vertical column tier (`run_vertical_batch`, all inputs in one
-//!   block), on both lowerings,
+//!   block),
 //!
 //! and require all configurations to be elementwise identical and
 //! snake-order equal to the `std` sort oracle. The algorithm is
@@ -30,7 +29,7 @@ use product_sort::sim::netsort::{is_snake_sorted, network_sort, read_snake_order
 use product_sort::sim::{
     ChargedEngine, CostModel, ExecScratch, ExecutedEngine, FaultKind, FaultPlan, Hypercube2Sorter,
     Machine, MultiwayNSorter, OetSnakeSorter, PeriodicMergeSorter, Pg2Sorter, RetryPolicy,
-    RoundClass, ScratchPool, ShearSorter, SorterChoice, VerticalPool,
+    ScratchPool, ShearSorter, SorterChoice, VerticalPool,
 };
 
 fn lcg_keys(len: u64, seed: u64) -> Vec<u64> {
@@ -67,33 +66,26 @@ fn differential_case(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) {
     let ctx = format!("factor={} r={r}", factor.name());
 
     let program = compile(factor, r, sorter);
-    let optimized = program.optimized();
     let bsp = BspMachine::new(factor, r);
     let kernel = bsp.lower(&program).expect("compiled programs validate");
-    let kernel_opt = bsp.lower(&optimized).expect("optimized programs validate");
     // Every relay pairs: a clean run executes each compare-exchange op
     // and one compare-exchange per pair of resolves.
-    for (name, prog, k) in [
-        ("program", &program, &kernel),
-        ("optimized", &optimized, &kernel_opt),
-    ] {
-        let ops = prog.round_ops().iter().flatten();
-        let cx = ops
-            .clone()
-            .filter(|op| matches!(op, Op::CompareExchange { .. }))
-            .count();
-        let resolves = ops.filter(|op| matches!(op, Op::Resolve { .. })).count();
-        assert_eq!(
-            k.clean_cx_count(),
-            cx + resolves / 2,
-            "{ctx}: clean compare-exchanges of the {name}"
-        );
-    }
+    let ops = program.round_ops().iter().flatten();
+    let cx = ops
+        .clone()
+        .filter(|op| matches!(op, Op::CompareExchange { .. }))
+        .count();
+    let resolves = ops.filter(|op| matches!(op, Op::Resolve { .. })).count();
+    assert_eq!(
+        kernel.clean_cx_count(),
+        cx + resolves / 2,
+        "{ctx}: clean compare-exchanges"
+    );
 
     let bank = input_bank(len);
     let mut serials: Vec<Vec<u64>> = Vec::new();
     // One scratch for every kernel run in the case: reuse across inputs
-    // and programs is exactly the steady state the kernel tier promises.
+    // is exactly the steady state the kernel tier promises.
     let mut scratch = ExecScratch::new();
     let mut radix = LsbRadixSorter::new();
     for (label, input) in &bank {
@@ -116,21 +108,14 @@ fn differential_case(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) {
             "{ctx} {label}: serial vs std oracle"
         );
 
-        // The optimized program, through the same oracle.
-        let mut opt = input.clone();
-        bsp.run(&mut opt, &optimized);
-        assert_eq!(opt, serial, "{ctx} {label}: serial run on optimized");
-
         // Kernel tier: serial and chunked-parallel (threshold 1 forces
-        // the chunked path even on tiny rounds), raw and optimized.
-        for (name, k) in [("kernel", &kernel), ("kernel-opt", &kernel_opt)] {
-            let mut kser = input.clone();
-            bsp.run_kernel(&mut kser, k, &mut scratch);
-            assert_eq!(kser, serial, "{ctx} {label}: run_kernel on {name}");
-            let mut kpar = input.clone();
-            bsp.run_kernel_parallel_threshold(&mut kpar, k, &mut scratch, 1);
-            assert_eq!(kpar, serial, "{ctx} {label}: chunked kernel on {name}");
-        }
+        // the chunked path even on tiny rounds).
+        let mut kser = input.clone();
+        bsp.run_kernel(&mut kser, &kernel, &mut scratch);
+        assert_eq!(kser, serial, "{ctx} {label}: run_kernel");
+        let mut kpar = input.clone();
+        bsp.run_kernel_parallel_threshold(&mut kpar, &kernel, &mut scratch, 1);
+        assert_eq!(kpar, serial, "{ctx} {label}: chunked kernel");
 
         // Executed engine (real comparator programs + real routing).
         let mut exec = input.clone();
@@ -147,28 +132,21 @@ fn differential_case(factor: &Graph, r: usize, sorter: &dyn Pg2Sorter) {
         serials.push(serial);
     }
 
-    // Batched kernel executor, one scratch pool across both lowerings.
-    let mut pool = ScratchPool::new();
-    for (name, k) in [("kernel", &kernel), ("kernel-opt", &kernel_opt)] {
-        let mut batch: Vec<Vec<u64>> = bank.iter().map(|(_, input)| input.clone()).collect();
-        bsp.run_kernel_batch(&mut batch, k, &mut pool);
-        for ((label, _), (got, want)) in bank.iter().zip(batch.iter().zip(&serials)) {
-            assert_eq!(got, want, "{ctx} {label}: run_kernel_batch on {name}");
-        }
+    // Batched kernel executor.
+    let mut batch: Vec<Vec<u64>> = bank.iter().map(|(_, input)| input.clone()).collect();
+    bsp.run_kernel_batch(&mut batch, &kernel, &mut ScratchPool::new());
+    for ((label, _), (got, want)) in bank.iter().zip(batch.iter().zip(&serials)) {
+        assert_eq!(got, want, "{ctx} {label}: run_kernel_batch");
     }
 
-    // Vertical column tier: the whole bank as one word block, raw and
-    // optimized lowerings, one pool across both.
-    let mut vpool = VerticalPool::new();
-    for (name, prog) in [("program", &program), ("optimized", &optimized)] {
-        let vertical = bsp
-            .lower_vertical(prog)
-            .expect("compiled programs validate");
-        let mut batch: Vec<Vec<u64>> = bank.iter().map(|(_, input)| input.clone()).collect();
-        bsp.run_vertical_batch(&mut batch, &vertical, &mut vpool);
-        for ((label, _), (got, want)) in bank.iter().zip(batch.iter().zip(&serials)) {
-            assert_eq!(got, want, "{ctx} {label}: run_vertical_batch on {name}");
-        }
+    // Vertical column tier: the whole bank as one word block.
+    let vertical = bsp
+        .lower_vertical(&program)
+        .expect("compiled programs validate");
+    let mut batch: Vec<Vec<u64>> = bank.iter().map(|(_, input)| input.clone()).collect();
+    bsp.run_vertical_batch(&mut batch, &vertical, &mut VerticalPool::new());
+    for ((label, _), (got, want)) in bank.iter().zip(batch.iter().zip(&serials)) {
+        assert_eq!(got, want, "{ctx} {label}: run_vertical_batch");
     }
 }
 
@@ -242,8 +220,7 @@ fn differential_de_bruijn() {
 
 #[test]
 fn differential_star_relays() {
-    // Star graphs force relay hops (no Hamiltonian path), the hardest
-    // case for the optimizer's move-chain reasoning.
+    // Star graphs force relay hops (no Hamiltonian path).
     differential_case(&factories::star(4), 2, &OetSnakeSorter);
     differential_case(&factories::star(5), 2, &OetSnakeSorter);
 }
@@ -298,11 +275,10 @@ fn tagged_fields(keys: &[Tagged]) -> Vec<(u64, u32)> {
 /// its run table and swaps the flipped pairs after each round's runs,
 /// and replays a segment holding a drop or a stall through transit
 /// slots; so the plans are compare-only (every segment from the run
-/// table) and all-kinds (both). Optimized programs matter: fusion moves
-/// every compare-exchange of the relabeled `star(4)^3` into route
-/// rounds, which raw programs keep none of. Keys mod 4 make ties, where
-/// a flip and its swap must still leave every payload where the
-/// interpreter does.
+/// table) and all-kinds (both). Keys mod 4 make ties, where a flip and
+/// its swap must still leave every payload where the interpreter does.
+/// Compiled programs keep compare-exchanges out of route rounds;
+/// `tests/relay_pairing.rs` flips one inside a hop round.
 #[test]
 fn differential_fault_paths() {
     let star = Machine::prepare_factor(&factories::star(4));
@@ -329,11 +305,10 @@ fn differential_fault_paths() {
             ..RetryPolicy::default()
         },
     ];
-    let (mut route_flips, mut replays) = (0usize, 0usize);
+    let mut replays = 0usize;
     for (factor, r, sorter) in cases {
         let shape = Shape::new(factor.n(), r);
-        let raw = compile(factor, r, sorter);
-        let optimized = raw.optimized();
+        let program = compile(factor, r, sorter);
         let bsp = BspMachine::new(factor, r);
         let mut scratch = ExecScratch::new();
         let tag = |keys: Vec<u64>| -> Vec<Tagged> {
@@ -346,42 +321,29 @@ fn differential_fault_paths() {
         let keys = lcg_keys(shape.len(), 0xFA17);
         let ties = tag(keys.iter().map(|k| k % 4).collect());
         let random = tag(keys);
-        for (name, program) in [("raw", &raw), ("optimized", &optimized)] {
-            let ctx = format!("factor={} r={r} {name}", factor.name());
-            let kernel = bsp.lower(program).expect("compiled programs validate");
-            for (policy, seed) in policies.iter().flat_map(|p| (0..3u64).map(move |s| (p, s))) {
-                let plans = [
-                    FaultPlan::random(seed, 5_000),
-                    FaultPlan::random_with_kinds(seed, 20_000, &[FaultKind::FlipCompare]),
-                ];
-                for (plan, input) in plans.iter().flat_map(|p| [(p, &random), (p, &ties)]) {
-                    let mut a = input.clone();
-                    let ra = bsp.run_with_faults(&mut a, program, plan, policy);
-                    let mut b = input.clone();
-                    let rb =
-                        bsp.run_kernel_with_faults(&mut b, &kernel, plan, policy, &mut scratch);
-                    assert_eq!(ra, rb, "{ctx} seed={seed} {plan:?}: fault reports diverge");
-                    assert_eq!(
-                        tagged_fields(&a),
-                        tagged_fields(&b),
-                        "{ctx} seed={seed} {plan:?}: faulty keys diverge"
-                    );
-                    let injected = ra.as_ref().map_or(&[][..], |report| &report.injected);
-                    route_flips += injected
-                        .iter()
-                        .filter(|f| {
-                            f.kind == FaultKind::FlipCompare
-                                && kernel.class(f.site.round as usize) == RoundClass::Route
-                        })
-                        .count();
-                    replays +=
-                        usize::from(injected.iter().any(|f| f.kind != FaultKind::FlipCompare));
-                }
+        let ctx = format!("factor={} r={r}", factor.name());
+        let kernel = bsp.lower(&program).expect("compiled programs validate");
+        for (policy, seed) in policies.iter().flat_map(|p| (0..3u64).map(move |s| (p, s))) {
+            let plans = [
+                FaultPlan::random(seed, 5_000),
+                FaultPlan::random_with_kinds(seed, 20_000, &[FaultKind::FlipCompare]),
+            ];
+            for (plan, input) in plans.iter().flat_map(|p| [(p, &random), (p, &ties)]) {
+                let mut a = input.clone();
+                let ra = bsp.run_with_faults(&mut a, &program, plan, policy);
+                let mut b = input.clone();
+                let rb = bsp.run_kernel_with_faults(&mut b, &kernel, plan, policy, &mut scratch);
+                assert_eq!(ra, rb, "{ctx} seed={seed} {plan:?}: fault reports diverge");
+                assert_eq!(
+                    tagged_fields(&a),
+                    tagged_fields(&b),
+                    "{ctx} seed={seed} {plan:?}: faulty keys diverge"
+                );
+                let injected = ra.as_ref().map_or(&[][..], |report| &report.injected);
+                replays += usize::from(injected.iter().any(|f| f.kind != FaultKind::FlipCompare));
             }
         }
     }
-    // Not vacuous: flips struck route rounds' own compare-exchanges, and
-    // some runs replayed dropped or stalled relays.
-    assert!(route_flips > 0, "no route-round compare-exchange flipped");
+    // Not vacuous: some runs replayed dropped or stalled relays.
     assert!(replays > 0, "no run replayed a drop or a stall");
 }

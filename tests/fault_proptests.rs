@@ -159,7 +159,7 @@ proptest! {
     #[test]
     fn kernel_fault_path_matches_the_interpreter_on_random_factors(
         n in 3usize..7, seed in any::<u64>(), plan_seed in any::<u64>(),
-        rate in 1u64..50_000, all_kinds in any::<bool>(), optimized in any::<bool>(),
+        rate in 1u64..50_000, all_kinds in any::<bool>(),
         (max_retries, recheck_depth) in (0u32..4, 0u32..4), modulus in 1u64..1000,
     ) {
         // Random relabeled factors relay through transit slots. The
@@ -170,7 +170,6 @@ proptest! {
         // interpreter's.
         let factor = Machine::prepare_factor(&factories::random_connected(n, 2, seed));
         let program = compile(&factor, 2, &OetSnakeSorter);
-        let program = if optimized { program.optimized() } else { program };
         let machine = BspMachine::new(&factor, 2);
         let kernel = machine
             .lower(&program)

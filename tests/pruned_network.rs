@@ -16,7 +16,7 @@ use product_sort::order::radix::Shape;
 use product_sort::order::snake::node_at_snake_pos;
 use product_sort::sim::{
     compile, pack_zero_one_masks, BspMachine, CompiledProgram, ExecScratch, Hypercube2Sorter,
-    KernelProgram, Machine, Op, ProgramCache, SorterChoice, VerticalPool, VerticalProgram,
+    KernelProgram, Machine, ProgramCache, SorterChoice, VerticalPool, VerticalProgram,
 };
 use std::sync::Arc;
 
@@ -280,65 +280,4 @@ fn a_false_certificate_stops_the_pruning_at_its_level() {
         assert_eq!(got, want, "run_kernel");
         assert_eq!(columns, &want, "run_vertical_batch");
     }
-}
-
-#[test]
-fn optimized_programs_leave_every_payload_where_the_raw_ones_do() {
-    // Idempotent compare-exchange elimination drops a second exchange
-    // of an ordered pair; it is exact for payload keys only because no
-    // compare-exchange swaps an equal pair. The `^2` shapes elide none
-    // (the optimizer only elides empty rounds and fuses there); the
-    // `^3` ones drop some that send the minimum to `b`, the kind the
-    // old tie rule made swap equal keys.
-    let mut elided_min_to_b = 0;
-    for (factor, r, lanes) in [
-        (factories::star(4), 2, 64u32),
-        (factories::complete_binary_tree(3), 2, 64),
-        (factories::path(3), 3, 64),
-        (factories::complete_binary_tree(3), 3, 8),
-    ] {
-        let factor = Machine::prepare_factor(&factor);
-        let program = compile(&factor, r, SorterChoice::Auto.resolve(&factor));
-        let optimized = program.optimized();
-        let min_to_b = |p: &CompiledProgram| {
-            let ops = p.round_ops().iter().flatten();
-            ops.filter(|op| {
-                matches!(
-                    op,
-                    Op::CompareExchange {
-                        min_to_a: false,
-                        ..
-                    }
-                )
-            })
-            .count()
-        };
-        elided_min_to_b += min_to_b(&program) - min_to_b(&optimized);
-        let bsp = BspMachine::new(&factor, r);
-        let n = bsp.shape().len() as usize;
-        let mut next = lcg(0x0B7 + n as u64);
-        for lane in 0..lanes {
-            let input: Vec<Tagged> = (0..n as u32)
-                .map(|node| Tagged {
-                    key: (next() % 3) as u8,
-                    payload: lane << 16 | node,
-                })
-                .collect();
-            let (mut raw, mut opt) = (input.clone(), input);
-            bsp.run(&mut raw, &program);
-            bsp.run(&mut opt, &optimized);
-            let fields =
-                |keys: &[Tagged]| keys.iter().map(|t| (t.key, t.payload)).collect::<Vec<_>>();
-            assert_eq!(
-                fields(&raw),
-                fields(&opt),
-                "{}^{r} lane {lane}: raw vs optimized",
-                factor.name()
-            );
-        }
-    }
-    assert!(
-        elided_min_to_b > 0,
-        "the optimizer must elide a min-to-b exchange"
-    );
 }

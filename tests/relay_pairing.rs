@@ -8,13 +8,17 @@
 //! that do not pair stay valid programs the serial machine runs, but
 //! lowering refuses them with a typed error. The payload test pins the
 //! pairing's orientation: on equal keys a paired relay keeps both
-//! residents, exactly as the hop-by-hop oracle does.
+//! residents, exactly as the hop-by-hop oracle does. One hand-built
+//! program puts a compare-exchange inside a hop round, which `compile`
+//! never emits; every tier and both fault paths must still match the
+//! oracle on it.
 
 use product_sort::graph::factories;
 use product_sort::sim::bsp::{compile, BspMachine, CompiledProgram, Op, ProgramError};
 use product_sort::sim::{
-    ExecScratch, FaultPlan, KernelProgram, Machine, ProgramCache, RetryPolicy, ScratchPool,
-    SorterChoice, VerticalPool,
+    pack_zero_one_masks, unpack_zero_one_lane, ExecScratch, FaultKind, FaultPlan, FaultSite,
+    KernelProgram, Machine, ProgramCache, RetryPolicy, ScratchPool, SorterChoice, VerticalPool,
+    WORD_LANES,
 };
 
 fn mv(from: u64, to: u64, slot: u8, from_key: bool) -> Op {
@@ -98,11 +102,10 @@ fn assert_unpaired(name: &str, rounds: Vec<Vec<Op>>, round: usize, node: u64) {
     assert!(lowered.is_err(), "{name}: KernelProgram::lower must panic");
 }
 
-#[test]
-fn a_paired_relay_lowers_to_one_compare_exchange() {
-    // A write to an endpoint before its copy leaves, and one to another
-    // key while the copies are in flight, leave the relay paired.
-    let machine = path3_squared();
+/// A relay from rank 0 to rank 2 between a compare round that writes
+/// rank 2 before its copy leaves and a hop round that also carries
+/// `cx(4, 7)`, at site (2, 2), while the copies are in flight.
+fn relay_with_a_compare_in_flight(machine: &BspMachine) -> CompiledProgram {
     let [h0, mut h1] = hops();
     h1.push(cx(4, 7));
     let rounds = vec![
@@ -111,7 +114,15 @@ fn a_paired_relay_lowers_to_one_compare_exchange() {
         h1,
         vec![resolve(2, 0, false), resolve(0, 1, true)],
     ];
-    let program = CompiledProgram::from_rounds(machine.shape(), rounds);
+    CompiledProgram::from_rounds(machine.shape(), rounds)
+}
+
+#[test]
+fn a_paired_relay_lowers_to_one_compare_exchange() {
+    // A write to an endpoint before its copy leaves, and one to another
+    // key while the copies are in flight, leave the relay paired.
+    let machine = path3_squared();
+    let program = relay_with_a_compare_in_flight(&machine);
     let kernel = machine.lower(&program).expect("the relay pairs");
     assert_eq!(kernel.cx_pair_count(), 1, "the compare round's pair");
     assert_eq!(kernel.micro_op_count(), 7, "every route op stays");
@@ -128,6 +139,77 @@ fn a_paired_relay_lowers_to_one_compare_exchange() {
         machine.run_kernel(&mut got, &kernel, &mut scratch);
         assert_eq!(got, want, "input {input:?}");
     }
+}
+
+#[test]
+fn a_compare_exchange_in_a_hop_round_matches_the_oracle_on_every_path() {
+    let machine = path3_squared();
+    let program = relay_with_a_compare_in_flight(&machine);
+    let kernel = machine.lower(&program).expect("the relay pairs");
+    let vertical = machine.lower_vertical(&program).expect("the relay pairs");
+    let want: Vec<Vec<u64>> = inputs()
+        .into_iter()
+        .map(|mut keys| {
+            machine.run(&mut keys, &program);
+            keys
+        })
+        .collect();
+
+    let mut batch = inputs();
+    machine.run_kernel_batch(&mut batch, &kernel, &mut ScratchPool::new());
+    assert_eq!(batch, want, "run_kernel_batch");
+    let mut batch = inputs();
+    machine.run_vertical_batch(&mut batch, &vertical, &mut VerticalPool::new());
+    assert_eq!(batch, want, "run_vertical_batch");
+
+    // Every 0/1 input, 64 lanes per word.
+    let n = machine.shape().len() as usize;
+    let masks: Vec<u64> = (0..1 << n).collect();
+    for block in masks.chunks(WORD_LANES) {
+        let mut words = pack_zero_one_masks(block, n);
+        machine.run_vertical_bits(&mut words, &vertical);
+        for (l, &mask) in block.iter().enumerate() {
+            let mut keys: Vec<u8> = (0..n).map(|i| ((mask >> i) & 1) as u8).collect();
+            machine.run(&mut keys, &program);
+            assert_eq!(unpack_zero_one_lane(&words, l), keys, "mask {mask:#05x}");
+        }
+    }
+
+    // Both fault paths under the same seeded plans: compare-only ones,
+    // which the kernel runs from its run table and then swaps, and
+    // all-kinds ones, whose drops and stalls it replays hop by hop.
+    let in_flight = FaultSite { round: 2, op: 2 };
+    let (mut in_flight_flips, mut hop_faults) = (0, 0);
+    let policy = RetryPolicy::default();
+    let mut scratch = ExecScratch::new();
+    for seed in 0..16u64 {
+        let plans = [
+            FaultPlan::random_with_kinds(seed, 250_000, &[FaultKind::FlipCompare]),
+            FaultPlan::random(seed, 250_000),
+        ];
+        for (plan, input) in plans
+            .iter()
+            .flat_map(|p| inputs().into_iter().map(move |i| (p, i)))
+        {
+            let mut a = input.clone();
+            let ra = machine.run_with_faults(&mut a, &program, plan, &policy);
+            let mut b = input;
+            let rb = machine.run_kernel_with_faults(&mut b, &kernel, plan, &policy, &mut scratch);
+            assert_eq!(ra, rb, "seed {seed} {plan:?}: fault reports diverge");
+            assert_eq!(a, b, "seed {seed} {plan:?}: faulty keys diverge");
+            // No certificate points: nothing to detect, so every run is Ok.
+            let injected = ra.expect("nothing to detect").injected;
+            in_flight_flips += injected.iter().filter(|f| f.site == in_flight).count();
+            hop_faults += injected
+                .iter()
+                .filter(|f| f.kind != FaultKind::FlipCompare)
+                .count();
+        }
+    }
+    // Not vacuous: the in-flight compare-exchange flipped, and hops
+    // dropped or resolves stalled.
+    assert!(in_flight_flips > 0, "no run flipped cx(4, 7)");
+    assert!(hop_faults > 0, "no run dropped or stalled a hop");
 }
 
 #[test]
@@ -291,66 +373,56 @@ fn assert_ties_keep_their_payloads<K: TieKey>() {
         let sorter = SorterChoice::Auto.resolve(&factor);
         let machine = BspMachine::new(&factor, 2);
         let program = compile(&factor, 2, sorter);
-        let optimized = program.optimized();
         let len = machine.shape().len() as usize;
         let lanes: Vec<Vec<K>> = tagged_lanes(len, 130);
-        let cache = ProgramCache::new();
-        for (name, prog) in [("program", &program), ("optimized", &optimized)] {
-            let ctx = format!("factor={} {name}", factor.name());
-            // The oracle runs the same program: the optimizer may drop a
-            // compare-exchange that would swap two equal keys back.
-            let want: Vec<Vec<(u8, u32)>> = lanes
-                .iter()
-                .map(|lane| {
-                    let mut keys = lane.clone();
-                    machine.run(&mut keys, prog);
-                    fields(&keys)
-                })
-                .collect();
-            let kernel = machine.lower(prog).expect("compiled programs lower");
-            assert!(kernel.route_rounds() > 0, "{ctx}: the fixture must relay");
-            let vertical = machine
-                .lower_vertical(prog)
-                .expect("compiled programs lower");
-
-            let mut scratch = ExecScratch::new();
-            for (lane, want) in lanes.iter().zip(&want) {
+        let ctx = format!("factor={}", factor.name());
+        let want: Vec<Vec<(u8, u32)>> = lanes
+            .iter()
+            .map(|lane| {
                 let mut keys = lane.clone();
-                machine.run_kernel(&mut keys, &kernel, &mut scratch);
-                assert_eq!(&fields(&keys), want, "{ctx}: run_kernel");
-            }
+                machine.run(&mut keys, &program);
+                fields(&keys)
+            })
+            .collect();
+        let kernel = machine.lower(&program).expect("compiled programs lower");
+        assert!(kernel.route_rounds() > 0, "{ctx}: the fixture must relay");
+        let vertical = machine
+            .lower_vertical(&program)
+            .expect("compiled programs lower");
 
-            let mut batch = lanes.clone();
-            machine.run_kernel_batch(&mut batch, &kernel, &mut ScratchPool::new());
-            let got: Vec<_> = batch.iter().map(|keys| fields(keys)).collect();
-            assert_eq!(got, want, "{ctx}: run_kernel_batch");
+        let mut scratch = ExecScratch::new();
+        for (lane, want) in lanes.iter().zip(&want) {
+            let mut keys = lane.clone();
+            machine.run_kernel(&mut keys, &kernel, &mut scratch);
+            assert_eq!(&fields(&keys), want, "{ctx}: run_kernel");
+        }
 
-            let mut batch = lanes.clone();
-            machine.run_vertical_batch(&mut batch, &vertical, &mut VerticalPool::new());
-            let got: Vec<_> = batch.iter().map(|keys| fields(keys)).collect();
-            assert_eq!(got, want, "{ctx}: run_vertical_batch");
+        let mut batch = lanes.clone();
+        machine.run_kernel_batch(&mut batch, &kernel, &mut ScratchPool::new());
+        let got: Vec<_> = batch.iter().map(|keys| fields(keys)).collect();
+        assert_eq!(got, want, "{ctx}: run_kernel_batch");
 
-            // `Machine` runs the raw program.
-            if name != "program" {
-                continue;
-            }
-            let mut compiled = Machine::compiled(&factor, 2, sorter, &cache);
-            for (lane, want) in lanes.iter().zip(&want).take(8) {
-                let report = compiled.sort(lane.clone()).expect("one key per node");
-                assert_eq!(&fields(&report.keys), want, "{ctx}: Machine::sort");
-            }
-            // 1 and 3 lanes: the kernel batch; from 4 lanes on, the
-            // column tier (70 = 35 + 35 and 130 = 44 + 43 + 43 lanes).
-            for width in [1, 3, 4, 5, 8, 70, 130] {
-                let reports = compiled.sort_batch(lanes[..width].to_vec());
-                for (report, want) in reports.into_iter().zip(&want) {
-                    let keys = report.expect("one key per node").keys;
-                    assert_eq!(
-                        &fields(&keys),
-                        want,
-                        "{ctx}: Machine::sort_batch of {width}"
-                    );
-                }
+        let mut batch = lanes.clone();
+        machine.run_vertical_batch(&mut batch, &vertical, &mut VerticalPool::new());
+        let got: Vec<_> = batch.iter().map(|keys| fields(keys)).collect();
+        assert_eq!(got, want, "{ctx}: run_vertical_batch");
+
+        let mut compiled = Machine::compiled(&factor, 2, sorter, &ProgramCache::new());
+        for (lane, want) in lanes.iter().zip(&want).take(8) {
+            let report = compiled.sort(lane.clone()).expect("one key per node");
+            assert_eq!(&fields(&report.keys), want, "{ctx}: Machine::sort");
+        }
+        // 1 and 3 lanes: the kernel batch; from 4 lanes on, the column
+        // tier (70 = 35 + 35 and 130 = 44 + 43 + 43 lanes).
+        for width in [1, 3, 4, 5, 8, 70, 130] {
+            let reports = compiled.sort_batch(lanes[..width].to_vec());
+            for (report, want) in reports.into_iter().zip(&want) {
+                let keys = report.expect("one key per node").keys;
+                assert_eq!(
+                    &fields(&keys),
+                    want,
+                    "{ctx}: Machine::sort_batch of {width}"
+                );
             }
         }
     }

@@ -152,7 +152,6 @@ proptest! {
     #[test]
     fn kernel_paths_agree_with_the_interpreter(
         n in 3usize..6, seed in any::<u64>(), modulus in 1u64..50,
-        optimized in any::<bool>(),
     ) {
         // The lowered kernel — serial, chunked (threshold 1), and
         // batched — is bit-identical to interpreted execution on random
@@ -161,7 +160,6 @@ proptest! {
         let r = 2;
         let shape = Shape::new(n, r);
         let program = compile(&factor, r, &OetSnakeSorter);
-        let program = if optimized { program.optimized() } else { program };
         let bsp = BspMachine::new(&factor, r);
         let kernel = bsp.lower(&program).expect("compiled programs validate");
 
